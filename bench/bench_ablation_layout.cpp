@@ -38,7 +38,7 @@ int main() {
       options.max_resynthesis_iterations = 2;
       const auto report = core::synthesize(assay, options);
       const bool valid =
-          schedule::validate_result(report.result, assay, report.transport).empty();
+          schedule::certify_result(report.result, assay, report.transport).empty();
       table.add_row({std::to_string(case_number),
                      refinement == core::TransportRefinement::Layout ? "layout"
                                                                      : "progression",

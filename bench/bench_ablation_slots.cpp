@@ -32,7 +32,7 @@ int main() {
       const auto report =
           baseline::synthesize_conventional(assay, options, Minutes{slot});
       const bool valid =
-          schedule::validate_result(report.result, assay, report.transport).empty();
+          schedule::certify_result(report.result, assay, report.transport).empty();
       table.add_row({std::to_string(case_number),
                      slot == 0 ? "continuous" : std::to_string(slot) + "m",
                      report.result.total_time(assay).to_string(),

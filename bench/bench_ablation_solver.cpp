@@ -49,8 +49,8 @@ int main() {
     total_gap += gap;
     ++counted;
     const bool valid =
-        schedule::validate_result(e.result, assay, e.transport).empty() &&
-        schedule::validate_result(h.result, assay, h.transport).empty();
+        schedule::certify_result(e.result, assay, e.transport).empty() &&
+        schedule::certify_result(h.result, assay, h.transport).empty();
     std::ostringstream gap_text;
     gap_text << std::fixed << std::setprecision(2) << gap << '%';
     std::ostringstream ho_text, eo_text;

@@ -30,7 +30,7 @@ int main() {
       options.layering.indeterminate_threshold = t;
       const auto report = core::synthesize(assay, options);
       const bool valid =
-          schedule::validate_result(report.result, assay, report.transport).empty();
+          schedule::certify_result(report.result, assay, report.transport).empty();
       const auto storage = core::boundary_storage(report.plan, assay);
       const int max_storage =
           storage.empty() ? 0 : *std::max_element(storage.begin(), storage.end());

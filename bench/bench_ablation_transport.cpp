@@ -40,7 +40,7 @@ int main() {
     options.resynthesis_improvement_threshold = -1.0;
     const auto report = core::synthesize(assay, options);
     const bool valid =
-        schedule::validate_result(report.result, assay, report.transport).empty();
+        schedule::certify_result(report.result, assay, report.transport).empty();
     table.add_row({variant.name, report.result.total_time(assay).to_string(),
                    std::to_string(report.result.used_device_count()),
                    std::to_string(report.result.path_count(assay)),

@@ -78,7 +78,7 @@ int main() {
   std::cout << "\nre-synthesis avoided a device integration: "
             << (saved ? "yes (Fig. 6(a) reached)" : "no") << '\n';
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
+      schedule::certify_result(report.result, assay, report.transport);
   std::cout << "schedule valid: " << (violations.empty() ? "yes" : "NO") << '\n';
   return violations.empty() ? 0 : 1;
 }

@@ -1,15 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the substrate algorithms: the
-// bounded simplex, branch-and-bound, max-flow, layering, and a full
-// synthesis pass. These track the cost of the pieces the paper's runtime
-// column depends on.
+// revised simplex (cold solve and warm child re-solve), branch-and-bound,
+// max-flow, layering, and a full synthesis pass. These track the cost of
+// the pieces the paper's runtime column depends on.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "assays/benchmarks.hpp"
 #include "assays/random_assay.hpp"
 #include "core/layering.hpp"
 #include "core/progressive_resynthesis.hpp"
 #include "graph/max_flow.hpp"
-#include "lp/simplex.hpp"
+#include "lp/revised_simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "util/rng.hpp"
 
@@ -17,8 +20,7 @@ namespace {
 
 using namespace cohls;
 
-void BM_SimplexDense(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+lp::LpModel random_dense_lp(int n) {
   Rng rng{7};
   lp::LpModel model;
   for (int j = 0; j < n; ++j) {
@@ -35,11 +37,36 @@ void BM_SimplexDense(benchmark::State& state) {
     model.add_constraint(std::move(terms), lp::RowSense::LessEqual,
                          static_cast<double>(rng.uniform_int(5, 30)));
   }
+  return model;
+}
+
+/// One cold revised-simplex solve (CSC build, phase 1 and phase 2).
+void BM_SimplexRevised(benchmark::State& state) {
+  const lp::LpModel model = random_dense_lp(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(lp::solve_lp(model));
   }
 }
-BENCHMARK(BM_SimplexDense)->Arg(10)->Arg(30)->Arg(60);
+BENCHMARK(BM_SimplexRevised)->Arg(10)->Arg(30)->Arg(60);
+
+/// One branch-and-bound child re-solve: a single bound change, then the
+/// dual simplex from the parent's optimal basis.
+void BM_SimplexRevisedWarm(benchmark::State& state) {
+  const lp::LpModel model = random_dense_lp(static_cast<int>(state.range(0)));
+  lp::RevisedSimplex solver(model);
+  const lp::LpSolution parent = solver.solve();
+  const lp::Basis parent_basis = solver.basis();
+  // Branch on the column with the largest optimal value: cap it at half.
+  const auto largest = std::max_element(parent.values.begin(), parent.values.end());
+  const lp::Col col = static_cast<lp::Col>(largest - parent.values.begin());
+  const double tightened = std::floor(*largest / 2.0);
+  for (auto _ : state) {
+    solver.set_bounds(col, model.lower_bound(col), tightened);
+    benchmark::DoNotOptimize(solver.solve_from(parent_basis));
+    solver.set_bounds(col, model.lower_bound(col), model.upper_bound(col));
+  }
+}
+BENCHMARK(BM_SimplexRevisedWarm)->Arg(10)->Arg(30)->Arg(60);
 
 void BM_MilpKnapsack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

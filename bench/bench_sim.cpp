@@ -49,6 +49,7 @@
 #include "sim/fleet.hpp"
 #include "sim/hazard.hpp"
 #include "sim/runtime.hpp"
+#include "support/runtime_reference.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -102,7 +103,7 @@ ReferenceReduction reference_loop(const schedule::SynthesisResult& result,
     options.faults.events.clear();
     hazard.sample_into(options.faults, result.devices, kFleetSeed,
                        static_cast<std::uint64_t>(r), kNoHorizon);
-    const sim::RunTrace trace = sim::simulate_run_reference(result, assay, options);
+    const sim::RunTrace trace = oracles::simulate_run_reference(result, assay, options);
     switch (trace.outcome) {
       case sim::RunOutcome::Completed:
         ++out.completed;

@@ -1,16 +1,17 @@
-// Solver micro-benchmark: cold dense-tableau branch and bound (the seed
-// configuration) vs the warm-started revised simplex (presolve at the root,
-// dual re-solves from the parent basis at every child node). Instances are
-// the actual per-layer MILPs that arise while synthesizing the Table-2
-// bioassays — captured through the LayerSolveCache hook — plus random mixed
-// integer programs. Every instance is solved with both configurations and
-// the final objectives are required to match whenever both searches close
-// (truncated searches hold exploration-order-dependent incumbents but must
-// never report NoSolution); a mismatch makes the binary exit non-zero, so
-// the CI smoke run doubles as a differential test.
+// Solver benchmark of the branch-and-bound MILP solver in its one
+// configuration: sparse revised simplex, presolve at the root, dual
+// re-solves from the parent basis at every child node, root dive and
+// pseudocost branching. Instances are the actual per-layer MILPs that arise
+// while synthesizing the Table-2 bioassays — captured through the
+// LayerSolveCache hook — plus random mixed integer programs. Every instance
+// is checked: a truncated search must still hold an incumbent, every
+// incumbent must be feasible, and no objective may lie below the root LP
+// relaxation solved independently by the dense-tableau reference
+// (tests/support). A failed check makes the binary exit non-zero, so the CI
+// smoke run doubles as a correctness test.
 //
 // Output: a human-readable table, and (full mode) BENCH_solver.json with
-// one record per (solver, instance) holding nodes, pivots and wall ms.
+// one record per instance holding nodes, pivots and wall ms.
 //
 // Full mode additionally runs a parallel-scaling sweep with 1/2/4/8 workers
 // at EQUAL node budgets (MilpOptions::threads): the big case-2/3 layer
@@ -24,15 +25,14 @@
 // one CPU and no parallel solver can beat sequential wall clock.
 //
 // Every captured layer model carries its combinatorial bound provider
-// (core::IlpLayerModel::bound_provider) and both solver configurations
-// attach it, together with the root dive and pseudocost branching — the
-// production search configuration. With the configuration-cost floor cuts
+// (core::IlpLayerModel::bound_provider) and the solver attaches it, as
+// synthesize_layer does. With the configuration-cost floor cuts
 // the big case-2/3 layer-0 MILPs now CLOSE to proven optimality (550/548),
 // which the full run and the --closure mode assert, along with "no worker
 // count reports NoSolution" and "status identical across worker counts".
 //
 // Usage: bench_solver_perf [--smoke] [--scaling] [--closure] [--out <path>]
-//   --smoke    quick differential run (CI), no JSON
+//   --smoke    quick checked run (CI), no JSON
 //   --scaling  quick scaling-only run (CI Release smoke), no JSON
 //   --closure  case2/case3 layer-0 closure gate (CI Release), no JSON
 #include <algorithm>
@@ -54,6 +54,7 @@
 #include "lp/simplex.hpp"
 #include "milp/bounds.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "support/lp_oracles.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -214,25 +215,14 @@ struct Measurement {
   double wall_ms = 0.0;
 };
 
-milp::MilpOptions solver_config(bool warm_revised, long node_cap,
+milp::MilpOptions solver_config(long node_cap,
                                 std::shared_ptr<const milp::NodeBoundProvider> bounds) {
   milp::MilpOptions options;
-  // Random instances (node_cap == 0) run to completion; layer models get the
-  // SAME node budget in both configurations and the SAME bound provider, so
-  // the searches traverse identical trees and wall-per-node is a clean
-  // comparison of the two solvers' node re-solve cost.
+  // Random instances (node_cap == 0) run to completion; layer models get a
+  // node budget so wall-per-node is comparable across runs and hosts.
   options.max_nodes = node_cap > 0 ? node_cap : 2000000;
   options.time_limit_seconds = 600.0;
   options.bounds = std::move(bounds);
-  if (warm_revised) {
-    options.simplex.algorithm = lp::SimplexAlgorithm::Revised;
-    options.presolve = true;
-  } else {
-    // The seed configuration: dense tableau, every node solved from
-    // scratch, no root presolve.
-    options.simplex.algorithm = lp::SimplexAlgorithm::Dense;
-    options.presolve = false;
-  }
   return options;
 }
 
@@ -254,31 +244,15 @@ void fill_common(Measurement& out, const milp::MilpSolution& solution) {
   out.dive_found_incumbent = solution.dive_found_incumbent;
 }
 
-Measurement measure(const CapturedLayer& instance, bool warm_revised, int repetitions,
-                    long node_cap) {
-  const milp::MilpOptions options =
-      solver_config(warm_revised, node_cap, instance.bounds);
-  Measurement out;
-  out.wall_ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const auto begin = Clock::now();
-    const milp::MilpSolution solution = milp::solve_milp(instance.model, options);
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - begin).count();
-    out.wall_ms = std::min(out.wall_ms, ms);  // min over reps: least-noise estimate
-    fill_common(out, solution);
-  }
-  return out;
-}
-
 struct InstanceRow {
   std::string name;
   int vars = 0;
   int rows = 0;
-  Measurement dense;
-  Measurement revised;
-  bool objectives_match = false;
-  double node_speedup = 0.0;  ///< dense ms/node over revised ms/node
+  Measurement m;
+  /// Objective of the root LP relaxation, solved by the dense-tableau
+  /// reference; nothing when the relaxation is infeasible.
+  std::optional<double> root_lp;
+  bool ok = false;  ///< the checks in run_instance passed
 };
 
 InstanceRow run_instance(const std::string& name, const CapturedLayer& instance,
@@ -287,30 +261,29 @@ InstanceRow run_instance(const std::string& name, const CapturedLayer& instance,
   row.name = name;
   row.vars = instance.model.variable_count();
   row.rows = instance.model.constraint_count();
-  row.dense = measure(instance, /*warm_revised=*/false, repetitions, node_cap);
-  row.revised = measure(instance, /*warm_revised=*/true, repetitions, node_cap);
-  // Objective identity is a theorem only when BOTH searches close: root
-  // presolve changes the LP fractional points, hence the dive and the
-  // pseudocost history, hence the tree — two truncated searches legitimately
-  // hold different incumbents. A truncated production (revised) run must
-  // still hold SOME incumbent — its root dive guarantees one on feasible
-  // instances — while the dense seed configuration has no dive (the dive
-  // re-solves on the revised workspace) and may legitimately hold nothing
-  // at a small node cap.
-  const bool both_closed = row.dense.closed && row.revised.closed;
-  if (both_closed) {
-    row.objectives_match =
-        row.dense.status == row.revised.status &&
-        (!row.dense.has_objective ||
-         std::abs(row.dense.objective - row.revised.objective) <= 1e-6);
-  } else {
-    row.objectives_match = row.revised.status != milp::MilpStatus::NoSolution;
+  const milp::MilpOptions options = solver_config(node_cap, instance.bounds);
+  row.m.wall_ms = std::numeric_limits<double>::infinity();
+  milp::MilpSolution solution;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    const auto begin = Clock::now();
+    solution = milp::solve_milp(instance.model, options);
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - begin).count();
+    row.m.wall_ms = std::min(row.m.wall_ms, ms);  // min over reps: least-noise estimate
+    fill_common(row.m, solution);
   }
-  const double dense_per_node =
-      row.dense.wall_ms / static_cast<double>(std::max<long>(row.dense.nodes, 1));
-  const double revised_per_node =
-      row.revised.wall_ms / static_cast<double>(std::max<long>(row.revised.nodes, 1));
-  row.node_speedup = revised_per_node > 0.0 ? dense_per_node / revised_per_node : 0.0;
+  const lp::LpSolution relaxation = oracles::solve_lp_dense(instance.model.lp());
+  if (relaxation.status == lp::LpStatus::Optimal) {
+    row.root_lp = relaxation.objective;
+  }
+  // A truncated search must still hold SOME incumbent (the root dive
+  // guarantees one on feasible instances); an incumbent must be feasible
+  // and can never beat the LP relaxation.
+  row.ok = row.m.status != milp::MilpStatus::NoSolution;
+  if (row.m.has_objective) {
+    row.ok = row.ok && instance.model.is_feasible(solution.values, 1e-5) &&
+             row.root_lp.has_value() && row.m.objective >= *row.root_lp - 1e-6;
+  }
   return row;
 }
 
@@ -367,7 +340,7 @@ ScalingRow run_scaling(const std::string& name, const CapturedLayer& instance,
   row.node_cap = node_cap;
   for (const int threads : worker_counts) {
     milp::MilpOptions options =
-        solver_config(/*warm_revised=*/true, node_cap, instance.bounds);
+        solver_config(node_cap, instance.bounds);
     options.threads = threads;
     ScalingPoint point;
     point.threads = threads;
@@ -424,10 +397,10 @@ double median(std::vector<double> xs) {
   return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
 }
 
-std::string json_record(const std::string& solver, const InstanceRow& row,
-                        const Measurement& m) {
+std::string json_record(const InstanceRow& row) {
+  const Measurement& m = row.m;
   std::ostringstream os;
-  os << "    {\"solver\": \"" << solver << "\", \"instance\": \"" << row.name
+  os << "    {\"instance\": \"" << row.name
      << "\", \"vars\": " << row.vars << ", \"rows\": " << row.rows
      << ", \"status\": \"" << milp::to_string(m.status) << "\", \"nodes\": " << m.nodes
      << ", \"pivots\": " << m.pivots << ", \"warm_solves\": " << m.warm_solves
@@ -438,6 +411,8 @@ std::string json_record(const std::string& solver, const InstanceRow& row,
      << ", \"cutoff_prunes\": " << m.cutoff_prunes
      << ", \"dive_lp_solves\": " << m.dive_lp_solves
      << ", \"dive_found_incumbent\": " << (m.dive_found_incumbent ? "true" : "false")
+     << ", \"root_lp\": " << (row.root_lp ? std::to_string(*row.root_lp) : "null")
+     << ", \"checked\": " << (row.ok ? "true" : "false")
      << ", \"wall_ms\": " << m.wall_ms << "}";
   return os.str();
 }
@@ -578,13 +553,11 @@ int main(int argc, char** argv) {
   const int repetitions = smoke ? 1 : 3;
   const std::size_t cap_per_case = smoke ? 1 : 3;
   const int random_count = smoke ? 6 : 30;
-  // Equal node budget for the Table-2 layer differential rows. The budget
-  // stays modest because the dense seed pays ~0.5 s per node on the big
-  // layer-0 models; closure of those models is asserted in the scaling
-  // sweep below (production configuration, generous cap), not here.
+  // Node budget for the Table-2 layer rows; closure of the big layer-0
+  // models is asserted in the scaling sweep below, with a generous cap.
   const long layer_node_cap = smoke ? 25 : 120;
 
-  std::cout << "=== Solver performance: dense cold vs revised warm-started B&B ===\n";
+  std::cout << "=== Solver performance: revised warm-started B&B ===\n";
   std::cout << "(instances: Table-2 per-layer MILPs + random MIPs; "
             << (smoke ? "smoke" : "full") << " mode)\n\n";
 
@@ -594,15 +567,12 @@ int main(int argc, char** argv) {
   };
   std::vector<CaseSpec> cases;
   cases.push_back({"case1", assays::kinase_activity_assay()});
+  cases.push_back({"case2", assays::gene_expression_assay()});
   if (!smoke) {
-    cases.push_back({"case2", assays::gene_expression_assay()});
     cases.push_back({"case3", assays::rt_qpcr_assay()});
-  } else {
-    cases.push_back({"case2", assays::gene_expression_assay()});
   }
 
   std::vector<InstanceRow> rows;
-  std::vector<double> table2_speedups;  // case 2/3 only: the acceptance metric
   // Case-2/3 layer models are kept for the parallel-scaling sweep below.
   std::vector<std::pair<std::string, CapturedLayer>> table2_models;
   for (const CaseSpec& spec : cases) {
@@ -614,7 +584,6 @@ int main(int argc, char** argv) {
       name << spec.tag << "-layer-" << index++;
       rows.push_back(run_instance(name.str(), captured, 1, layer_node_cap));
       if (spec.tag != std::string("case1")) {
-        table2_speedups.push_back(rows.back().node_speedup);
         table2_models.emplace_back(name.str(), captured);
       }
     }
@@ -631,52 +600,33 @@ int main(int argc, char** argv) {
                                 repetitions, /*node_cap=*/0));
   }
 
-  TextTable table({"Instance", "Size", "Status", "Nodes d/r", "Pivots d/r", "ms d/r",
-                   "ms/node d/r", "Speedup", "Obj match"});
-  bool all_match = true;
+  TextTable table({"Instance", "Size", "Status", "Objective", "Root LP", "Nodes",
+                   "Pivots", "ms", "ms/node", "Checked"});
+  bool all_checked = true;
   for (const InstanceRow& row : rows) {
-    all_match = all_match && row.objectives_match;
-    std::ostringstream size, nodes, pivots, ms, per_node, speedup;
+    all_checked = all_checked && row.ok;
+    std::ostringstream size, objective, root_lp, ms, per_node;
     size << row.vars << "x" << row.rows;
-    nodes << row.dense.nodes << "/" << row.revised.nodes;
-    pivots << row.dense.pivots << "/" << row.revised.pivots;
+    objective.precision(4);
+    objective << std::fixed << row.m.objective;
+    root_lp.precision(4);
+    root_lp << std::fixed << row.root_lp.value_or(0.0);
     ms.precision(3);
-    ms << std::fixed << row.dense.wall_ms << "/" << row.revised.wall_ms;
+    ms << std::fixed << row.m.wall_ms;
     per_node.precision(4);
     per_node << std::fixed
-             << row.dense.wall_ms / std::max<double>(1.0, static_cast<double>(row.dense.nodes))
-             << "/"
-             << row.revised.wall_ms /
-                    std::max<double>(1.0, static_cast<double>(row.revised.nodes));
-    speedup.precision(2);
-    speedup << std::fixed << row.node_speedup << "x";
-    table.add_row({row.name, size.str(), milp::to_string(row.revised.status), nodes.str(),
-                   pivots.str(), ms.str(), per_node.str(), speedup.str(),
-                   row.objectives_match ? "yes" : "NO"});
+             << row.m.wall_ms / std::max<double>(1.0, static_cast<double>(row.m.nodes));
+    table.add_row({row.name, size.str(), milp::to_string(row.m.status),
+                   row.m.has_objective ? objective.str() : "-",
+                   row.root_lp ? root_lp.str() : "infeasible",
+                   std::to_string(row.m.nodes), std::to_string(row.m.pivots), ms.str(),
+                   per_node.str(), row.ok ? "yes" : "NO"});
   }
   table.print(std::cout);
-
-  std::vector<double> all_speedups;
-  for (const InstanceRow& row : rows) {
-    all_speedups.push_back(row.node_speedup);
-  }
-  const double table2_median = median(table2_speedups);
-  const double overall_median = median(all_speedups);
-  std::cout << "\nmedian node re-solve speedup (Table-2 case 2/3 layer models): "
-            << table2_median << "x\n";
-  std::cout << "median node re-solve speedup (all instances): " << overall_median
-            << "x\n";
-  std::cout << "objectives: " << (all_match ? "all configurations agree" : "MISMATCH")
+  std::cout << "\nincumbents: "
+            << (all_checked ? "all feasible and above their LP relaxation"
+                            : "CHECK FAILED (missing, infeasible or below the LP relaxation)")
             << "\n";
-
-  // Satellite of the revised-simplex PR: the tiny-instance regression is
-  // fixed by the tiny-model cold-solve fallback, so the all-instances median must not
-  // dip below parity again.
-  const bool overall_ok = smoke || overall_median >= 1.0;
-  if (!overall_ok) {
-    std::cout << "REGRESSION: all-instances median node speedup " << overall_median
-              << " < 1.0\n";
-  }
 
   // --- parallel scaling sweep (full mode) ----------------------------------
   std::vector<ScalingRow> scaling_rows;
@@ -828,11 +778,9 @@ int main(int argc, char** argv) {
   if (!smoke) {
     std::ofstream out(out_path);
     out << "{\n  \"benchmark\": \"bench_solver_perf\",\n";
-    out << "  \"solvers\": {\"dense-cold\": \"seed dense tableau, cold per node, no presolve\", "
-           "\"revised-warm\": \"sparse revised simplex, root presolve, warm dual re-solves\"},\n";
-    out << "  \"median_node_speedup_table2_case23\": " << table2_median << ",\n";
-    out << "  \"median_node_speedup_all\": " << overall_median << ",\n";
-    out << "  \"objectives_match\": " << (all_match ? "true" : "false") << ",\n";
+    out << "  \"solver\": \"sparse revised simplex, root presolve, warm dual re-solves, "
+           "root dive, pseudocost branching\",\n";
+    out << "  \"all_checked\": " << (all_checked ? "true" : "false") << ",\n";
     out << "  \"hardware_threads\": " << hardware_threads << ",\n";
     out << "  \"median_parallel_speedup_4workers_case23\": "
         << median(scaling_speedups_4w) << ",\n";
@@ -886,15 +834,13 @@ int main(int argc, char** argv) {
     out << "  ],\n";
     out << "  \"records\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      out << json_record("dense-cold", rows[i], rows[i].dense) << ",\n";
-      out << json_record("revised-warm", rows[i], rows[i].revised)
-          << (i + 1 < rows.size() ? ",\n" : "\n");
+      out << json_record(rows[i]) << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";
     std::cout << "wrote " << out_path << "\n";
   }
 
-  return all_match && overall_ok && scaling_objectives_ok && scaling_speedup_ok &&
+  return all_checked && scaling_objectives_ok && scaling_speedup_ok &&
                  scaling_status_ok && scaling_no_nosolution && closure_ok
              ? 0
              : 1;

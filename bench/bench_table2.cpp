@@ -42,7 +42,7 @@ RowData run(const model::Assay& assay, const core::SynthesisOptions& options,
   row.devices = report.result.used_device_count();
   row.paths = report.result.path_count(assay);
   row.runtime = format_wallclock(elapsed.count());
-  row.valid = schedule::validate_result(report.result, assay, report.transport).empty();
+  row.valid = schedule::certify_result(report.result, assay, report.transport).empty();
   return row;
 }
 

@@ -71,7 +71,7 @@ int main() {
   std::cout << "\ntotal time: " << report.result.total_time(assay) << "\n";
 
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
+      schedule::certify_result(report.result, assay, report.transport);
   std::cout << "schedule valid: " << (violations.empty() ? "yes" : "NO") << "\n";
   return violations.empty() ? 0 : 1;
 }

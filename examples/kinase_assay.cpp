@@ -24,7 +24,7 @@ void describe(const char* label, const core::SynthesisReport& report,
   std::cout << "  paths          : " << report.result.path_count(assay) << "\n";
   std::cout << "  layers         : " << report.result.layers.size() << "\n";
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
+      schedule::certify_result(report.result, assay, report.transport);
   std::cout << "  valid          : " << (violations.empty() ? "yes" : "NO") << "\n";
 }
 

@@ -69,10 +69,10 @@ int main() {
 
   // --- 4. The result is validated against the paper's constraints -------------
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
+      schedule::certify_result(report.result, assay, report.transport);
   std::cout << "\nschedule valid: " << (violations.empty() ? "yes" : "NO") << "\n";
   for (const auto& v : violations) {
-    std::cout << "  violation: " << v << "\n";
+    std::cout << "  violation: " << diag::summary_line(v) << "\n";
   }
   return violations.empty() ? 0 : 1;
 }

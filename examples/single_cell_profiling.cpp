@@ -54,7 +54,7 @@ int main() {
             << "  (fixed part + one unknown per capture layer)\n";
 
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
+      schedule::certify_result(report.result, assay, report.transport);
   std::cout << "schedule valid: " << (violations.empty() ? "yes" : "NO") << "\n";
   return violations.empty() ? 0 : 1;
 }

@@ -103,7 +103,7 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
   }
 
   std::ostringstream out;
-  out << "cohls-layer-sig v1\n";
+  out << "cohls-layer-sig v2\n";
 
   // Engine budgets — a different budget may legitimately change the result.
   const core::EngineOptions& engine = context.engine;
@@ -115,7 +115,11 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
   put_double(out, engine.milp.integrality_tolerance);
   out << " gap=";
   put_double(out, engine.milp.absolute_gap);
-  out << " round=" << engine.milp.enable_rounding_heuristic << "\n";
+  out << " round=" << engine.milp.enable_rounding_heuristic
+      << " dive=" << engine.milp.dive << " lp_tol=";
+  put_double(out, engine.milp.simplex.tolerance);
+  out << " lp_iters=" << engine.milp.simplex.max_iterations
+      << " refactor=" << engine.milp.simplex.refactor_interval << "\n";
 
   // Cost model and registry processing costs.
   const model::CostModel& costs = context.costs;

@@ -27,7 +27,7 @@ namespace cohls::io {
 
 /// Parses a result back. The assay provides the accessory registry used to
 /// resolve accessory names and is also used for sanity limits; full
-/// constraint validation remains the job of schedule::validate_result.
+/// constraint validation remains the job of schedule::certify_result.
 [[nodiscard]] schedule::SynthesisResult result_from_text(const std::string& text,
                                                          const model::Assay& assay);
 

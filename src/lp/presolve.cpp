@@ -186,21 +186,4 @@ Presolved presolve(const LpModel& original) {
   return out;
 }
 
-LpSolution solve_lp_with_presolve(const LpModel& model, const SimplexOptions& options) {
-  const Presolved pre = presolve(model);
-  if (pre.infeasible()) {
-    LpSolution solution;
-    solution.status = LpStatus::Infeasible;
-    return solution;
-  }
-  LpSolution reduced = solve_lp(pre.model(), options);
-  if (reduced.status != LpStatus::Optimal) {
-    return reduced;
-  }
-  LpSolution full = reduced;
-  full.values = pre.restore(reduced.values);
-  full.objective = model.objective_value(full.values);
-  return full;
-}
-
 }  // namespace cohls::lp

@@ -1,15 +1,14 @@
 // LP presolve: cheap model reductions applied before the simplex. The
 // per-layer synthesis models contain many fixed binaries (forbidden
 // bindings pinned to zero, sealed configuration variables), empty rows and
-// singleton rows; eliminating them shrinks the dense tableau the simplex
-// pivots over.
+// singleton rows; eliminating them shrinks the basis the simplex factors and
+// the columns it prices. Branch and bound always presolves at the root.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "lp/model.hpp"
-#include "lp/simplex.hpp"
 
 namespace cohls::lp {
 
@@ -72,9 +71,5 @@ class Presolved {
 /// into rows), empty rows (dropped or proven infeasible) and singleton rows
 /// (turned into bound tightenings, which may fix further columns).
 [[nodiscard]] Presolved presolve(const LpModel& original);
-
-/// Convenience: presolve + solve + restore. Statuses mirror solve_lp.
-[[nodiscard]] LpSolution solve_lp_with_presolve(const LpModel& model,
-                                                const SimplexOptions& options = {});
 
 }  // namespace cohls::lp

@@ -9,6 +9,17 @@
 
 namespace cohls::lp {
 
+std::string to_string(LpStatus status) {
+  switch (status) {
+    case LpStatus::Optimal: return "Optimal";
+    case LpStatus::Infeasible: return "Infeasible";
+    case LpStatus::Unbounded: return "Unbounded";
+    case LpStatus::IterationLimit: return "IterationLimit";
+    case LpStatus::CutoffReached: return "CutoffReached";
+  }
+  return "Unknown";
+}
+
 namespace {
 
 /// Pivot elements smaller than this are rejected in ratio tests.
@@ -16,7 +27,7 @@ constexpr double kPivotTol = 1e-9;
 /// Singularity threshold for refactorization pivots.
 constexpr double kSingularTol = 1e-11;
 /// Infeasibility above this after phase 1 means the LP is infeasible
-/// (mirrors the dense solver's phase-1 threshold).
+/// (the dense-tableau test reference uses the same phase-1 threshold).
 constexpr double kInfeasibleTol = 1e-6;
 
 }  // namespace
@@ -1083,7 +1094,7 @@ const Basis& RevisedSimplex::basis() const { return impl_->basis(); }
 const SolveStats& RevisedSimplex::last_stats() const { return impl_->last_stats(); }
 const SolveStats& RevisedSimplex::total_stats() const { return impl_->total_stats(); }
 
-LpSolution solve_lp_revised(const LpModel& model, const SimplexOptions& options) {
+LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
   for (Col c = 0; c < model.variable_count(); ++c) {
     if (model.lower_bound(c) > model.upper_bound(c)) {
       LpSolution solution;

@@ -1,10 +1,9 @@
 // Sparse revised simplex with native variable bounds. The constraint matrix
 // is stored once in compressed-sparse-column form; the basis inverse is kept
 // as a dense refactorized inverse plus a product-form eta file, refactorized
-// periodically. Compared with the dense tableau (lp/simplex.cpp, kept behind
-// SimplexOptions::algorithm for differential testing) pricing walks sparse
-// columns instead of O(rows x cols) tableau sweeps, and a bounded-variable
-// dual simplex entry point re-solves from a caller-supplied starting basis —
+// periodically. Pricing walks sparse columns instead of O(rows x cols)
+// tableau sweeps, and a bounded-variable dual simplex entry point re-solves
+// from a caller-supplied starting basis —
 // the branch-and-bound MILP warm-starts every child node from its parent's
 // optimal basis after a single branching bound change.
 #pragma once
@@ -114,9 +113,5 @@ class RevisedSimplex {
   explicit RevisedSimplex(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
-
-/// One-shot convenience mirroring solve_lp, using the revised simplex.
-[[nodiscard]] LpSolution solve_lp_revised(const LpModel& model,
-                                          const SimplexOptions& options = {});
 
 }  // namespace cohls::lp

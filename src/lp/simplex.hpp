@@ -1,10 +1,8 @@
-// LP solve entry point and options. Two implementations share this
-// interface: the sparse revised simplex (lp/revised_simplex.hpp, the
-// default) and the original dense-tableau two-phase primal simplex kept in
-// lp/simplex.cpp for differential testing. Both support native variable
-// bounds (nonbasic variables rest at either bound; bound flips avoid
-// explicit bound rows). This is the LP engine under the branch-and-bound
-// MILP solver that substitutes for the paper's Gurobi dependency.
+// LP solve entry point, options and result types. The one implementation
+// is the sparse revised simplex (lp/revised_simplex.hpp) with native
+// variable bounds (nonbasic variables rest at either bound; bound flips
+// avoid explicit bound rows). This is the LP engine under the branch-and-
+// bound MILP solver that substitutes for the paper's Gurobi dependency.
 #pragma once
 
 #include <string>
@@ -36,28 +34,18 @@ struct LpSolution {
   int iterations = 0;
 };
 
-enum class SimplexAlgorithm {
-  /// Sparse revised simplex (lp/revised_simplex.hpp): CSC matrix, eta-file
-  /// basis with periodic refactorization, warm-startable dual re-solves.
-  Revised,
-  /// The original dense-tableau two-phase simplex, kept for differential
-  /// testing against the revised implementation.
-  Dense,
-};
-
 struct SimplexOptions {
   /// Hard cap on pivots across both phases; 0 means "derived from size".
   int max_iterations = 0;
   /// Feasibility / pricing tolerance.
   double tolerance = 1e-7;
-  /// Which implementation solve_lp dispatches to.
-  SimplexAlgorithm algorithm = SimplexAlgorithm::Revised;
-  /// Refactorize the basis after this many eta updates (revised only).
+  /// Refactorize the basis after this many eta updates.
   int refactor_interval = 64;
 };
 
-/// Solves `model` (a minimization) with the bounded-variable simplex
-/// selected by `options.algorithm`.
+/// Solves `model` (a minimization) from scratch: a one-shot
+/// lp::RevisedSimplex cold solve. Callers that re-solve after bound changes
+/// keep a RevisedSimplex and use its warm solve_from instead.
 [[nodiscard]] LpSolution solve_lp(const LpModel& model, const SimplexOptions& options = {});
 
 }  // namespace cohls::lp

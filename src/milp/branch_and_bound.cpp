@@ -17,7 +17,6 @@
 
 #include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
-#include "lp/simplex.hpp"
 #include "milp/bounds.hpp"
 #include "milp/dive.hpp"
 #include "util/check.hpp"
@@ -72,18 +71,15 @@ struct BoundUndo {
 };
 
 /// Everything one search thread needs to solve node relaxations: a private
-/// LP workspace (revised simplex sharing the immutable CSC matrix, or a
-/// cold scratch model), the effective-bound arrays of the node being
-/// solved, and the path/undo scratch. Never shared between threads.
+/// LP workspace (revised simplex sharing the immutable CSC matrix), the
+/// effective-bound arrays of the node being solved, and the path/undo
+/// scratch. Never shared between threads.
 struct Workspace {
   std::optional<lp::RevisedSimplex> revised;
-  lp::LpModel scratch;  ///< cold-solve path: bounds applied in place, one-shot solve_lp per node
   std::vector<double> cur_lower;  ///< effective bounds of the node being solved
   std::vector<double> cur_upper;
   std::vector<const PathStep*> path_buffer;
   std::vector<BoundUndo> undo_stack;
-  long cold_scratch_solves = 0;
-  long cold_scratch_pivots = 0;
 
   /// ORIGINAL-space mirror of the node box, maintained alongside cur_lower /
   /// cur_upper when a NodeBoundProvider is attached (the provider's contract
@@ -94,7 +90,7 @@ struct Workspace {
 
   /// Per-worker pseudocost history (objective degradation per unit of
   /// fractionality, by branching side). Worker-private so the parallel
-  /// search stays lock-free; empty unless pseudocost branching is selected.
+  /// search stays lock-free and threads == 1 stays bit-reproducible.
   std::vector<double> pc_down_sum;
   std::vector<double> pc_up_sum;
   std::vector<long> pc_down_count;
@@ -104,8 +100,6 @@ struct Workspace {
 /// Per-worker slice of the parallel search result, merged after the join.
 struct WorkerReport {
   lp::SolveStats lp{};
-  long cold_scratch_solves = 0;
-  long cold_scratch_pivots = 0;
   double idle_seconds = 0.0;
 };
 
@@ -293,11 +287,8 @@ class Solver {
       // Children re-solve from this node's optimal basis with the dual
       // simplex after the single branching-bound change. Snapshot it before
       // the root dive below re-solves (and re-bases) the workspace.
-      std::shared_ptr<const lp::Basis> child_basis;
-      if (use_revised_) {
-        child_basis = std::make_shared<lp::Basis>(ws_.revised->basis());
-      }
-      if (at_root && options_.dive && use_revised_) {
+      const auto child_basis = std::make_shared<const lp::Basis>(ws_.revised->basis());
+      if (at_root && options_.dive) {
         run_root_dive(ws_, relax, nullptr);
         if (has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap) {
           undo_path(ws_);
@@ -339,7 +330,7 @@ class Solver {
     out.cutoff_prunes = cutoff_prunes_;
     out.dive_lp_solves = dive_lp_solves_;
     out.dive_found_incumbent = dive_found_;
-    collect_lp_stats(out);
+    copy_lp_stats(ws_.revised->total_stats(), out);
     finish(out, exhausted, global_bound, root_infeasible_proven, any_lp_solved);
     return out;
   }
@@ -399,15 +390,8 @@ class Solver {
     for (const WorkerReport& report : reports) {
       out.worker_idle_seconds += report.idle_seconds;
       lp_total.accumulate(report.lp);
-      out.lp_pivots += report.cold_scratch_pivots;
-      out.lp_cold_solves += report.cold_scratch_solves;
     }
-    if (use_revised_) {
-      out.lp_pivots = lp_total.primal_pivots + lp_total.dual_pivots;
-      out.lp_warm_solves = lp_total.warm_solves;
-      out.lp_cold_solves = lp_total.cold_solves;
-      out.lp_refactorizations = lp_total.refactorizations;
-    }
+    copy_lp_stats(lp_total, out);
 
     has_incumbent_ = shared.has_incumbent.load(std::memory_order_acquire);
     {
@@ -454,11 +438,7 @@ class Solver {
         process_node(shared, ws, id, node);
         shared.open_nodes.fetch_sub(1, std::memory_order_acq_rel);
       }
-      if (ws.revised.has_value()) {
-        report.lp = ws.revised->total_stats();
-      }
-      report.cold_scratch_solves = ws.cold_scratch_solves;
-      report.cold_scratch_pivots = ws.cold_scratch_pivots;
+      report.lp = ws.revised->total_stats();
     } catch (...) {
       util::MutexLock lock(shared.error_mutex);
       if (shared.error == nullptr) {
@@ -470,14 +450,10 @@ class Solver {
   }
 
   /// A fresh workspace for workers 1..N-1, sharing ws_'s immutable CSC
-  /// matrix read-only (cold-solve path: a private scratch model copy).
+  /// matrix read-only.
   Workspace make_worker_workspace() {
     Workspace ws;
-    if (use_revised_) {
-      ws.revised.emplace(ws_.revised->clone_workspace());
-    } else {
-      ws.scratch = reduced_.lp();
-    }
+    ws.revised.emplace(ws_.revised->clone_workspace());
     const int n = reduced_.variable_count();
     ws.cur_lower.resize(static_cast<std::size_t>(n));
     ws.cur_upper.resize(static_cast<std::size_t>(n));
@@ -605,11 +581,8 @@ class Solver {
       offer_shared(shared, relax.values, options_.integrality_tolerance);
     }
 
-    std::shared_ptr<const lp::Basis> child_basis;
-    if (use_revised_) {
-      child_basis = std::make_shared<lp::Basis>(ws.revised->basis());
-    }
-    if (at_root && options_.dive && use_revised_) {
+    const auto child_basis = std::make_shared<const lp::Basis>(ws.revised->basis());
+    if (at_root && options_.dive) {
       // The root is expanded exactly once, before any child is stealable, so
       // the dive's incumbent is in place before any teammate expands node 2.
       run_root_dive(ws, relax, &shared);
@@ -702,52 +675,33 @@ class Solver {
   /// solver. Returns false when presolve alone proves infeasibility (which
   /// includes an integer column fixed to a fractional value).
   bool prepare() {
-    // Decide the solve strategy up front, on the ORIGINAL model size, so the
-    // choice is independent of what presolve removes. Tiny models are usually
-    // solved at the root without branching, where the whole fast path — root
-    // presolve, CSC build, refactorization state — costs more than warm
-    // re-solves can recoup; below the threshold the solver skips presolve and
-    // the persistent workspace and gives every node a one-shot cold solve,
-    // which has the lowest constant factor at this scale.
-    use_revised_ = options_.simplex.algorithm == lp::SimplexAlgorithm::Revised;
-    bool cold_fallback = false;
-    if (use_revised_ && options_.cold_solve_threshold > 0 &&
-        model_.variable_count() + model_.constraint_count() <=
-            options_.cold_solve_threshold) {
-      use_revised_ = false;
-      cold_fallback = true;
+    pre_ = lp::presolve(model_.lp());
+    if (pre_.infeasible()) {
+      return false;
     }
-    if (options_.presolve && !cold_fallback) {
-      pre_ = lp::presolve(model_.lp());
-      if (pre_->infeasible()) {
-        return false;
+    for (lp::Col c = 0; c < model_.variable_count(); ++c) {
+      if (!model_.is_integer(c) || !pre_.column_fixed(c)) {
+        continue;
       }
-      for (lp::Col c = 0; c < model_.variable_count(); ++c) {
-        if (!model_.is_integer(c) || !pre_->column_fixed(c)) {
-          continue;
-        }
-        const double v = pre_->fixed_value(c);
-        if (std::abs(v - std::round(v)) > options_.integrality_tolerance) {
-          return false;  // integer column pinned to a fractional value
-        }
+      const double v = pre_.fixed_value(c);
+      if (std::abs(v - std::round(v)) > options_.integrality_tolerance) {
+        return false;  // integer column pinned to a fractional value
       }
-      const lp::LpModel& red = pre_->model();
-      for (lp::Col rc = 0; rc < red.variable_count(); ++rc) {
-        reduced_.add_variable(VarKind::Continuous, red.lower_bound(rc),
-                              red.upper_bound(rc), red.objective_coefficient(rc));
+    }
+    const lp::LpModel& red = pre_.model();
+    for (lp::Col rc = 0; rc < red.variable_count(); ++rc) {
+      reduced_.add_variable(VarKind::Continuous, red.lower_bound(rc),
+                            red.upper_bound(rc), red.objective_coefficient(rc));
+    }
+    for (lp::Col c = 0; c < model_.variable_count(); ++c) {
+      if (pre_.column_fixed(c)) {
+        objective_offset_ += model_.lp().objective_coefficient(c) * pre_.fixed_value(c);
+      } else {
+        reduced_.set_kind(pre_.reduced_column(c), model_.kind(c));
       }
-      for (lp::Col c = 0; c < model_.variable_count(); ++c) {
-        if (pre_->column_fixed(c)) {
-          objective_offset_ += model_.lp().objective_coefficient(c) * pre_->fixed_value(c);
-        } else {
-          reduced_.set_kind(pre_->reduced_column(c), model_.kind(c));
-        }
-      }
-      for (lp::Row r = 0; r < red.constraint_count(); ++r) {
-        reduced_.add_constraint(red.row_terms(r), red.row_sense(r), red.row_rhs(r));
-      }
-    } else {
-      reduced_ = model_;
+    }
+    for (lp::Row r = 0; r < red.constraint_count(); ++r) {
+      reduced_.add_constraint(red.row_terms(r), red.row_sense(r), red.row_rhs(r));
     }
 
     const int n = reduced_.variable_count();
@@ -761,7 +715,7 @@ class Solver {
     if (options_.bounds != nullptr) {
       orig_of_reduced_.assign(static_cast<std::size_t>(n), -1);
       for (lp::Col c = 0; c < model_.variable_count(); ++c) {
-        const lp::Col rc = pre_.has_value() ? pre_->reduced_column(c) : c;
+        const lp::Col rc = pre_.reduced_column(c);
         if (rc >= 0) {
           orig_of_reduced_[static_cast<std::size_t>(rc)] = c;
         }
@@ -777,12 +731,7 @@ class Solver {
     // the integer-column count, plus slack for re-fractionalizations.
     dive_budget_ = 2 * integer_columns + 8;
     init_workspace_extras(ws_);
-
-    if (use_revised_) {
-      ws_.revised.emplace(reduced_.lp(), options_.simplex);
-    } else {
-      ws_.scratch = reduced_.lp();
-    }
+    ws_.revised.emplace(reduced_.lp(), options_.simplex);
     return true;
   }
 
@@ -791,23 +740,21 @@ class Solver {
   /// every parallel worker clone.
   void init_workspace_extras(Workspace& ws) const {
     const std::size_t n = static_cast<std::size_t>(reduced_.variable_count());
-    if (options_.branching == BranchingRule::Pseudocost) {
-      ws.pc_down_sum.assign(n, 0.0);
-      ws.pc_up_sum.assign(n, 0.0);
-      ws.pc_down_count.assign(n, 0);
-      ws.pc_up_count.assign(n, 0);
-    }
+    ws.pc_down_sum.assign(n, 0.0);
+    ws.pc_up_sum.assign(n, 0.0);
+    ws.pc_down_count.assign(n, 0);
+    ws.pc_up_count.assign(n, 0);
     if (options_.bounds != nullptr) {
       const std::size_t on = static_cast<std::size_t>(model_.variable_count());
       ws.orig_lower.resize(on);
       ws.orig_upper.resize(on);
       for (lp::Col c = 0; c < model_.variable_count(); ++c) {
         const std::size_t cs = static_cast<std::size_t>(c);
-        if (pre_.has_value() && pre_->column_fixed(c)) {
-          ws.orig_lower[cs] = pre_->fixed_value(c);
-          ws.orig_upper[cs] = pre_->fixed_value(c);
+        if (pre_.column_fixed(c)) {
+          ws.orig_lower[cs] = pre_.fixed_value(c);
+          ws.orig_upper[cs] = pre_.fixed_value(c);
         } else {
-          const lp::Col rc = pre_.has_value() ? pre_->reduced_column(c) : c;
+          const lp::Col rc = pre_.reduced_column(c);
           ws.orig_lower[cs] = reduced_.lp().lower_bound(rc);
           ws.orig_upper[cs] = reduced_.lp().upper_bound(rc);
         }
@@ -826,16 +773,12 @@ class Solver {
       return;
     }
     std::vector<double> mapped(static_cast<std::size_t>(reduced_.variable_count()));
-    if (pre_.has_value()) {
-      for (lp::Col c = 0; c < model_.variable_count(); ++c) {
-        const int rc = pre_->reduced_column(c);
-        if (rc >= 0) {
-          mapped[static_cast<std::size_t>(rc)] =
-              (*options_.warm_start)[static_cast<std::size_t>(c)];
-        }
+    for (lp::Col c = 0; c < model_.variable_count(); ++c) {
+      const int rc = pre_.reduced_column(c);
+      if (rc >= 0) {
+        mapped[static_cast<std::size_t>(rc)] =
+            (*options_.warm_start)[static_cast<std::size_t>(c)];
       }
-    } else {
-      mapped = *options_.warm_start;
     }
     if (reduced_.is_feasible(mapped, options_.integrality_tolerance)) {
       incumbent_ = std::move(mapped);
@@ -885,37 +828,21 @@ class Solver {
       ws.orig_lower[oc] = lower;
       ws.orig_upper[oc] = upper;
     }
-    if (use_revised_) {
-      ws.revised->set_bounds(c, lower, upper);
-    } else {
-      ws.scratch.set_bounds(c, lower, upper);
-    }
+    ws.revised->set_bounds(c, lower, upper);
   }
 
   lp::LpSolution solve_node(Workspace& ws, const Node& node) {
-    if (use_revised_) {
-      if (node.basis != nullptr && !node.basis->empty()) {
-        return ws.revised->solve_from(*node.basis);
-      }
-      return ws.revised->solve();
+    if (node.basis != nullptr && !node.basis->empty()) {
+      return ws.revised->solve_from(*node.basis);
     }
-    const lp::LpSolution solution = lp::solve_lp(ws.scratch, options_.simplex);
-    ++ws.cold_scratch_solves;
-    ws.cold_scratch_pivots += solution.iterations;
-    return solution;
+    return ws.revised->solve();
   }
 
-  void collect_lp_stats(MilpSolution& out) const {
-    if (use_revised_ && ws_.revised.has_value()) {
-      const lp::SolveStats& stats = ws_.revised->total_stats();
-      out.lp_pivots = stats.primal_pivots + stats.dual_pivots;
-      out.lp_warm_solves = stats.warm_solves;
-      out.lp_cold_solves = stats.cold_solves;
-      out.lp_refactorizations = stats.refactorizations;
-    } else {
-      out.lp_pivots = ws_.cold_scratch_pivots;
-      out.lp_cold_solves = ws_.cold_scratch_solves;
-    }
+  static void copy_lp_stats(const lp::SolveStats& stats, MilpSolution& out) {
+    out.lp_pivots = stats.primal_pivots + stats.dual_pivots;
+    out.lp_warm_solves = stats.warm_solves;
+    out.lp_cold_solves = stats.cold_solves;
+    out.lp_refactorizations = stats.refactorizations;
   }
 
   /// The node's combinatorial lower bound in reduced space (comparable with
@@ -939,7 +866,7 @@ class Solver {
   /// we keep out of the plain configuration. Off at the root so the root
   /// bound is always exact.
   void set_lp_cutoff(Workspace& ws, bool at_root, double incumbent_value) {
-    if (!use_revised_ || options_.bounds == nullptr) {
+    if (options_.bounds == nullptr) {
       return;
     }
     const double cutoff = at_root ? std::numeric_limits<double>::infinity()
@@ -947,15 +874,12 @@ class Solver {
     ws.revised->set_objective_cutoff(cutoff);
   }
 
-  /// Variable selection. Pseudocost mode scores a fractional column by the
-  /// product of its estimated up/down bound degradations; a column with no
-  /// history on either side is "unreliable" and the rule falls back to
+  /// Variable selection: pseudocost branching scores a fractional column by
+  /// the product of its estimated up/down bound degradations; a column with
+  /// no history on either side is "unreliable" and the rule falls back to
   /// most-fractional among the unreliable ones, which is exactly what
   /// initializes the pseudocosts. Returns -1 when the point is integral.
   int select_branch(const Workspace& ws, const std::vector<double>& x) const {
-    if (options_.branching != BranchingRule::Pseudocost || ws.pc_down_sum.empty()) {
-      return most_fractional(x);
-    }
     int best_unreliable = -1;
     double best_unreliable_frac = options_.integrality_tolerance;
     int best_reliable = -1;
@@ -994,8 +918,7 @@ class Solver {
   /// Records the observed bound degradation of a child relative to its
   /// parent, normalized per unit of fractionality, on the branched column.
   void update_pseudocost(Workspace& ws, const Node& node, double child_bound) const {
-    if (options_.branching != BranchingRule::Pseudocost || ws.pc_down_sum.empty() ||
-        node.branch_col < 0 || node.parent_bound <= -MilpSolution::kBigBound) {
+    if (node.branch_col < 0 || node.parent_bound <= -MilpSolution::kBigBound) {
       return;
     }
     const double denom = node.branch_up ? 1.0 - node.branch_frac : node.branch_frac;
@@ -1059,23 +982,6 @@ class Solver {
     }
   }
 
-  int most_fractional(const std::vector<double>& x) const {
-    int best = -1;
-    double best_score = options_.integrality_tolerance;
-    for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
-      if (!reduced_.is_integer(c)) {
-        continue;
-      }
-      const double v = x[static_cast<std::size_t>(c)];
-      const double frac = std::abs(v - std::round(v));
-      if (frac > best_score) {
-        best_score = frac;
-        best = c;
-      }
-    }
-    return best;
-  }
-
   void offer_incumbent(const std::vector<double>& x) {
     std::vector<double> snapped = x;
     for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
@@ -1112,8 +1018,7 @@ class Solver {
   }
 
   std::vector<double> restore_incumbent() const {
-    std::vector<double> full =
-        pre_.has_value() ? pre_->restore(incumbent_) : incumbent_;
+    std::vector<double> full = pre_.restore(incumbent_);
     for (lp::Col c = 0; c < model_.variable_count(); ++c) {
       if (model_.is_integer(c)) {
         full[static_cast<std::size_t>(c)] = std::round(full[static_cast<std::size_t>(c)]);
@@ -1144,10 +1049,9 @@ class Solver {
 
   const MilpModel& model_;
   const MilpOptions& options_;
-  std::optional<lp::Presolved> pre_;
+  lp::Presolved pre_;
   MilpModel reduced_;  ///< presolved model the search actually branches over
   double objective_offset_ = 0.0;  ///< objective mass on presolve-fixed columns
-  bool use_revised_ = true;
   Workspace ws_;  ///< root workspace; worker 0's in a parallel solve
   bool deadline_set_;
   Clock::time_point deadline_{};

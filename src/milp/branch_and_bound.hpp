@@ -1,7 +1,10 @@
-// Exact branch-and-bound MILP solver over the bounded simplex. Substitutes
-// for the paper's Gurobi dependency: exact on the small per-layer models,
-// with node / time limits so the synthesizer can fall back to its heuristic
-// when a layer is too large.
+// Exact branch-and-bound MILP solver over the bounded revised simplex.
+// Substitutes for the paper's Gurobi dependency: exact on the small
+// per-layer models, with node / time limits so the synthesizer can fall back
+// to its heuristic when a layer is too large. The search has one
+// configuration: root presolve, warm dual re-solves at child nodes, and
+// pseudocost branching that scores a column by fractionality until both of
+// its branching sides have history.
 #pragma once
 
 #include <memory>
@@ -26,20 +29,6 @@ enum class MilpStatus {
 
 [[nodiscard]] std::string to_string(MilpStatus status);
 
-enum class BranchingRule {
-  /// Branch on the integer column whose relaxation value is farthest from
-  /// integral. The exact historical rule; cheap and deterministic.
-  MostFractional,
-  /// Pseudocost branching with a reliability fallback: while a column has no
-  /// observed branching history on one of its sides, it is scored by its
-  /// fractionality (so the first descents behave like most-fractional and
-  /// *initialize* the pseudocosts); once both sides are reliable the column
-  /// with the best product of estimated bound degradations wins. History is
-  /// kept per search worker, so threads stay lock-free and threads == 1
-  /// stays bit-reproducible.
-  Pseudocost,
-};
-
 struct MilpOptions {
   /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited. With
   /// threads > 1 the budget is global across the worker team (enforced with
@@ -56,15 +45,6 @@ struct MilpOptions {
   /// several optima tie, or when a budget truncates the search, the
   /// incumbent *vector* may differ across worker counts and runs.
   int threads = 1;
-  /// Skip the warm-start fast path when the model's variable count plus
-  /// constraint count is at most this (<= 0 disables the heuristic). Tiny
-  /// models typically solve at the root without branching, where root
-  /// presolve and the persistent revised workspace (CSC build, eta-file
-  /// refactorization state) cost more than warm re-solves can ever recoup;
-  /// below the threshold each node gets a one-shot cold solve with the
-  /// configured simplex algorithm instead. Only applies when the Revised
-  /// algorithm is selected.
-  int cold_solve_threshold = 32;
   /// Wall-clock budget in seconds; <= 0 means unlimited.
   double time_limit_seconds = 30.0;
   /// Integrality tolerance.
@@ -75,14 +55,12 @@ struct MilpOptions {
   std::optional<std::vector<double>> warm_start;
   /// Try rounding fractional LP relaxations into incumbents.
   bool enable_rounding_heuristic = true;
-  /// LP solver configuration for node relaxations. With the (default)
-  /// Revised algorithm, child nodes re-solve with the dual simplex from
-  /// their parent's optimal basis; the Dense algorithm solves every node
-  /// cold and exists for differential testing.
+  /// LP solver configuration for node relaxations. The root is presolved
+  /// once (lp::presolve: fixed columns, empty and singleton rows) and the
+  /// search branches in the reduced space; the root relaxation is a cold
+  /// revised-simplex solve and every child node re-solves with the dual
+  /// simplex from its parent's optimal basis.
   lp::SimplexOptions simplex{};
-  /// Run lp::presolve once at the root (fixed-column elimination, empty and
-  /// singleton rows) and branch in the reduced space.
-  bool presolve = true;
   /// Optional combinatorial node-bound provider (see milp/bounds.hpp). When
   /// set, every node evaluates the provider against its effective variable
   /// bounds (in ORIGINAL model space) before its LP relaxation; the node
@@ -96,8 +74,6 @@ struct MilpOptions {
   /// feasible incumbent every worker can prune against from node 1. Dive LP
   /// solves are *not* charged against max_nodes.
   bool dive = true;
-  /// Variable-selection rule at branch time.
-  BranchingRule branching = BranchingRule::Pseudocost;
   /// Cooperative cancellation: polled between nodes. A cancelled solve
   /// returns like a limit-hit one (Feasible with the incumbent so far, or
   /// NoSolution) with `cancelled` set in the solution.
@@ -117,7 +93,7 @@ struct MilpSolution {
   long lp_pivots = 0;           ///< simplex pivots (primal + dual)
   long lp_warm_solves = 0;      ///< node re-solves warm-started from a parent basis
   long lp_cold_solves = 0;      ///< from-scratch two-phase solves
-  long lp_refactorizations = 0; ///< basis refactorizations in the revised solver
+  long lp_refactorizations = 0; ///< basis refactorizations
 
   // Bound-driven search summary.
   long bound_prunes = 0;   ///< nodes pruned by the combinatorial bound, no LP solve

@@ -194,14 +194,4 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
   return diagnostics;
 }
 
-std::vector<std::string> validate_result(const SynthesisResult& result,
-                                         const model::Assay& assay,
-                                         const TransportPlan& transport) {
-  std::vector<std::string> violations;
-  for (const diag::Diagnostic& d : certify_result(result, assay, transport)) {
-    violations.push_back(diag::summary_line(d));
-  }
-  return violations;
-}
-
 }  // namespace cohls::schedule

@@ -9,7 +9,6 @@
 // on codes, never on message text.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "diag/diagnostic.hpp"
@@ -44,12 +43,5 @@ namespace cohls::schedule {
 [[nodiscard]] std::vector<diag::Diagnostic> certify_result(
     const SynthesisResult& result, const model::Assay& assay,
     const TransportPlan& transport);
-
-/// Back-compat rendering wrapper around certify_result: one summary line
-/// ("COHLS-E211: <message>") per diagnostic; an empty vector means the
-/// result is valid.
-[[nodiscard]] std::vector<std::string> validate_result(const SynthesisResult& result,
-                                                       const model::Assay& assay,
-                                                       const TransportPlan& transport);
 
 }  // namespace cohls::schedule

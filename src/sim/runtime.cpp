@@ -3,8 +3,9 @@
 // completion, attempt-exhaustion and device-failure events which drain in
 // (time, type, key, seq) order; the first break event truncates the run
 // without realizing the remaining layers or rescanning any window list. The
-// output is bit-identical to simulate_run_reference (the original three-pass
-// implementation, kept in runtime_reference.cpp as the differential oracle):
+// output is bit-identical to the original three-pass implementation, which
+// the tests keep as a differential oracle (the reference replay in
+// tests/support):
 //
 //  - RNG draws happen at layer-realization time in schedule order, so the
 //    draw sequence for every computed layer matches the reference; layers

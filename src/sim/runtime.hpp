@@ -118,14 +118,6 @@ struct RunTrace {
                                     const model::Assay& assay,
                                     const RuntimeOptions& options = {});
 
-/// The original three-pass implementation of simulate_run (full-window
-/// materialization and O(windows x faults) break scans). Kept as the
-/// differential-testing oracle and benchmark baseline for the event-wheel
-/// replay: both must produce bit-identical RunTraces for every input.
-[[nodiscard]] RunTrace simulate_run_reference(const schedule::SynthesisResult& result,
-                                              const model::Assay& assay,
-                                              const RuntimeOptions& options = {});
-
 /// A synthesized schedule pre-resolved for replay: layer-major items with
 /// cached durations and indeterminate flags, per-layer makespans, and static
 /// per-device work counts. Compiling once amortizes every assay/schedule

@@ -66,8 +66,8 @@ TEST(Conventional, ProducesValidSchedules) {
   options.max_devices = 25;
   const auto report = synthesize_conventional(assay, options);
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(report.result, assay, report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 TEST(Conventional, EveryBindingIsAnExactClassMatch) {

@@ -21,7 +21,7 @@ TEST(HybridSynthesizer, SingleLayerPass) {
   const schedule::TransportPlan transport{options.initial_transport};
   const auto result = run_pass(assay, plan, transport, options);
   ASSERT_EQ(result.layers.size(), 1u);
-  EXPECT_TRUE(schedule::validate_result(result, assay, transport).empty());
+  EXPECT_TRUE(schedule::certify_result(result, assay, transport).empty());
 }
 
 TEST(HybridSynthesizer, MultiLayerPassValidates) {
@@ -34,8 +34,8 @@ TEST(HybridSynthesizer, MultiLayerPassValidates) {
   const schedule::TransportPlan transport{options.initial_transport};
   const auto result = run_pass(assay, plan, transport, options);
   ASSERT_EQ(result.layers.size(), 2u);
-  const auto violations = schedule::validate_result(result, assay, transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+  const auto violations = schedule::certify_result(result, assay, transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 TEST(HybridSynthesizer, DevicesAccumulateAcrossLayers) {
@@ -94,7 +94,7 @@ TEST(HybridSynthesizer, FutureLayerHintsAreOfferedAndConsumedOnce) {
   }
   const auto second = run_pass(assay, plan, transport, options, known);
   EXPECT_LT(second.devices.size(), first.devices.size());
-  EXPECT_TRUE(schedule::validate_result(second, assay, transport).empty());
+  EXPECT_TRUE(schedule::certify_result(second, assay, transport).empty());
 }
 
 TEST(HybridSynthesizer, PolicyOverridesBinding) {

@@ -60,7 +60,7 @@ TEST(IlpLayerModel, SolvesASingleOperation) {
   EXPECT_TRUE(inventory.device(DeviceId{0}).config.accessories.contains(
       BuiltinAccessory::kPump));
   EXPECT_TRUE(
-      schedule::validate_result(wrap(decoded, inventory), assay, transport).empty());
+      schedule::certify_result(wrap(decoded, inventory), assay, transport).empty());
 }
 
 TEST(IlpLayerModel, DependencyOrdersStarts) {
@@ -88,7 +88,7 @@ TEST(IlpLayerModel, DependencyOrdersStarts) {
     EXPECT_GE(item_b->start, item_a->end() + 2_min);
   }
   EXPECT_TRUE(
-      schedule::validate_result(wrap(decoded, inventory), assay, transport).empty());
+      schedule::certify_result(wrap(decoded, inventory), assay, transport).empty());
 }
 
 TEST(IlpLayerModel, CoLocationSkipsTransport) {
@@ -142,7 +142,7 @@ TEST(IlpLayerModel, ConflictPreventionSeparatesSharedDevice) {
   const auto decoded = ilp.decode(solution.values, inventory);
   EXPECT_EQ(decoded.schedule.makespan(), 20_min);
   EXPECT_TRUE(
-      schedule::validate_result(wrap(decoded, inventory), assay, transport).empty());
+      schedule::certify_result(wrap(decoded, inventory), assay, transport).empty());
 }
 
 TEST(IlpLayerModel, IndeterminateEndsTheLayerAndGetsOwnDevice) {
@@ -162,8 +162,8 @@ TEST(IlpLayerModel, IndeterminateEndsTheLayerAndGetsOwnDevice) {
   model::DeviceInventory inventory(3);
   const auto decoded = ilp.decode(solution.values, inventory);
   const auto violations =
-      schedule::validate_result(wrap(decoded, inventory), assay, transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(wrap(decoded, inventory), assay, transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
   EXPECT_NE(decoded.schedule.find(i1)->device, decoded.schedule.find(i2)->device);
 }
 
@@ -360,8 +360,8 @@ TEST_P(IlpVsHeuristic, ExactNeverLosesAndAlwaysValidates) {
   schedule::SynthesisResult wrapped;
   wrapped.layers.push_back(outcome.result.schedule);
   wrapped.devices = outcome.inventory;
-  const auto violations = schedule::validate_result(wrapped, assay, transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+  const auto violations = schedule::certify_result(wrapped, assay, transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IlpVsHeuristic, ::testing::Range(0, 10));
@@ -394,7 +394,7 @@ TEST(IlpLayerModel, PinnedBindingIsEnforced) {
   ASSERT_NE(item_a, nullptr);
   EXPECT_EQ(item_a->device, d1);
   EXPECT_TRUE(
-      schedule::validate_result(wrap(decoded, inventory), assay, transport).empty());
+      schedule::certify_result(wrap(decoded, inventory), assay, transport).empty());
 }
 
 TEST(IlpLayerModel, BoundProviderIsAdmissibleAndPreservesTheOptimum) {

@@ -91,7 +91,7 @@ TEST(LayerSynthesizer, ExactEngineImprovesOnGreedyWhenItCan) {
   wrapped.layers.push_back(outcome.result.schedule);
   wrapped.devices = outcome.inventory;
   EXPECT_TRUE(
-      schedule::validate_result(wrapped, assay, schedule::TransportPlan{3_min}).empty());
+      schedule::certify_result(wrapped, assay, schedule::TransportPlan{3_min}).empty());
   EXPECT_LE(outcome.inventory.size(), 2);
 }
 

@@ -54,8 +54,8 @@ TEST(ProgressiveResynthesis, ResultValidatesUnderReportedTransport) {
   options.layering.indeterminate_threshold = 4;
   const SynthesisReport report = synthesize(assay, options);
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(report.result, assay, report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 TEST(ProgressiveResynthesis, PlanMatchesResultLayers) {
@@ -90,8 +90,8 @@ TEST(ProgressiveResynthesis, MultiStartNeverWorsensTheObjective) {
       schedule::evaluate_objective(four.result, assay, multi.costs).weighted_total;
   EXPECT_LE(four_obj, one_obj + 1e-9);
   const auto violations =
-      schedule::validate_result(four.result, assay, four.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(four.result, assay, four.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 TEST(ProgressiveResynthesis, RejectsZeroRestarts) {
@@ -124,8 +124,8 @@ TEST_P(FullFlowProperty, EndToEndResultAlwaysValidates) {
   try {
     const SynthesisReport report = synthesize(assay, options);
     const auto violations =
-        schedule::validate_result(report.result, assay, report.transport);
-    EXPECT_TRUE(violations.empty()) << violations.front();
+        schedule::certify_result(report.result, assay, report.transport);
+    EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
     const auto layering_violations =
         validate_layering(report.plan, assay, threshold);
     EXPECT_TRUE(layering_violations.empty()) << layering_violations.front();

@@ -1,7 +1,7 @@
-// End-to-end parity of the two LP engines through the full synthesis flow:
-// the ablation-D random-assay setup (small single-layer assays the exact
-// engine can close) must produce the same final objective whether the MILP
-// runs on the warm-started revised simplex or on the seed dense tableau.
+// End-to-end parity of the sequential and the parallel exact search through
+// the full synthesis flow: the ablation-D random-assay setup (small
+// single-layer assays the exact engine can close) must produce the same
+// final objective with one branch-and-bound worker or four.
 #include <gtest/gtest.h>
 
 #include "assays/random_assay.hpp"
@@ -19,19 +19,14 @@ class CountingObserver final : public SolveObserver {
     if (event.used_ilp) {
       ++ilp_layers;
     }
-    warm_solves += event.lp_warm_solves;
-    cold_solves += event.lp_cold_solves;
     pivots += event.lp_pivots;
   }
 
   int ilp_layers = 0;
-  long warm_solves = 0;
-  long cold_solves = 0;
   long pivots = 0;
 };
 
-SynthesisOptions ablation_d_options(lp::SimplexAlgorithm algorithm, bool presolve,
-                                    SolveObserver* observer) {
+SynthesisOptions ablation_d_options(SolveObserver* observer) {
   SynthesisOptions options;
   options.max_devices = 4;
   options.engine.enable_ilp = true;
@@ -42,77 +37,54 @@ SynthesisOptions ablation_d_options(lp::SimplexAlgorithm algorithm, bool presolv
   // deterministic regardless of machine load.
   options.engine.milp.time_limit_seconds = 0.0;
   options.engine.milp.max_nodes = 20000;
-  options.engine.milp.simplex.algorithm = algorithm;
-  options.engine.milp.presolve = presolve;
   options.max_resynthesis_iterations = 1;
   options.observer = observer;
   return options;
 }
 
-TEST(SolverParity, RevisedAndDenseAgreeOnAblationDAssays) {
+TEST(SolverParity, SequentialAndParallelAgreeOnAblationDAssays) {
   assays::RandomAssayOptions gen;
   gen.operations = 4;
   gen.indeterminate_probability = 0.0;
   gen.max_parents = 2;
 
-  int revised_ilp_layers = 0;
-  int dense_ilp_layers = 0;
+  int ilp_layers = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const model::Assay assay = assays::random_assay(seed * 101, gen);
 
-    CountingObserver revised_stats;
-    const SynthesisReport revised = synthesize(
-        assay, ablation_d_options(lp::SimplexAlgorithm::Revised, true, &revised_stats));
-
-    CountingObserver dense_stats;
-    const SynthesisReport dense = synthesize(
-        assay, ablation_d_options(lp::SimplexAlgorithm::Dense, false, &dense_stats));
+    CountingObserver sequential_stats;
+    const SynthesisReport sequential =
+        synthesize(assay, ablation_d_options(&sequential_stats));
 
     CountingObserver parallel_stats;
-    SynthesisOptions parallel_options =
-        ablation_d_options(lp::SimplexAlgorithm::Revised, true, &parallel_stats);
+    SynthesisOptions parallel_options = ablation_d_options(&parallel_stats);
     parallel_options.engine.milp.threads = 4;
     const SynthesisReport parallel = synthesize(assay, parallel_options);
 
-    const auto revised_violations =
-        schedule::validate_result(revised.result, assay, revised.transport);
-    ASSERT_TRUE(revised_violations.empty())
-        << "seed " << seed << ": " << revised_violations.front();
-    const auto dense_violations =
-        schedule::validate_result(dense.result, assay, dense.transport);
-    ASSERT_TRUE(dense_violations.empty())
-        << "seed " << seed << ": " << dense_violations.front();
-
+    const auto sequential_violations =
+        schedule::certify_result(sequential.result, assay, sequential.transport);
+    ASSERT_TRUE(sequential_violations.empty())
+        << "seed " << seed << ": " << diag::summary_line(sequential_violations.front());
     const auto parallel_violations =
-        schedule::validate_result(parallel.result, assay, parallel.transport);
+        schedule::certify_result(parallel.result, assay, parallel.transport);
     ASSERT_TRUE(parallel_violations.empty())
-        << "seed " << seed << ": " << parallel_violations.front();
+        << "seed " << seed << ": " << diag::summary_line(parallel_violations.front());
 
-    const double revised_objective =
-        revised.iterations.back().objective.weighted_total;
-    const double dense_objective = dense.iterations.back().objective.weighted_total;
-    EXPECT_NEAR(revised_objective, dense_objective, 1e-6) << "seed " << seed;
     // A 4-worker exact search must land on the same final objective as the
     // sequential one (incumbent vectors may differ at equal objective).
-    const double parallel_objective =
-        parallel.iterations.back().objective.weighted_total;
-    EXPECT_NEAR(parallel_objective, revised_objective, 1e-6) << "seed " << seed;
+    EXPECT_NEAR(parallel.iterations.back().objective.weighted_total,
+                sequential.iterations.back().objective.weighted_total, 1e-6)
+        << "seed " << seed;
 
-    // Both configurations must actually exercise their engine: the MILP
-    // has to run on these layers (pivots accumulate even when the
-    // heuristic candidate ends up winning the layer), warm dual re-solves
-    // only on the revised path, cold solves only on the dense path.
-    EXPECT_GT(revised_stats.pivots, 0) << "seed " << seed;
-    EXPECT_GT(dense_stats.pivots, 0) << "seed " << seed;
-    EXPECT_EQ(dense_stats.warm_solves, 0) << "seed " << seed;
-    EXPECT_GT(dense_stats.cold_solves, 0) << "seed " << seed;
-    revised_ilp_layers += revised_stats.ilp_layers;
-    dense_ilp_layers += dense_stats.ilp_layers;
+    // The MILP has to run on these layers: pivots accumulate even when the
+    // heuristic candidate ends up winning the layer.
+    EXPECT_GT(sequential_stats.pivots, 0) << "seed " << seed;
+    EXPECT_GT(parallel_stats.pivots, 0) << "seed " << seed;
+    ilp_layers += sequential_stats.ilp_layers;
   }
-  // Across the seed set the exact candidate must win some layers under
-  // both engines — otherwise the parity above would be vacuous.
-  EXPECT_GT(revised_ilp_layers, 0);
-  EXPECT_GT(dense_ilp_layers, 0);
+  // Across the seed set the exact candidate must win some layers —
+  // otherwise the parity above would be vacuous.
+  EXPECT_GT(ilp_layers, 0);
 }
 
 }  // namespace

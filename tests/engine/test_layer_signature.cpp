@@ -161,12 +161,43 @@ TEST(LayerSignature, HintKeysAreNotPartOfTheSignature) {
 }
 
 TEST(LayerSignature, EngineBudgetChangesTheSignature) {
-  Fixture f;
-  f.assay.add_operation(op_spec("only", 10));
-  f.request.ops = {OperationId{0}};
-  const LayerSignature before = layer_signature(f.context());
-  f.engine.milp.max_nodes += 1;
-  EXPECT_NE(before.text, layer_signature(f.context()).text);
+  // Every engine field the layer solver reads, changed one at a time, must
+  // change the signature: two jobs sharing one cache may differ in any one.
+  struct Change {
+    const char* field;
+    void (*apply)(core::EngineOptions&);
+  };
+  const Change changes[] = {
+      {"enable_ilp", [](core::EngineOptions& e) { e.enable_ilp = !e.enable_ilp; }},
+      {"ilp_max_ops", [](core::EngineOptions& e) { e.ilp_max_ops += 1; }},
+      {"ilp_max_devices", [](core::EngineOptions& e) { e.ilp_max_devices += 1; }},
+      {"ilp_new_slots", [](core::EngineOptions& e) { e.ilp_new_slots += 1; }},
+      {"milp.max_nodes", [](core::EngineOptions& e) { e.milp.max_nodes += 1; }},
+      {"milp.time_limit_seconds",
+       [](core::EngineOptions& e) { e.milp.time_limit_seconds += 0.5; }},
+      {"milp.integrality_tolerance",
+       [](core::EngineOptions& e) { e.milp.integrality_tolerance *= 10.0; }},
+      {"milp.absolute_gap", [](core::EngineOptions& e) { e.milp.absolute_gap *= 10.0; }},
+      {"milp.enable_rounding_heuristic",
+       [](core::EngineOptions& e) {
+         e.milp.enable_rounding_heuristic = !e.milp.enable_rounding_heuristic;
+       }},
+      {"milp.dive", [](core::EngineOptions& e) { e.milp.dive = !e.milp.dive; }},
+      {"milp.simplex.tolerance",
+       [](core::EngineOptions& e) { e.milp.simplex.tolerance *= 10.0; }},
+      {"milp.simplex.max_iterations",
+       [](core::EngineOptions& e) { e.milp.simplex.max_iterations += 100; }},
+      {"milp.simplex.refactor_interval",
+       [](core::EngineOptions& e) { e.milp.simplex.refactor_interval += 1; }},
+  };
+  for (const Change& change : changes) {
+    Fixture f;
+    f.assay.add_operation(op_spec("only", 10));
+    f.request.ops = {OperationId{0}};
+    const LayerSignature before = layer_signature(f.context());
+    change.apply(f.engine);
+    EXPECT_NE(before.text, layer_signature(f.context()).text) << change.field;
+  }
 }
 
 TEST(LayerSignature, CacheableRejectsCustomPoliciesAndWarmStarts) {

@@ -33,8 +33,8 @@ TEST_P(BenchmarkCase, ComponentOrientedFlowValidates) {
   const model::Assay assay = assay_for(GetParam());
   const auto report = core::synthesize(assay, paper_options());
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(report.result, assay, report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
   const auto layering = core::validate_layering(report.plan, assay, 10);
   EXPECT_TRUE(layering.empty()) << layering.front();
 }
@@ -43,8 +43,8 @@ TEST_P(BenchmarkCase, ConventionalFlowValidates) {
   const model::Assay assay = assay_for(GetParam());
   const auto report = baseline::synthesize_conventional(assay, paper_options());
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(report.result, assay, report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 TEST_P(BenchmarkCase, EveryOperationBoundOnce) {
@@ -82,8 +82,8 @@ TEST(EndToEnd, TightInventoryStillSynthesizesCase1) {
   options.max_devices = 3;  // the paper's conventional solution used 3
   const auto report = core::synthesize(assay, options);
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(report.result, assay, report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
   EXPECT_LE(report.result.used_device_count(), 3);
 }
 
@@ -103,8 +103,8 @@ TEST(EndToEnd, LoweringThresholdRestoresFeasibilityOnSmallChips) {
   options.layering.indeterminate_threshold = 2;  // 2 captures at a time
   const auto report = core::synthesize(assay, options);
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(report.result, assay, report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
   EXPECT_LE(report.result.used_device_count(), 6);
 }
 

@@ -52,8 +52,8 @@ TEST(ResultText, RoundTripsASynthesizedResult) {
   expect_same(f.report.result, parsed);
   // The reloaded result still satisfies every constraint.
   const auto violations =
-      schedule::validate_result(parsed, f.assay, f.report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(parsed, f.assay, f.report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 TEST(ResultText, SerializedFormIsStable) {

@@ -86,8 +86,8 @@ TEST(TransportFromLayout, FullFlowWithLayoutRefinementValidates) {
   options.transport_refinement = core::TransportRefinement::Layout;
   const auto report = core::synthesize(assay, options);
   const auto violations =
-      schedule::validate_result(report.result, assay, report.transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+      schedule::certify_result(report.result, assay, report.transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
   EXPECT_GE(report.iterations.size(), 2u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/lp_oracles.hpp"
 #include "util/rng.hpp"
 
 namespace cohls::lp {
@@ -92,7 +93,7 @@ TEST(SolveWithPresolve, MatchesDirectSolveOnFixedHeavyModel) {
   const Col c = m.add_variable(1.0, 1.0, 1.0);   // fixed
   m.add_constraint({{a, 1.0}, {b, 1.0}, {c, 1.0}}, RowSense::LessEqual, 9.0);
   const LpSolution direct = solve_lp(m);
-  const LpSolution pre = solve_lp_with_presolve(m);
+  const LpSolution pre = oracles::solve_lp_with_presolve(m);
   ASSERT_EQ(direct.status, LpStatus::Optimal);
   ASSERT_EQ(pre.status, LpStatus::Optimal);
   EXPECT_NEAR(direct.objective, pre.objective, kTol);
@@ -131,7 +132,7 @@ TEST_P(PresolveCrossValidation, AgreesWithDirectSolve) {
                      static_cast<double>(rng.uniform_int(-8, 8)));
   }
   const LpSolution direct = solve_lp(m);
-  const LpSolution pre = solve_lp_with_presolve(m);
+  const LpSolution pre = oracles::solve_lp_with_presolve(m);
   ASSERT_NE(direct.status, LpStatus::IterationLimit);
   EXPECT_EQ(direct.status, pre.status);
   if (direct.status == LpStatus::Optimal) {

@@ -1,5 +1,5 @@
 // Differential tests for the sparse revised simplex against the dense
-// tableau implementation, plus warm-start coverage: a dual re-solve from the
+// tableau reference (tests/support), plus warm-start coverage: a dual re-solve from the
 // optimal basis after a bound tightening must match a cold solve exactly
 // (status and objective) — that equivalence is what lets branch and bound
 // reuse parent bases without changing any result.
@@ -11,6 +11,7 @@
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "support/lp_oracles.hpp"
 #include "util/rng.hpp"
 
 namespace cohls::lp {
@@ -52,18 +53,6 @@ LpModel make_random_bounded_lp(std::uint64_t seed, int max_vars = 8, int max_row
   return model;
 }
 
-SimplexOptions dense_options() {
-  SimplexOptions options;
-  options.algorithm = SimplexAlgorithm::Dense;
-  return options;
-}
-
-SimplexOptions revised_options() {
-  SimplexOptions options;
-  options.algorithm = SimplexAlgorithm::Revised;
-  return options;
-}
-
 // --- differential: dense vs revised on random bounded LPs -------------------
 
 class RevisedVsDense : public ::testing::TestWithParam<int> {};
@@ -71,8 +60,8 @@ class RevisedVsDense : public ::testing::TestWithParam<int> {};
 TEST_P(RevisedVsDense, SameStatusAndObjective) {
   const LpModel model =
       make_random_bounded_lp(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 13);
-  const LpSolution dense = solve_lp(model, dense_options());
-  const LpSolution revised = solve_lp(model, revised_options());
+  const LpSolution dense = oracles::solve_lp_dense(model);
+  const LpSolution revised = solve_lp(model);
   ASSERT_NE(dense.status, LpStatus::IterationLimit);
   ASSERT_NE(revised.status, LpStatus::IterationLimit);
   EXPECT_EQ(revised.status, dense.status) << "dense=" << to_string(dense.status)
@@ -93,8 +82,8 @@ TEST_P(RevisedVsDenseLarge, SameStatusAndObjective) {
   const LpModel model = make_random_bounded_lp(
       static_cast<std::uint64_t>(GetParam()) * 40503 + 271, /*max_vars=*/20,
       /*max_rows=*/16);
-  const LpSolution dense = solve_lp(model, dense_options());
-  const LpSolution revised = solve_lp(model, revised_options());
+  const LpSolution dense = oracles::solve_lp_dense(model);
+  const LpSolution revised = solve_lp(model);
   ASSERT_NE(dense.status, LpStatus::IterationLimit);
   ASSERT_NE(revised.status, LpStatus::IterationLimit);
   EXPECT_EQ(revised.status, dense.status);
@@ -113,7 +102,7 @@ class WarmStartAfterTightening : public ::testing::TestWithParam<int> {};
 TEST_P(WarmStartAfterTightening, MatchesColdSolve) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) * 9176 + 5;
   LpModel model = make_random_bounded_lp(seed);
-  RevisedSimplex solver(model, revised_options());
+  RevisedSimplex solver(model);
   const LpSolution first = solver.solve();
   if (first.status != LpStatus::Optimal) {
     return;  // warm starts only make sense off an optimal basis
@@ -142,8 +131,8 @@ TEST_P(WarmStartAfterTightening, MatchesColdSolve) {
   const LpSolution warm = solver.solve_from(basis);
 
   model.set_bounds(c, lo, hi);
-  const LpSolution cold = solve_lp(model, revised_options());
-  const LpSolution cold_dense = solve_lp(model, dense_options());
+  const LpSolution cold = solve_lp(model);
+  const LpSolution cold_dense = oracles::solve_lp_dense(model);
 
   ASSERT_NE(warm.status, LpStatus::IterationLimit);
   EXPECT_EQ(warm.status, cold.status);
@@ -162,7 +151,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartAfterTightening, ::testing::Range(0, 30
 TEST(WarmStart, ChainedTighteningsMatchColdSolves) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     LpModel model = make_random_bounded_lp(seed * 7919 + 3, 10, 8);
-    RevisedSimplex solver(model, revised_options());
+    RevisedSimplex solver(model);
     LpSolution current = solver.solve();
     Rng rng{seed};
     for (int depth = 0; depth < 6 && current.status == LpStatus::Optimal; ++depth) {
@@ -183,7 +172,7 @@ TEST(WarmStart, ChainedTighteningsMatchColdSolves) {
       solver.set_bounds(c, lo, hi);
       model.set_bounds(c, lo, hi);
       current = solver.solve_from(basis);
-      const LpSolution cold = solve_lp(model, dense_options());
+      const LpSolution cold = oracles::solve_lp_dense(model);
       ASSERT_NE(current.status, LpStatus::IterationLimit) << "seed " << seed;
       ASSERT_EQ(current.status, cold.status) << "seed " << seed << " depth " << depth;
       if (current.status == LpStatus::Optimal) {
@@ -198,7 +187,7 @@ TEST(WarmStart, ChainedTighteningsMatchColdSolves) {
 
 TEST(RevisedSimplex, EmptyModelIsOptimalAtZero) {
   LpModel model;
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model);
   EXPECT_EQ(sol.status, LpStatus::Optimal);
   EXPECT_DOUBLE_EQ(sol.objective, 0.0);
 }
@@ -206,7 +195,7 @@ TEST(RevisedSimplex, EmptyModelIsOptimalAtZero) {
 TEST(RevisedSimplex, UnboundedBelowIsDetected) {
   LpModel model;
   model.add_variable(-kInfinity, kInfinity, 1.0);
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model);
   EXPECT_EQ(sol.status, LpStatus::Unbounded);
 }
 
@@ -215,7 +204,7 @@ TEST(RevisedSimplex, FixedVariablesAndEqualities) {
   const Col x = model.add_variable(2.0, 2.0, 3.0);   // fixed
   const Col y = model.add_variable(0.0, 10.0, 1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::Equal, 5.0);
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model);
   ASSERT_EQ(sol.status, LpStatus::Optimal);
   EXPECT_NEAR(sol.values[0], 2.0, 1e-9);
   EXPECT_NEAR(sol.values[1], 3.0, 1e-9);
@@ -226,7 +215,7 @@ TEST(RevisedSimplex, InfeasibleEqualitiesAreDetected) {
   LpModel model;
   const Col x = model.add_variable(0.0, 1.0, 1.0);
   model.add_constraint({{x, 1.0}}, RowSense::Equal, 5.0);
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model);
   EXPECT_EQ(sol.status, LpStatus::Infeasible);
 }
 
@@ -284,7 +273,7 @@ TEST(RevisedSimplex, ClonesSolveIndependentlyAcrossRandomModels) {
     RevisedSimplex clone = original.clone_workspace();
     const LpSolution a = original.solve();
     const LpSolution b = clone.solve();
-    const LpSolution reference = solve_lp(model, dense_options());
+    const LpSolution reference = oracles::solve_lp_dense(model);
     ASSERT_EQ(a.status, reference.status) << "seed " << seed;
     ASSERT_EQ(b.status, reference.status) << "seed " << seed;
     if (reference.status == LpStatus::Optimal) {

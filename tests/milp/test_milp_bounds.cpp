@@ -1,6 +1,6 @@
 // Bound-driven search: validity of the combinatorial node bounds, dive
 // incumbent certification, and exactness of the solver with bounds attached
-// (sequential, parallel, and dense-vs-revised differential).
+// (sequential and parallel).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,14 +193,6 @@ TEST_P(SchedulingBoundValidity, RootBoundIsAdmissibleAndPreservesExactness) {
   ASSERT_EQ(bounded.status, MilpStatus::Optimal);
   EXPECT_NEAR(bounded.objective, reference.objective, 1e-6);
   EXPECT_TRUE(instance.model.is_feasible(bounded.values, 1e-5));
-
-  // Dense-vs-revised differential with the provider attached.
-  MilpOptions dense = with_bounds;
-  dense.simplex.algorithm = lp::SimplexAlgorithm::Dense;
-  dense.presolve = false;
-  const auto dense_sol = solve_milp(instance.model, dense);
-  ASSERT_EQ(dense_sol.status, MilpStatus::Optimal);
-  EXPECT_NEAR(dense_sol.objective, reference.objective, 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingBoundValidity, ::testing::Range(0, 40));

@@ -76,7 +76,6 @@ MilpOptions parallel_options(int threads) {
   MilpOptions options;
   options.threads = threads;
   options.time_limit_seconds = 0.0;  // node budgets only: deterministic work
-  options.cold_solve_threshold = 0;  // exercise the revised path regardless of size
   return options;
 }
 
@@ -169,20 +168,6 @@ TEST(MilpParallel, SequentialSolveLeavesParallelStatsAtDefaults) {
   EXPECT_EQ(sol.incumbent_updates, 0);
   EXPECT_EQ(sol.incumbent_races, 0);
   EXPECT_EQ(sol.worker_idle_seconds, 0.0);
-}
-
-TEST(MilpParallel, DenseAlgorithmRunsParallelToo) {
-  // The worker team also works over per-worker dense scratch models.
-  const MilpModel model = make_branchy_knapsack(12, 9.0);
-  MilpOptions options = parallel_options(4);
-  options.simplex.algorithm = lp::SimplexAlgorithm::Dense;
-  options.presolve = false;
-  const MilpSolution seq_ref = solve_milp(model, parallel_options(1));
-  const MilpSolution sol = solve_milp(model, options);
-  ASSERT_EQ(sol.status, MilpStatus::Optimal);
-  EXPECT_NEAR(sol.objective, seq_ref.objective, 1e-6);
-  EXPECT_EQ(sol.lp_warm_solves, 0);
-  EXPECT_GT(sol.lp_cold_solves, 0);
 }
 
 TEST(MilpParallelStress, RandomInstancesUnderContention) {

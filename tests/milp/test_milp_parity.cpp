@@ -1,15 +1,16 @@
-// End-to-end parity of branch and bound across its solver configurations:
-// warm-started revised simplex vs the dense tableau, with root presolve on
-// and off. All four must agree on status and optimal objective — the warm
-// dual re-solves and the reduced-space search are pure accelerations.
+// Branch and bound against an exact reference on random mixed-integer
+// programs: enumerate every point of the integer grid, solve the continuous
+// remainder of each with the dense-tableau LP (tests/support), and keep the
+// best. The solver's presolve, warm dual re-solves, dive and pseudocost
+// branching must reproduce that optimum (and infeasibility) exactly.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
+#include <optional>
 
-#include "lp/simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "support/lp_oracles.hpp"
 #include "util/rng.hpp"
 
 namespace cohls::milp {
@@ -52,14 +53,43 @@ MilpModel make_random_milp(std::uint64_t seed) {
   return model;
 }
 
-MilpOptions make_options(lp::SimplexAlgorithm algorithm, bool presolve) {
-  MilpOptions options;
-  options.simplex.algorithm = algorithm;
-  options.presolve = presolve;
-  // The random instances here are tiny; disable the cold-solve fallback so
-  // the Revised configurations genuinely exercise the revised solver.
-  options.cold_solve_threshold = 0;
-  return options;
+/// Exact optimum by enumeration: every integer column is fixed to each
+/// value of its (finite) box in turn and the remaining LP over the
+/// continuous columns is solved by the dense-tableau oracle. Returns the
+/// best objective, or nothing when no grid point admits a feasible LP.
+std::optional<double> enumerate_optimum(const MilpModel& model) {
+  std::vector<lp::Col> integers;
+  for (lp::Col c = 0; c < model.variable_count(); ++c) {
+    if (model.is_integer(c)) {
+      integers.push_back(c);
+    }
+  }
+  lp::LpModel fixed = model.lp();
+  std::vector<double> point;
+  for (const lp::Col c : integers) {
+    point.push_back(std::ceil(model.lp().lower_bound(c)));
+  }
+  std::optional<double> best;
+  while (true) {
+    for (std::size_t k = 0; k < integers.size(); ++k) {
+      fixed.set_bounds(integers[k], point[k], point[k]);
+    }
+    const lp::LpSolution remainder = oracles::solve_lp_dense(fixed);
+    if (remainder.status == lp::LpStatus::Optimal &&
+        (!best || remainder.objective < *best)) {
+      best = remainder.objective;
+    }
+    std::size_t k = 0;
+    for (; k < integers.size(); ++k) {
+      if (++point[k] <= std::floor(model.lp().upper_bound(integers[k]))) {
+        break;
+      }
+      point[k] = std::ceil(model.lp().lower_bound(integers[k]));
+    }
+    if (k == integers.size()) {
+      return best;
+    }
+  }
 }
 
 class MilpSolverParity : public ::testing::TestWithParam<int> {};
@@ -67,25 +97,16 @@ class MilpSolverParity : public ::testing::TestWithParam<int> {};
 TEST_P(MilpSolverParity, AllConfigurationsAgree) {
   const MilpModel model =
       make_random_milp(static_cast<std::uint64_t>(GetParam()) * 48271 + 7);
-  const std::array<MilpOptions, 4> configs = {
-      make_options(lp::SimplexAlgorithm::Revised, true),
-      make_options(lp::SimplexAlgorithm::Revised, false),
-      make_options(lp::SimplexAlgorithm::Dense, true),
-      make_options(lp::SimplexAlgorithm::Dense, false),
-  };
-  const MilpSolution reference = solve_milp(model, configs[0]);
-  for (std::size_t i = 1; i < configs.size(); ++i) {
-    const MilpSolution sol = solve_milp(model, configs[i]);
-    ASSERT_EQ(sol.status, reference.status)
-        << "config " << i << ": " << to_string(sol.status) << " vs "
-        << to_string(reference.status);
-    if (reference.status == MilpStatus::Optimal) {
-      EXPECT_NEAR(sol.objective, reference.objective, 1e-6) << "config " << i;
-      EXPECT_TRUE(model.is_feasible(sol.values, 1e-5)) << "config " << i;
-    }
-  }
-  if (reference.status == MilpStatus::Optimal) {
-    EXPECT_TRUE(model.is_feasible(reference.values, 1e-5));
+  const std::optional<double> expected = enumerate_optimum(model);
+  const MilpSolution sol = solve_milp(model);
+  if (expected.has_value()) {
+    ASSERT_EQ(sol.status, MilpStatus::Optimal)
+        << "enumeration found " << *expected << " but solver says "
+        << to_string(sol.status);
+    EXPECT_NEAR(sol.objective, *expected, 1e-6);
+    EXPECT_TRUE(model.is_feasible(sol.values, 1e-5));
+  } else {
+    EXPECT_EQ(sol.status, MilpStatus::Infeasible);
   }
 }
 
@@ -101,27 +122,13 @@ TEST(MilpSolverStats, WarmSolvesDominateOnBranchyInstances) {
     row.emplace_back(m.add_binary(-1.0 - 0.01 * i), 2.0);
   }
   m.add_constraint(std::move(row), lp::RowSense::LessEqual, 7.0);
-  MilpOptions options;
-  options.cold_solve_threshold = 0;  // small on purpose; still wants revised
-  const MilpSolution sol = solve_milp(m, options);
+  const MilpSolution sol = solve_milp(m);
   ASSERT_EQ(sol.status, MilpStatus::Optimal);
   EXPECT_NEAR(sol.objective, -3.0 - 0.01 * (9 + 8 + 7), 1e-6);
   EXPECT_GT(sol.nodes, 1);
   EXPECT_EQ(sol.lp_cold_solves, 1);  // only the root solves from scratch
   EXPECT_GE(sol.lp_warm_solves, sol.nodes - 1);
   EXPECT_GT(sol.lp_pivots, 0);
-}
-
-TEST(MilpSolverStats, DenseAlgorithmCountsColdSolves) {
-  MilpModel m;
-  const auto x = m.add_variable(VarKind::Integer, 0, 10, -1.0);
-  m.add_constraint({{x, 2.0}}, lp::RowSense::LessEqual, 5.0);
-  MilpOptions options = make_options(lp::SimplexAlgorithm::Dense, false);
-  const MilpSolution sol = solve_milp(m, options);
-  ASSERT_EQ(sol.status, MilpStatus::Optimal);
-  EXPECT_NEAR(sol.objective, -2.0, 1e-6);
-  EXPECT_EQ(sol.lp_warm_solves, 0);
-  EXPECT_EQ(sol.lp_cold_solves, sol.nodes);
 }
 
 TEST(MilpPresolve, FullyFixedModelRestoresSolution) {
@@ -145,9 +152,6 @@ TEST(MilpPresolve, IntegerFixedToFractionIsInfeasible) {
   const auto x = m.add_variable(VarKind::Integer, 0, 10, 1.0);
   m.add_constraint({{x, 2.0}}, lp::RowSense::Equal, 5.0);  // x = 2.5
   EXPECT_EQ(solve_milp(m).status, MilpStatus::Infeasible);
-  // The dense/no-presolve configuration must agree.
-  EXPECT_EQ(solve_milp(m, make_options(lp::SimplexAlgorithm::Dense, false)).status,
-            MilpStatus::Infeasible);
 }
 
 }  // namespace

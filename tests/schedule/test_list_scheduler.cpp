@@ -46,7 +46,7 @@ TEST(ListScheduler, SingleOpGetsADevice) {
   ASSERT_EQ(result.schedule.items.size(), 1u);
   EXPECT_EQ(result.schedule.items[0].start, 0_min);
   EXPECT_EQ(inventory.size(), 1);
-  EXPECT_TRUE(validate_result(wrap(assay, result, inventory), assay, transport).empty());
+  EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
 }
 
 TEST(ListScheduler, ChainPrefersCoLocation) {
@@ -69,7 +69,7 @@ TEST(ListScheduler, ChainPrefersCoLocation) {
   EXPECT_EQ(inventory.size(), 1);
   EXPECT_EQ(result.schedule.makespan(), 36_min);  // 30m + two 3m reserves
   EXPECT_TRUE(
-      validate_result(wrap(assay, result, inventory), assay, first_pass).empty());
+      certify_result(wrap(assay, result, inventory), assay, first_pass).empty());
 
   // Refined plan: co-located edges cost zero, the reserves disappear.
   TransportPlan refined{3_min};
@@ -131,7 +131,7 @@ TEST(ListScheduler, IndeterminateOpsGetDistinctDevicesAndEndTheLayer) {
   ASSERT_NE(item1, nullptr);
   ASSERT_NE(item2, nullptr);
   EXPECT_NE(item1->device, item2->device);
-  EXPECT_TRUE(validate_result(wrap(assay, result, inventory), assay, transport).empty());
+  EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
 }
 
 TEST(ListScheduler, ThrowsWhenInventoryCannotFit) {
@@ -178,7 +178,7 @@ TEST(ListScheduler, CapabilityReservationKeepsSlotsForPickyOps) {
   costs.set_weights(10.0, 0.1, 0.1, 0.1);  // tempt it to parallelize
   const auto result = schedule_layer(request, assay, transport, costs, inventory);
   EXPECT_LE(inventory.size(), 2);
-  EXPECT_TRUE(validate_result(wrap(assay, result, inventory), assay, transport).empty());
+  EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
 }
 
 TEST(ListScheduler, ConsumedHintsAreReported) {
@@ -269,7 +269,7 @@ TEST(ListScheduler, SlotQuantizationRoundsStartsUp) {
   }
   // b is ready at 7 but must wait for the 10m slot.
   EXPECT_EQ(result.schedule.find(b)->start, 10_min);
-  EXPECT_TRUE(validate_result(wrap(assay, result, inventory), assay, transport).empty());
+  EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
 }
 
 TEST(ListScheduler, ZeroSlotSizeKeepsContinuousStarts) {
@@ -308,8 +308,8 @@ TEST_P(ListSchedulerProperty, OutputAlwaysValidates) {
   SynthesisResult wrapped;
   wrapped.layers.push_back(result.schedule);
   wrapped.devices = inventory;
-  const auto violations = validate_result(wrapped, assay, transport);
-  EXPECT_TRUE(violations.empty()) << violations.front();
+  const auto violations = certify_result(wrapped, assay, transport);
+  EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ListSchedulerProperty, ::testing::Range(0, 25));

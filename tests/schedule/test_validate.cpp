@@ -228,13 +228,12 @@ TEST(Certify, IndeterminateWithSameLayerChildIsFlagged) {
   EXPECT_TRUE(has_code(diagnostics, diag::codes::kIndeterminateSameLayerChild));
 }
 
-TEST(Certify, ValidateResultWrapsDiagnosticsAsSummaryLines) {
+TEST(Certify, SummaryLinesStartWithTheStableCode) {
   Fixture f;
   f.result.layers[0].items.pop_back();
-  const auto violations = validate_result(f.result, f.assay, f.transport);
+  const auto violations = certify_result(f.result, f.assay, f.transport);
   ASSERT_FALSE(violations.empty());
-  // Each line starts with the stable code.
-  EXPECT_EQ(violations[0].rfind(diag::codes::kMissingOperation, 0), 0u);
+  EXPECT_EQ(diag::summary_line(violations[0]).rfind(diag::codes::kMissingOperation, 0), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "assays/benchmarks.hpp"
 #include "core/progressive_resynthesis.hpp"
 #include "core/recovery.hpp"
+#include "support/runtime_reference.hpp"
 #include "util/rng.hpp"
 
 namespace cohls {
@@ -149,7 +150,7 @@ TEST(Fleet, ReductionMatchesAManualReferenceLoop) {
                        static_cast<std::uint64_t>(r),
                        Minutes{std::numeric_limits<std::int64_t>::max()});
     const sim::RunTrace trace =
-        sim::simulate_run_reference(f.report.result, f.assay, runtime);
+        oracles::simulate_run_reference(f.report.result, f.assay, runtime);
     if (trace.ok()) {
       ++completed;
       completion_sum += trace.completed_at.count();

@@ -1,9 +1,10 @@
 // Differential parity: the event-wheel replay (simulate_run) must produce
 // bit-identical RunTraces to the original three-pass implementation
-// (simulate_run_reference) across the PR-5 randomized fault-sweep corpus —
-// every protocol x device x layer boundary x seed — plus exhaustion,
-// degradation, transport and hazard-sampled plans. Any divergence in any
-// field, down to the failure detail string, is a bug in the wheel replay.
+// (oracles::simulate_run_reference, tests/support) across the randomized
+// fault-sweep corpus — every protocol x device x layer boundary x seed —
+// plus exhaustion, degradation, transport and hazard-sampled plans. Any
+// divergence in any field, down to the failure detail string, is a bug in
+// the wheel replay.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -16,6 +17,7 @@
 #include "sim/faults.hpp"
 #include "sim/hazard.hpp"
 #include "sim/runtime.hpp"
+#include "support/runtime_reference.hpp"
 
 namespace cohls {
 namespace {
@@ -94,7 +96,7 @@ void expect_identical(const sim::RunTrace& wheel, const sim::RunTrace& reference
 void expect_parity(const schedule::SynthesisResult& result, const model::Assay& assay,
                    const sim::RuntimeOptions& options, const std::string& context) {
   const sim::RunTrace wheel = sim::simulate_run(result, assay, options);
-  const sim::RunTrace reference = sim::simulate_run_reference(result, assay, options);
+  const sim::RunTrace reference = oracles::simulate_run_reference(result, assay, options);
   expect_identical(wheel, reference, context);
 }
 
@@ -109,7 +111,7 @@ TEST(RuntimeParity, FaultSweepCorpusIsBitIdentical) {
       sim::RuntimeOptions healthy;
       healthy.seed = seed;
       const sim::RunTrace base =
-          sim::simulate_run_reference(report.result, protocol.assay, healthy);
+          oracles::simulate_run_reference(report.result, protocol.assay, healthy);
       ASSERT_TRUE(base.ok());
       expect_parity(report.result, protocol.assay, healthy,
                     protocol.name + " healthy seed " + std::to_string(seed));
@@ -128,7 +130,7 @@ TEST(RuntimeParity, FaultSweepCorpusIsBitIdentical) {
           context << protocol.name << " device " << device.id.value() << " at "
                   << when.count() << " seed " << seed;
           const sim::RunTrace reference =
-              sim::simulate_run_reference(report.result, protocol.assay, runtime);
+              oracles::simulate_run_reference(report.result, protocol.assay, runtime);
           const sim::RunTrace wheel =
               sim::simulate_run(report.result, protocol.assay, runtime);
           expect_identical(wheel, reference, context.str());
