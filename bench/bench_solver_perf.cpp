@@ -235,13 +235,13 @@ void fill_common(Measurement& out, const milp::MilpSolution& solution) {
                solution.status == milp::MilpStatus::Infeasible;
   out.best_bound = solution.best_bound;
   out.gap = out.has_objective ? solution.objective - solution.best_bound : 0.0;
-  out.nodes = solution.nodes;
+  out.nodes = solution.milp_nodes;
   out.pivots = solution.lp_pivots;
   out.warm_solves = solution.lp_warm_solves;
-  out.bound_prunes = solution.bound_prunes;
-  out.cutoff_prunes = solution.cutoff_prunes;
-  out.dive_lp_solves = solution.dive_lp_solves;
-  out.dive_found_incumbent = solution.dive_found_incumbent;
+  out.bound_prunes = solution.milp_bound_prunes;
+  out.cutoff_prunes = solution.milp_cutoff_prunes;
+  out.dive_lp_solves = solution.milp_dive_lp_solves;
+  out.dive_found_incumbent = solution.milp_dive_found_incumbent;
 }
 
 struct InstanceRow {
@@ -359,14 +359,14 @@ ScalingRow run_scaling(const std::string& name, const CapturedLayer& instance,
                      solution.status == milp::MilpStatus::Infeasible;
       point.best_bound = solution.best_bound;
       point.gap = point.has_objective ? solution.objective - solution.best_bound : 0.0;
-      point.nodes = solution.nodes;
-      point.steals = solution.steals;
-      point.incumbent_updates = solution.incumbent_updates;
-      point.bound_prunes = solution.bound_prunes;
-      point.cutoff_prunes = solution.cutoff_prunes;
-      point.dive_lp_solves = solution.dive_lp_solves;
-      point.dive_found_incumbent = solution.dive_found_incumbent;
-      point.idle_seconds = solution.worker_idle_seconds;
+      point.nodes = solution.milp_nodes;
+      point.steals = solution.milp_steals;
+      point.incumbent_updates = solution.milp_incumbent_updates;
+      point.bound_prunes = solution.milp_bound_prunes;
+      point.cutoff_prunes = solution.milp_cutoff_prunes;
+      point.dive_lp_solves = solution.milp_dive_lp_solves;
+      point.dive_found_incumbent = solution.milp_dive_found_incumbent;
+      point.idle_seconds = solution.milp_idle_seconds;
     }
     row.points.push_back(point);
   }

@@ -41,25 +41,10 @@ LayerOutcome solve_with_hooks(const schedule::LayerRequest& request,
 
   if (options.observer != nullptr) {
     LayerSolveEvent event;
+    static_cast<milp::MilpStats&>(event) = outcome;
     event.operation_count = static_cast<int>(request.ops.size());
     event.cache_hit = cache_hit;
     event.used_ilp = outcome.used_ilp;
-    event.milp_nodes = cache_hit ? 0 : outcome.milp_nodes;
-    if (!cache_hit) {
-      event.lp_pivots = outcome.lp_pivots;
-      event.lp_warm_solves = outcome.lp_warm_solves;
-      event.lp_cold_solves = outcome.lp_cold_solves;
-      event.lp_refactorizations = outcome.lp_refactorizations;
-      event.milp_threads = outcome.milp_threads;
-      event.milp_steals = outcome.milp_steals;
-      event.milp_incumbent_updates = outcome.milp_incumbent_updates;
-      event.milp_incumbent_races = outcome.milp_incumbent_races;
-      event.milp_idle_seconds = outcome.milp_idle_seconds;
-      event.milp_bound_prunes = outcome.milp_bound_prunes;
-      event.milp_cutoff_prunes = outcome.milp_cutoff_prunes;
-      event.milp_dive_lp_solves = outcome.milp_dive_lp_solves;
-      event.milp_dive_found_incumbent = outcome.milp_dive_found_incumbent;
-    }
     event.seconds = std::chrono::duration<double>(Clock::now() - begin).count();
     options.observer->on_layer_solve(event);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "milp/branch_and_bound.hpp"
 #include "model/compatibility.hpp"
 
 namespace cohls::core {
@@ -94,24 +93,6 @@ bool ilp_applicable(const schedule::LayerRequest& request, const model::Assay& a
   return !request.binds && !request.new_config;
 }
 
-void copy_milp_stats(LayerOutcome& outcome, const milp::MilpSolution& solution) {
-  outcome.milp_nodes = solution.nodes;
-  outcome.milp_cancelled = solution.cancelled;
-  outcome.lp_pivots = solution.lp_pivots;
-  outcome.lp_warm_solves = solution.lp_warm_solves;
-  outcome.lp_cold_solves = solution.lp_cold_solves;
-  outcome.lp_refactorizations = solution.lp_refactorizations;
-  outcome.milp_threads = solution.threads_used;
-  outcome.milp_steals = solution.steals;
-  outcome.milp_incumbent_updates = solution.incumbent_updates;
-  outcome.milp_incumbent_races = solution.incumbent_races;
-  outcome.milp_idle_seconds = solution.worker_idle_seconds;
-  outcome.milp_bound_prunes = solution.bound_prunes;
-  outcome.milp_cutoff_prunes = solution.cutoff_prunes;
-  outcome.milp_dive_lp_solves = solution.dive_lp_solves;
-  outcome.milp_dive_found_incumbent = solution.dive_found_incumbent;
-}
-
 }  // namespace
 
 LayerOutcome synthesize_layer(const schedule::LayerRequest& request,
@@ -159,7 +140,7 @@ LayerOutcome synthesize_layer(const schedule::LayerRequest& request,
       }
     }
     const auto solution = milp::solve_milp(ilp.model(), options);
-    copy_milp_stats(heuristic, solution);
+    static_cast<milp::MilpStats&>(heuristic) = solution;
     if (solution.status != milp::MilpStatus::Optimal &&
         solution.status != milp::MilpStatus::Feasible) {
       return heuristic;
@@ -169,7 +150,7 @@ LayerOutcome synthesize_layer(const schedule::LayerRequest& request,
     exact.result = ilp.decode(solution.values, exact.inventory);
     exact.used_ilp = true;
     exact.score = layer_score(exact.result, exact.inventory, request, assay, costs);
-    copy_milp_stats(exact, solution);
+    static_cast<milp::MilpStats&>(exact) = solution;
     return exact.score < heuristic.score - 1e-9 ? exact : heuristic;
   } catch (const InfeasibleError&) {
     return heuristic;  // e.g. inventory exhausted while decoding

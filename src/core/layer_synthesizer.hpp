@@ -6,47 +6,21 @@
 
 #include "core/ilp_layer_model.hpp"
 #include "core/options.hpp"
+#include "milp/branch_and_bound.hpp"
 #include "schedule/list_scheduler.hpp"
 
 namespace cohls::core {
 
-struct LayerOutcome {
+/// One layer's kept result. The MilpStats base carries the layer MILP's
+/// search counters for the engine's metrics: zero (and one worker) when the
+/// heuristic ran alone or the outcome came from a layer cache.
+struct LayerOutcome : milp::MilpStats {
   schedule::LayerResult result;
   /// Inventory after this layer (devices the layer created are appended).
   model::DeviceInventory inventory{1};
   bool used_ilp = false;
   /// The layer-local objective of the kept result (for diagnostics).
   double score = 0.0;
-  /// Branch-and-bound nodes the MILP spent on this layer (0 when the
-  /// heuristic ran alone), for the engine's metrics.
-  long milp_nodes = 0;
-  /// LP work inside the MILP: simplex pivots, warm dual re-solves from a
-  /// parent basis, from-scratch solves and basis refactorizations.
-  long lp_pivots = 0;
-  long lp_warm_solves = 0;
-  long lp_cold_solves = 0;
-  long lp_refactorizations = 0;
-  /// Parallel MILP search summary (defaults when the solve ran sequentially):
-  /// worker team size, nodes stolen across worker deques, accepted shared
-  /// incumbent updates, offers lost to a concurrent update, and summed wall
-  /// time workers spent waiting for work.
-  int milp_threads = 1;
-  long milp_steals = 0;
-  long milp_incumbent_updates = 0;
-  long milp_incumbent_races = 0;
-  double milp_idle_seconds = 0.0;
-  /// Bound-driven search summary: nodes pruned by the combinatorial bound
-  /// before any LP solve, nodes pruned by the LP dual objective-cutoff, LP
-  /// re-solves spent in the root dive, and whether the dive installed the
-  /// first incumbent.
-  long milp_bound_prunes = 0;
-  long milp_cutoff_prunes = 0;
-  long milp_dive_lp_solves = 0;
-  bool milp_dive_found_incumbent = false;
-  /// The MILP stopped on a cancellation token rather than on exhaustion or
-  /// a budget. The outcome (the heuristic fallback) is still usable, but it
-  /// must not be cached: a fresh solve could return something better.
-  bool milp_cancelled = false;
 };
 
 /// Scores one layer's contribution to the paper's objective: C_t * layer

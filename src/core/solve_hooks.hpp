@@ -36,30 +36,12 @@ class LayerSolveCache {
   virtual void store(const LayerSolveContext& context, const LayerOutcome& outcome) = 0;
 };
 
-/// One per-layer solve, as seen by run_pass.
-struct LayerSolveEvent {
+/// One per-layer solve, as seen by run_pass. The MilpStats base is the
+/// outcome's search work: zero for heuristic-only and cached solves.
+struct LayerSolveEvent : milp::MilpStats {
   int operation_count = 0;
   bool cache_hit = false;
   bool used_ilp = false;
-  /// Branch-and-bound nodes spent (0 for heuristic-only and cached solves).
-  long milp_nodes = 0;
-  /// LP work inside the MILP solve (0 for heuristic-only and cached solves).
-  long lp_pivots = 0;
-  long lp_warm_solves = 0;
-  long lp_cold_solves = 0;
-  long lp_refactorizations = 0;
-  /// Parallel MILP search summary (defaults for sequential, heuristic-only
-  /// and cached solves); see LayerOutcome for field meanings.
-  int milp_threads = 1;
-  long milp_steals = 0;
-  long milp_incumbent_updates = 0;
-  long milp_incumbent_races = 0;
-  double milp_idle_seconds = 0.0;
-  /// Bound-driven search summary (see LayerOutcome).
-  long milp_bound_prunes = 0;
-  long milp_cutoff_prunes = 0;
-  long milp_dive_lp_solves = 0;
-  bool milp_dive_found_incumbent = false;
   /// Wall time of the solve (or of the cache lookup, when it hit).
   double seconds = 0.0;
 };

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "analysis/linter.hpp"
 #include "baseline/conventional.hpp"
@@ -23,6 +24,28 @@ namespace cohls::engine {
 
 namespace {
 
+/// The per-solve MILP counters summed into engine metrics, by metric name.
+/// Team counters are summed for multi-worker solves only, so one-worker
+/// solves leave the work-stealing metrics at zero.
+struct SummedCounter {
+  const char* metric;
+  long milp::MilpStats::*field;
+  bool team_only;
+};
+constexpr SummedCounter kSummedCounters[] = {
+    {"milp_nodes", &milp::MilpStats::milp_nodes, false},
+    {"lp_pivots", &milp::MilpStats::lp_pivots, false},
+    {"lp_warm_solves", &milp::MilpStats::lp_warm_solves, false},
+    {"lp_cold_solves", &milp::MilpStats::lp_cold_solves, false},
+    {"lp_refactorizations", &milp::MilpStats::lp_refactorizations, false},
+    {"milp_bound_prunes", &milp::MilpStats::milp_bound_prunes, false},
+    {"milp_cutoff_prunes", &milp::MilpStats::milp_cutoff_prunes, false},
+    {"milp_dive_lp_solves", &milp::MilpStats::milp_dive_lp_solves, false},
+    {"milp_steals", &milp::MilpStats::milp_steals, true},
+    {"milp_incumbent_updates", &milp::MilpStats::milp_incumbent_updates, true},
+    {"milp_incumbent_races", &milp::MilpStats::milp_incumbent_races, true},
+};
+
 /// Adapts the core's per-layer solve events onto the metrics registry.
 class MetricsObserver final : public core::SolveObserver {
  public:
@@ -30,21 +53,14 @@ class MetricsObserver final : public core::SolveObserver {
       : layers_solved_(metrics.counter("layers_solved")),
         layer_cache_hits_(metrics.counter("layer_cache_hits")),
         ilp_layers_(metrics.counter("ilp_layers")),
-        milp_nodes_(metrics.counter("milp_nodes")),
-        lp_pivots_(metrics.counter("lp_pivots")),
-        lp_warm_solves_(metrics.counter("lp_warm_solves")),
-        lp_cold_solves_(metrics.counter("lp_cold_solves")),
-        lp_refactorizations_(metrics.counter("lp_refactorizations")),
         milp_parallel_solves_(metrics.counter("milp_parallel_solves")),
-        milp_steals_(metrics.counter("milp_steals")),
-        milp_incumbent_updates_(metrics.counter("milp_incumbent_updates")),
-        milp_incumbent_races_(metrics.counter("milp_incumbent_races")),
-        milp_bound_prunes_(metrics.counter("milp_bound_prunes")),
-        milp_cutoff_prunes_(metrics.counter("milp_cutoff_prunes")),
-        milp_dive_lp_solves_(metrics.counter("milp_dive_lp_solves")),
         milp_dive_incumbents_(metrics.counter("milp_dive_incumbents")),
         solve_seconds_(metrics.histogram("layer_solve_seconds")),
-        milp_idle_seconds_(metrics.histogram("milp_worker_idle_seconds")) {}
+        milp_idle_seconds_(metrics.histogram("milp_worker_idle_seconds")) {
+    for (const SummedCounter& summed : kSummedCounters) {
+      summed_.push_back(&metrics.counter(summed.metric));
+    }
+  }
 
   void on_layer_solve(const core::LayerSolveEvent& event) override {
     if (event.cache_hit) {
@@ -55,21 +71,16 @@ class MetricsObserver final : public core::SolveObserver {
     if (event.used_ilp) {
       ilp_layers_.increment();
     }
-    milp_nodes_.add(event.milp_nodes);
-    lp_pivots_.add(event.lp_pivots);
-    lp_warm_solves_.add(event.lp_warm_solves);
-    lp_cold_solves_.add(event.lp_cold_solves);
-    lp_refactorizations_.add(event.lp_refactorizations);
-    if (event.milp_threads > 1) {
+    const bool team = event.milp_threads > 1;
+    for (std::size_t i = 0; i < summed_.size(); ++i) {
+      if (team || !kSummedCounters[i].team_only) {
+        summed_[i]->add(event.*kSummedCounters[i].field);
+      }
+    }
+    if (team) {
       milp_parallel_solves_.increment();
-      milp_steals_.add(event.milp_steals);
-      milp_incumbent_updates_.add(event.milp_incumbent_updates);
-      milp_incumbent_races_.add(event.milp_incumbent_races);
       milp_idle_seconds_.observe(event.milp_idle_seconds);
     }
-    milp_bound_prunes_.add(event.milp_bound_prunes);
-    milp_cutoff_prunes_.add(event.milp_cutoff_prunes);
-    milp_dive_lp_solves_.add(event.milp_dive_lp_solves);
     if (event.milp_dive_found_incumbent) {
       milp_dive_incumbents_.increment();
     }
@@ -80,21 +91,11 @@ class MetricsObserver final : public core::SolveObserver {
   Counter& layers_solved_;
   Counter& layer_cache_hits_;
   Counter& ilp_layers_;
-  Counter& milp_nodes_;
-  Counter& lp_pivots_;
-  Counter& lp_warm_solves_;
-  Counter& lp_cold_solves_;
-  Counter& lp_refactorizations_;
   Counter& milp_parallel_solves_;
-  Counter& milp_steals_;
-  Counter& milp_incumbent_updates_;
-  Counter& milp_incumbent_races_;
-  Counter& milp_bound_prunes_;
-  Counter& milp_cutoff_prunes_;
-  Counter& milp_dive_lp_solves_;
   Counter& milp_dive_incumbents_;
   Histogram& solve_seconds_;
   Histogram& milp_idle_seconds_;
+  std::vector<Counter*> summed_;  ///< parallel to kSummedCounters
 };
 
 std::string read_file(const std::string& path) {

@@ -75,7 +75,6 @@ LayerSolutionCache::CachedSolution LayerSolutionCache::encode(
   }
   cached.used_ilp = outcome.used_ilp;
   cached.score = outcome.score;
-  cached.milp_nodes = outcome.milp_nodes;
   return cached;
 }
 
@@ -107,7 +106,6 @@ core::LayerOutcome LayerSolutionCache::decode(const core::LayerSolveContext& con
   }
   outcome.used_ilp = cached.used_ilp;
   outcome.score = cached.score;
-  outcome.milp_nodes = cached.milp_nodes;
   return outcome;
 }
 

@@ -75,7 +75,6 @@ class LayerSolutionCache final : public core::LayerSolveCache {
     std::vector<int> consumed_hints;           ///< positions in request.hints
     bool used_ilp = false;
     double score = 0.0;
-    long milp_nodes = 0;
 
     friend bool operator==(const CachedSolution&, const CachedSolution&) = default;
   };
@@ -84,7 +83,8 @@ class LayerSolutionCache final : public core::LayerSolveCache {
   [[nodiscard]] static CachedSolution encode(const core::LayerSolveContext& context,
                                              const core::LayerOutcome& outcome);
   /// Reconstructs an outcome in the given context (instantiates the created
-  /// devices into a copy of the context's inventory).
+  /// devices into a copy of the context's inventory). A hit does no search
+  /// work, so the outcome's MILP counters stay zero.
   [[nodiscard]] static core::LayerOutcome decode(const core::LayerSolveContext& context,
                                                  const CachedSolution& cached);
 

@@ -97,7 +97,7 @@ struct Workspace {
   std::vector<long> pc_up_count;
 };
 
-/// Per-worker slice of the parallel search result, merged after the join.
+/// Per-worker slice of the search result, merged after the join.
 struct WorkerReport {
   lp::SolveStats lp{};
   double idle_seconds = 0.0;
@@ -135,11 +135,11 @@ struct SharedSearch {
   std::atomic<bool> has_incumbent{false};
   std::atomic<double> best_value{std::numeric_limits<double>::infinity()};
   util::Mutex incumbent_mutex;
-  std::vector<double> incumbent COHLS_GUARDED_BY(incumbent_mutex);
+  std::vector<double> incumbent COHLS_GUARDED_BY(incumbent_mutex);  ///< reduced space
   double incumbent_value COHLS_GUARDED_BY(incumbent_mutex) =
       std::numeric_limits<double>::infinity();
 
-  /// Root relaxation bound, written once by whichever worker solves the root.
+  /// Root bound, written only by the worker that expands the root.
   std::atomic<double> root_bound{-MilpSolution::kBigBound};
 
   std::atomic<long> steals{0};
@@ -158,7 +158,11 @@ struct SharedSearch {
 class Solver {
  public:
   Solver(const MilpModel& model, const MilpOptions& options)
-      : model_(model), options_(options), deadline_set_(options.time_limit_seconds > 0) {
+      : model_(model),
+        options_(options),
+        workers_(std::max(1, options.threads)),
+        shared_(workers_),
+        deadline_set_(options.time_limit_seconds > 0) {
     if (deadline_set_) {
       deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                      std::chrono::duration<double>(options.time_limit_seconds));
@@ -166,247 +170,74 @@ class Solver {
   }
 
   MilpSolution run() {
-    MilpSolution out;
     if (!prepare()) {
+      MilpSolution out;
       out.status = MilpStatus::Infeasible;
       return out;
     }
     seed_warm_start();
-    if (options_.threads > 1) {
-      return run_parallel(options_.threads);
-    }
-    return run_sequential();
+    return search();
   }
 
  private:
-  // --- sequential search (threads == 1; the exact historical behavior) ------
+  // --- the search loop ------------------------------------------------------
 
-  MilpSolution run_sequential() {
-    MilpSolution out;
-    std::vector<Node> stack;
-    stack.push_back(Node{nullptr, nullptr, -MilpSolution::kBigBound});
-    double global_bound = -MilpSolution::kBigBound;
-    bool exhausted = true;
-    bool root_infeasible_proven = false;
-    bool any_lp_solved = false;
-
-    while (!stack.empty()) {
-      if (options_.cancel.can_cancel() && options_.cancel.cancelled()) {
-        exhausted = false;
-        cancelled_ = true;
-        break;
-      }
-      if (limit_reached()) {
-        exhausted = false;
-        break;
-      }
-      Node node = std::move(stack.back());
-      stack.pop_back();
-      if (has_incumbent_ &&
-          node.parent_bound >= incumbent_value_ - options_.absolute_gap) {
-        continue;  // cannot improve on the incumbent
-      }
-
-      ++nodes_;
-      const bool at_root = node.path == nullptr;
-      apply_path(ws_, node.path);
-
-      // Combinatorial bound first: it needs no LP solve, so a near-root node
-      // it prunes costs almost nothing.
-      const double comb = combinatorial_bound(ws_);
-      if (comb == std::numeric_limits<double>::infinity()) {
-        ++bound_prunes_;
-        if (at_root) {
-          root_infeasible_proven = true;
-        }
-        undo_path(ws_);
-        continue;
-      }
-      if (has_incumbent_ && comb >= incumbent_value_ - options_.absolute_gap) {
-        ++bound_prunes_;
-        undo_path(ws_);
-        continue;
-      }
-      if (at_root) {
-        global_bound = std::max(global_bound, comb);
-      }
-
-      set_lp_cutoff(ws_, at_root,
-                    has_incumbent_ ? incumbent_value_
-                                   : std::numeric_limits<double>::infinity());
-      const lp::LpSolution relax = solve_node(ws_, node);
-      if (relax.status == lp::LpStatus::CutoffReached) {
-        // The dual objective is a valid lower bound, so this is an exact
-        // prune — and still a usable pseudocost observation.
-        update_pseudocost(ws_, node, relax.objective);
-        ++cutoff_prunes_;
-        undo_path(ws_);
-        continue;
-      }
-      if (relax.status == lp::LpStatus::Infeasible) {
-        if (at_root) {
-          root_infeasible_proven = true;
-        }
-        undo_path(ws_);
-        continue;
-      }
-      if (relax.status == lp::LpStatus::Unbounded) {
-        // An unbounded relaxation of a bounded-variable MILP means free
-        // continuous directions; report the best we have.
-        exhausted = false;
-        undo_path(ws_);
-        continue;
-      }
-      if (relax.status != lp::LpStatus::Optimal) {
-        exhausted = false;  // iteration limit: bound unknown, cannot prune
-        undo_path(ws_);
-        continue;
-      }
-      any_lp_solved = true;
-      update_pseudocost(ws_, node, relax.objective);
-      const double bound = std::max(relax.objective, comb);
-      if (at_root) {
-        global_bound = std::max(global_bound, bound);
-      }
-      if (has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap) {
-        undo_path(ws_);
-        continue;
-      }
-
-      const int branch_col = select_branch(ws_, relax.values);
-      if (branch_col < 0) {
-        // Integral: new incumbent.
-        offer_incumbent(relax.values);
-        undo_path(ws_);
-        continue;
-      }
-      if (options_.enable_rounding_heuristic) {
-        try_rounding(relax.values);
-      }
-
-      // Children re-solve from this node's optimal basis with the dual
-      // simplex after the single branching-bound change. Snapshot it before
-      // the root dive below re-solves (and re-bases) the workspace.
-      const auto child_basis = std::make_shared<const lp::Basis>(ws_.revised->basis());
-      if (at_root && options_.dive) {
-        run_root_dive(ws_, relax, nullptr);
-        if (has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap) {
-          undo_path(ws_);
-          continue;  // the dive's incumbent already matches the root bound
-        }
-      }
-      const std::size_t bc = static_cast<std::size_t>(branch_col);
-      const double value = relax.values[bc];
-      const double floor_value = std::floor(value);
-      const double frac = value - floor_value;
-      const double down_hi = std::min(ws_.cur_upper[bc], floor_value);
-      const double up_lo = std::max(ws_.cur_lower[bc], floor_value + 1.0);
-      Node down{std::make_shared<PathStep>(
-                    PathStep{branch_col, ws_.cur_lower[bc], down_hi, node.path}),
-                child_basis, bound, branch_col, frac, false};
-      Node up{std::make_shared<PathStep>(
-                  PathStep{branch_col, up_lo, ws_.cur_upper[bc], node.path}),
-              child_basis, bound, branch_col, frac, true};
-      const bool down_viable = ws_.cur_lower[bc] <= down_hi;
-      const bool up_viable = up_lo <= ws_.cur_upper[bc];
-      undo_path(ws_);
-      // Depth-first; explore the child nearer the fractional value first
-      // (push it last so it pops first).
-      const bool up_first = value - floor_value > 0.5;
-      if (down_viable && !up_first) {
-        stack.push_back(std::move(down));
-      }
-      if (up_viable) {
-        stack.push_back(std::move(up));
-      }
-      if (down_viable && up_first) {
-        stack.push_back(std::move(down));
-      }
-    }
-
-    out.nodes = nodes_;
-    out.cancelled = cancelled_;
-    out.bound_prunes = bound_prunes_;
-    out.cutoff_prunes = cutoff_prunes_;
-    out.dive_lp_solves = dive_lp_solves_;
-    out.dive_found_incumbent = dive_found_;
-    copy_lp_stats(ws_.revised->total_stats(), out);
-    finish(out, exhausted, global_bound, root_infeasible_proven, any_lp_solved);
-    return out;
-  }
-
-  // --- parallel search (threads > 1) ----------------------------------------
-
-  MilpSolution run_parallel(int threads) {
-    SharedSearch shared(threads);
-    if (has_incumbent_) {
-      // No worker is running yet; the locks below are uncontended and exist
-      // so the thread-safety analysis sees every guarded access locked.
-      util::MutexLock lock(shared.incumbent_mutex);
-      shared.incumbent = incumbent_;
-      shared.incumbent_value = incumbent_value_;
-      shared.best_value.store(incumbent_value_, std::memory_order_relaxed);
-      shared.has_incumbent.store(true, std::memory_order_release);
-    }
+  /// Runs the worker team on the root node: the calling thread is worker 0
+  /// and `workers_ - 1` threads are spawned beside it, so a team of one
+  /// searches on the calling thread alone.
+  MilpSolution search() {
     {
-      util::MutexLock lock(shared.queues[0].mutex);
-      shared.queues[0].nodes.push_back(
-          Node{nullptr, nullptr, -MilpSolution::kBigBound});
+      // No other worker is running yet; the lock exists so the
+      // thread-safety analysis sees every guarded access locked.
+      util::MutexLock lock(shared_.queues[0].mutex);
+      shared_.queues[0].nodes.push_back(Node{nullptr, nullptr, -MilpSolution::kBigBound});
     }
-    shared.open_nodes.store(1, std::memory_order_release);
+    shared_.open_nodes.store(1, std::memory_order_release);
 
-    std::vector<WorkerReport> reports(static_cast<std::size_t>(threads));
+    std::vector<WorkerReport> reports(static_cast<std::size_t>(workers_));
     std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(threads) - 1);
-    for (int t = 1; t < threads; ++t) {
-      team.emplace_back([this, &shared, &reports, t] {
-        worker_main(shared, t, reports[static_cast<std::size_t>(t)]);
-      });
+    team.reserve(static_cast<std::size_t>(workers_) - 1);
+    for (int t = 1; t < workers_; ++t) {
+      team.emplace_back(
+          [this, &reports, t] { worker_main(t, reports[static_cast<std::size_t>(t)]); });
     }
-    worker_main(shared, 0, reports[0]);
+    worker_main(0, reports[0]);
     for (std::thread& member : team) {
       member.join();
     }
     {
       // Workers have joined; the lock keeps the analysis exact.
-      util::MutexLock lock(shared.error_mutex);
-      if (shared.error != nullptr) {
-        std::rethrow_exception(shared.error);
+      util::MutexLock lock(shared_.error_mutex);
+      if (shared_.error != nullptr) {
+        std::rethrow_exception(shared_.error);
       }
     }
 
     MilpSolution out;
-    out.nodes = shared.nodes.load(std::memory_order_relaxed);
-    out.cancelled = shared.cancelled.load(std::memory_order_relaxed);
-    out.threads_used = threads;
-    out.steals = shared.steals.load(std::memory_order_relaxed);
-    out.incumbent_updates = shared.incumbent_updates.load(std::memory_order_relaxed);
-    out.incumbent_races = shared.incumbent_races.load(std::memory_order_relaxed);
-    out.bound_prunes = shared.bound_prunes.load(std::memory_order_relaxed);
-    out.cutoff_prunes = shared.cutoff_prunes.load(std::memory_order_relaxed);
-    out.dive_lp_solves = shared.dive_lp_solves.load(std::memory_order_relaxed);
-    out.dive_found_incumbent = shared.dive_found.load(std::memory_order_relaxed);
+    out.milp_nodes = shared_.nodes.load(std::memory_order_relaxed);
+    out.milp_cancelled = shared_.cancelled.load(std::memory_order_relaxed);
+    out.milp_threads = workers_;
+    out.milp_steals = shared_.steals.load(std::memory_order_relaxed);
+    out.milp_incumbent_updates = shared_.incumbent_updates.load(std::memory_order_relaxed);
+    out.milp_incumbent_races = shared_.incumbent_races.load(std::memory_order_relaxed);
+    out.milp_bound_prunes = shared_.bound_prunes.load(std::memory_order_relaxed);
+    out.milp_cutoff_prunes = shared_.cutoff_prunes.load(std::memory_order_relaxed);
+    out.milp_dive_lp_solves = shared_.dive_lp_solves.load(std::memory_order_relaxed);
+    out.milp_dive_found_incumbent = shared_.dive_found.load(std::memory_order_relaxed);
     lp::SolveStats lp_total;
     for (const WorkerReport& report : reports) {
-      out.worker_idle_seconds += report.idle_seconds;
+      out.milp_idle_seconds += report.idle_seconds;
       lp_total.accumulate(report.lp);
     }
-    copy_lp_stats(lp_total, out);
-
-    has_incumbent_ = shared.has_incumbent.load(std::memory_order_acquire);
-    {
-      util::MutexLock lock(shared.incumbent_mutex);
-      incumbent_ = std::move(shared.incumbent);
-      incumbent_value_ = shared.incumbent_value;
-    }
-    finish(out, shared.exhausted.load(std::memory_order_relaxed),
-           shared.root_bound.load(std::memory_order_relaxed),
-           shared.root_infeasible.load(std::memory_order_relaxed),
-           shared.any_lp_solved.load(std::memory_order_relaxed));
+    out.lp_pivots = lp_total.primal_pivots + lp_total.dual_pivots;
+    out.lp_warm_solves = lp_total.warm_solves;
+    out.lp_cold_solves = lp_total.cold_solves;
+    out.lp_refactorizations = lp_total.refactorizations;
+    finish(out);
     return out;
   }
 
-  void worker_main(SharedSearch& shared, int id, WorkerReport& report) {
+  void worker_main(int id, WorkerReport& report) {
     try {
       // Worker 0 inherits the root workspace prepare() built (ws_ stays in
       // place: the other workers clone its revised instance concurrently);
@@ -417,10 +248,10 @@ class Solver {
       }
       Workspace& ws = id == 0 ? ws_ : *local;
       int spins = 0;
-      while (!shared.stop.load(std::memory_order_acquire)) {
+      while (!shared_.stop.load(std::memory_order_acquire)) {
         Node node;
-        if (!pop_or_steal(shared, id, node)) {
-          if (shared.open_nodes.load(std::memory_order_acquire) == 0) {
+        if (!pop_or_steal(id, node)) {
+          if (shared_.open_nodes.load(std::memory_order_acquire) == 0) {
             break;  // tree fully explored
           }
           const Clock::time_point idle_begin = Clock::now();
@@ -435,17 +266,16 @@ class Solver {
           continue;
         }
         spins = 0;
-        process_node(shared, ws, id, node);
-        shared.open_nodes.fetch_sub(1, std::memory_order_acq_rel);
+        process_node(ws, id, node);
+        shared_.open_nodes.fetch_sub(1, std::memory_order_acq_rel);
       }
       report.lp = ws.revised->total_stats();
     } catch (...) {
-      util::MutexLock lock(shared.error_mutex);
-      if (shared.error == nullptr) {
-        shared.error = std::current_exception();
+      util::MutexLock lock(shared_.error_mutex);
+      if (shared_.error == nullptr) {
+        shared_.error = std::current_exception();
       }
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
+      halt();
     }
   }
 
@@ -454,19 +284,12 @@ class Solver {
   Workspace make_worker_workspace() {
     Workspace ws;
     ws.revised.emplace(ws_.revised->clone_workspace());
-    const int n = reduced_.variable_count();
-    ws.cur_lower.resize(static_cast<std::size_t>(n));
-    ws.cur_upper.resize(static_cast<std::size_t>(n));
-    for (lp::Col c = 0; c < n; ++c) {
-      ws.cur_lower[static_cast<std::size_t>(c)] = reduced_.lp().lower_bound(c);
-      ws.cur_upper[static_cast<std::size_t>(c)] = reduced_.lp().upper_bound(c);
-    }
-    init_workspace_extras(ws);
+    init_workspace(ws);
     return ws;
   }
 
-  bool pop_or_steal(SharedSearch& shared, int id, Node& out) {
-    WorkerDeque& own = shared.queues[static_cast<std::size_t>(id)];
+  bool pop_or_steal(int id, Node& out) {
+    WorkerDeque& own = shared_.queues[static_cast<std::size_t>(id)];
     {
       util::MutexLock lock(own.mutex);
       if (!own.nodes.empty()) {
@@ -475,122 +298,148 @@ class Solver {
         return true;
       }
     }
-    const int team = static_cast<int>(shared.queues.size());
+    const int team = static_cast<int>(shared_.queues.size());
     for (int k = 1; k < team; ++k) {
-      WorkerDeque& victim = shared.queues[static_cast<std::size_t>((id + k) % team)];
+      WorkerDeque& victim = shared_.queues[static_cast<std::size_t>((id + k) % team)];
       util::MutexLock lock(victim.mutex);
       if (!victim.nodes.empty()) {
         out = std::move(victim.nodes.front());
         victim.nodes.pop_front();
-        shared.steals.fetch_add(1, std::memory_order_relaxed);
+        shared_.steals.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
     return false;
   }
 
-  /// The parallel twin of the sequential loop body; identical pruning,
-  /// branching and accounting, against the shared incumbent and budgets.
-  void process_node(SharedSearch& shared, Workspace& ws, int id, Node& node) {
+  /// Stops the whole team with the search unfinished.
+  void halt() {
+    shared_.exhausted.store(false, std::memory_order_relaxed);
+    shared_.stop.store(true, std::memory_order_release);
+  }
+
+  /// The budget check every search phase polls — between nodes and before
+  /// every root-dive re-solve: a fired cancellation token or the wall-clock
+  /// deadline halts the team.
+  bool out_of_budget() {
     if (options_.cancel.can_cancel() && options_.cancel.cancelled()) {
-      shared.cancelled.store(true, std::memory_order_relaxed);
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
-      return;
+      shared_.cancelled.store(true, std::memory_order_relaxed);
+      halt();
+      return true;
     }
     if (deadline_set_ && Clock::now() >= deadline_) {
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
+      halt();
+      return true;
+    }
+    return false;
+  }
+
+  /// True when the shared incumbent already meets `bound`.
+  bool incumbent_meets(double bound) const {
+    return shared_.has_incumbent.load(std::memory_order_acquire) &&
+           bound >= shared_.best_value.load(std::memory_order_relaxed) - options_.absolute_gap;
+  }
+
+  /// Expands one node: prune it, solve its relaxation, offer incumbents and
+  /// push its children onto worker `id`'s deque.
+  void process_node(Workspace& ws, int id, Node& node) {
+    if (out_of_budget()) {
       return;
     }
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        node.parent_bound >=
-            shared.best_value.load(std::memory_order_relaxed) - options_.absolute_gap) {
+    if (incumbent_meets(node.parent_bound)) {
       return;  // cannot improve on the incumbent
     }
-    const long sequence = shared.nodes.fetch_add(1, std::memory_order_relaxed) + 1;
+    const long sequence = shared_.nodes.fetch_add(1, std::memory_order_relaxed) + 1;
     if (options_.max_nodes > 0 && sequence > options_.max_nodes) {
-      shared.nodes.fetch_sub(1, std::memory_order_relaxed);
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
+      shared_.nodes.fetch_sub(1, std::memory_order_relaxed);
+      halt();
       return;
     }
 
     const bool at_root = node.path == nullptr;
     apply_path(ws, node.path);
 
+    // Combinatorial bound first: it needs no LP solve, so a near-root node
+    // it prunes costs almost nothing.
     const double comb = combinatorial_bound(ws);
     if (comb == std::numeric_limits<double>::infinity()) {
-      shared.bound_prunes.fetch_add(1, std::memory_order_relaxed);
+      shared_.bound_prunes.fetch_add(1, std::memory_order_relaxed);
       if (at_root) {
-        shared.root_infeasible.store(true, std::memory_order_relaxed);
+        shared_.root_infeasible.store(true, std::memory_order_relaxed);
       }
       undo_path(ws);
       return;
     }
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        comb >= shared.best_value.load(std::memory_order_relaxed) - options_.absolute_gap) {
-      shared.bound_prunes.fetch_add(1, std::memory_order_relaxed);
+    if (incumbent_meets(comb)) {
+      shared_.bound_prunes.fetch_add(1, std::memory_order_relaxed);
       undo_path(ws);
       return;
     }
+    if (at_root) {
+      // Kept even when the root LP below stops early.
+      shared_.root_bound.store(std::max(-MilpSolution::kBigBound, comb),
+                               std::memory_order_relaxed);
+    }
 
     set_lp_cutoff(ws, at_root,
-                  shared.has_incumbent.load(std::memory_order_acquire)
-                      ? shared.best_value.load(std::memory_order_relaxed)
+                  shared_.has_incumbent.load(std::memory_order_acquire)
+                      ? shared_.best_value.load(std::memory_order_relaxed)
                       : std::numeric_limits<double>::infinity());
     const lp::LpSolution relax = solve_node(ws, node);
     if (relax.status == lp::LpStatus::CutoffReached) {
+      // The dual objective is a valid lower bound, so this is an exact
+      // prune — and still a usable pseudocost observation.
       update_pseudocost(ws, node, relax.objective);
-      shared.cutoff_prunes.fetch_add(1, std::memory_order_relaxed);
+      shared_.cutoff_prunes.fetch_add(1, std::memory_order_relaxed);
       undo_path(ws);
       return;
     }
     if (relax.status == lp::LpStatus::Infeasible) {
       if (at_root) {
-        shared.root_infeasible.store(true, std::memory_order_relaxed);
+        shared_.root_infeasible.store(true, std::memory_order_relaxed);
       }
       undo_path(ws);
       return;
     }
     if (relax.status != lp::LpStatus::Optimal) {
-      // Unbounded ray or iteration limit: bound unknown, cannot prune.
-      shared.exhausted.store(false, std::memory_order_relaxed);
+      // Unbounded ray (free continuous directions) or iteration limit: the
+      // bound is unknown, so the node cannot be pruned or closed.
+      shared_.exhausted.store(false, std::memory_order_relaxed);
       undo_path(ws);
       return;
     }
-    shared.any_lp_solved.store(true, std::memory_order_relaxed);
+    shared_.any_lp_solved.store(true, std::memory_order_relaxed);
     update_pseudocost(ws, node, relax.objective);
     const double bound = std::max(relax.objective, comb);
     if (at_root) {
-      shared.root_bound.store(bound, std::memory_order_relaxed);
+      shared_.root_bound.store(bound, std::memory_order_relaxed);
     }
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        bound >= shared.best_value.load(std::memory_order_relaxed) - options_.absolute_gap) {
+    if (incumbent_meets(bound)) {
       undo_path(ws);
       return;
     }
 
     const int branch_col = select_branch(ws, relax.values);
     if (branch_col < 0) {
-      offer_shared(shared, relax.values, /*tolerance=*/1e-5);
+      offer_shared(relax.values, /*tolerance=*/1e-5);  // integral
       undo_path(ws);
       return;
     }
     if (options_.enable_rounding_heuristic) {
-      offer_shared(shared, relax.values, options_.integrality_tolerance);
+      offer_shared(relax.values, options_.integrality_tolerance);
     }
 
+    // Children re-solve from this node's optimal basis with the dual simplex
+    // after the single branching-bound change. Snapshot it before the root
+    // dive below re-solves (and re-bases) the workspace.
     const auto child_basis = std::make_shared<const lp::Basis>(ws.revised->basis());
     if (at_root && options_.dive) {
       // The root is expanded exactly once, before any child is stealable, so
       // the dive's incumbent is in place before any teammate expands node 2.
-      run_root_dive(ws, relax, &shared);
-      if (shared.has_incumbent.load(std::memory_order_acquire) &&
-          bound >= shared.best_value.load(std::memory_order_relaxed) -
-                       options_.absolute_gap) {
+      run_root_dive(ws, relax);
+      if (incumbent_meets(bound)) {
         undo_path(ws);
-        return;
+        return;  // the dive's incumbent already matches the root bound
       }
     }
     const std::size_t bc = static_cast<std::size_t>(branch_col);
@@ -608,12 +457,14 @@ class Solver {
     const bool down_viable = ws.cur_lower[bc] <= down_hi;
     const bool up_viable = up_lo <= ws.cur_upper[bc];
     undo_path(ws);
-    const bool up_first = value - floor_value > 0.5;
-    WorkerDeque& own = shared.queues[static_cast<std::size_t>(id)];
-    auto push_child = [&shared, &own](Node&& child) {
+    // Depth-first; explore the child nearer the fractional value first
+    // (push it last so it pops first).
+    const bool up_first = frac > 0.5;
+    WorkerDeque& own = shared_.queues[static_cast<std::size_t>(id)];
+    auto push_child = [this, &own](Node&& child) {
       // Count the node open *before* it becomes stealable, so open_nodes
       // never under-reports and no worker exits while work remains.
-      shared.open_nodes.fetch_add(1, std::memory_order_acq_rel);
+      shared_.open_nodes.fetch_add(1, std::memory_order_acq_rel);
       util::MutexLock lock(own.mutex);
       own.nodes.push_back(std::move(child));
     };
@@ -628,12 +479,12 @@ class Solver {
     }
   }
 
-  /// Snaps integer columns, validates feasibility and offers the point as a
-  /// shared incumbent. Strictly worse offers are rejected without the lock;
-  /// at equal objective the lexicographically smaller vector wins, which
-  /// keeps exhausted parallel solves reproducible where exploration order
-  /// would otherwise decide the tie.
-  void offer_shared(SharedSearch& shared, const std::vector<double>& x, double tolerance) {
+  /// Snaps integer columns, validates feasibility and offers the point as
+  /// the shared incumbent. Strictly worse offers are rejected without the
+  /// lock; at equal objective the lexicographically smaller vector wins,
+  /// which keeps exhausted multi-worker solves reproducible where
+  /// exploration order would otherwise decide the tie.
+  void offer_shared(const std::vector<double>& x, double tolerance) {
     std::vector<double> snapped = x;
     for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
       if (reduced_.is_integer(c)) {
@@ -643,30 +494,30 @@ class Solver {
     }
     const double value = reduced_.lp().objective_value(snapped);
     constexpr double kTie = 1e-12;
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        value > shared.best_value.load(std::memory_order_relaxed) + kTie) {
+    if (shared_.has_incumbent.load(std::memory_order_acquire) &&
+        value > shared_.best_value.load(std::memory_order_relaxed) + kTie) {
       return;
     }
     if (!reduced_.is_feasible(snapped, tolerance)) {
       return;
     }
-    util::MutexLock lock(shared.incumbent_mutex);
-    const bool has = shared.has_incumbent.load(std::memory_order_relaxed);
-    bool take = !has || value < shared.incumbent_value - kTie;
-    if (!take && has && value <= shared.incumbent_value + kTie) {
+    util::MutexLock lock(shared_.incumbent_mutex);
+    const bool has = shared_.has_incumbent.load(std::memory_order_relaxed);
+    bool take = !has || value < shared_.incumbent_value - kTie;
+    if (!take && has && value <= shared_.incumbent_value + kTie) {
       take = std::lexicographical_compare(snapped.begin(), snapped.end(),
-                                          shared.incumbent.begin(),
-                                          shared.incumbent.end());
+                                          shared_.incumbent.begin(),
+                                          shared_.incumbent.end());
     }
     if (!take) {
-      shared.incumbent_races.fetch_add(1, std::memory_order_relaxed);
+      shared_.incumbent_races.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    shared.incumbent_value = has ? std::min(value, shared.incumbent_value) : value;
-    shared.incumbent = std::move(snapped);
-    shared.best_value.store(shared.incumbent_value, std::memory_order_relaxed);
-    shared.has_incumbent.store(true, std::memory_order_release);
-    shared.incumbent_updates.fetch_add(1, std::memory_order_relaxed);
+    shared_.incumbent_value = has ? std::min(value, shared_.incumbent_value) : value;
+    shared_.incumbent = std::move(snapped);
+    shared_.best_value.store(shared_.incumbent_value, std::memory_order_relaxed);
+    shared_.has_incumbent.store(true, std::memory_order_release);
+    shared_.incumbent_updates.fetch_add(1, std::memory_order_relaxed);
   }
 
   // --- shared machinery -----------------------------------------------------
@@ -705,13 +556,6 @@ class Solver {
     }
 
     const int n = reduced_.variable_count();
-    ws_.cur_lower.resize(static_cast<std::size_t>(n));
-    ws_.cur_upper.resize(static_cast<std::size_t>(n));
-    for (lp::Col c = 0; c < n; ++c) {
-      ws_.cur_lower[static_cast<std::size_t>(c)] = reduced_.lp().lower_bound(c);
-      ws_.cur_upper[static_cast<std::size_t>(c)] = reduced_.lp().upper_bound(c);
-    }
-
     if (options_.bounds != nullptr) {
       orig_of_reduced_.assign(static_cast<std::size_t>(n), -1);
       for (lp::Col c = 0; c < model_.variable_count(); ++c) {
@@ -730,16 +574,23 @@ class Solver {
     // Two solves per dive level (fix + one backtrack flip), depth at most
     // the integer-column count, plus slack for re-fractionalizations.
     dive_budget_ = 2 * integer_columns + 8;
-    init_workspace_extras(ws_);
+    init_workspace(ws_);
     ws_.revised.emplace(reduced_.lp(), options_.simplex);
     return true;
   }
 
-  /// Sizes the per-workspace pseudocost tables and the original-space bound
-  /// mirror a NodeBoundProvider reads. Called for the root workspace and for
-  /// every parallel worker clone.
-  void init_workspace_extras(Workspace& ws) const {
+  /// Sets a workspace's node box to the root bounds and sizes its
+  /// pseudocost tables and the original-space bound mirror a
+  /// NodeBoundProvider reads. Called for the root workspace and for every
+  /// worker clone.
+  void init_workspace(Workspace& ws) const {
     const std::size_t n = static_cast<std::size_t>(reduced_.variable_count());
+    ws.cur_lower.resize(n);
+    ws.cur_upper.resize(n);
+    for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
+      ws.cur_lower[static_cast<std::size_t>(c)] = reduced_.lp().lower_bound(c);
+      ws.cur_upper[static_cast<std::size_t>(c)] = reduced_.lp().upper_bound(c);
+    }
     ws.pc_down_sum.assign(n, 0.0);
     ws.pc_up_sum.assign(n, 0.0);
     ws.pc_down_count.assign(n, 0);
@@ -781,17 +632,13 @@ class Solver {
       }
     }
     if (reduced_.is_feasible(mapped, options_.integrality_tolerance)) {
-      incumbent_ = std::move(mapped);
-      incumbent_value_ = reduced_.lp().objective_value(incumbent_);
-      has_incumbent_ = true;
+      // No worker is running yet; the lock keeps the analysis exact.
+      util::MutexLock lock(shared_.incumbent_mutex);
+      shared_.incumbent_value = reduced_.lp().objective_value(mapped);
+      shared_.incumbent = std::move(mapped);
+      shared_.best_value.store(shared_.incumbent_value, std::memory_order_relaxed);
+      shared_.has_incumbent.store(true, std::memory_order_release);
     }
-  }
-
-  bool limit_reached() const {
-    if (options_.max_nodes > 0 && nodes_ >= options_.max_nodes) {
-      return true;
-    }
-    return deadline_set_ && Clock::now() >= deadline_;
   }
 
   /// Replays the node's branch path onto the workspace's effective-bound
@@ -838,15 +685,8 @@ class Solver {
     return ws.revised->solve();
   }
 
-  static void copy_lp_stats(const lp::SolveStats& stats, MilpSolution& out) {
-    out.lp_pivots = stats.primal_pivots + stats.dual_pivots;
-    out.lp_warm_solves = stats.warm_solves;
-    out.lp_cold_solves = stats.cold_solves;
-    out.lp_refactorizations = stats.refactorizations;
-  }
-
   /// The node's combinatorial lower bound in reduced space (comparable with
-  /// incumbent_value_): the provider's original-space bound minus the
+  /// the incumbent value): the provider's original-space bound minus the
   /// objective mass on presolve-fixed columns. -infinity when no provider is
   /// configured; +infinity when the provider proves the node box empty.
   double combinatorial_bound(const Workspace& ws) const {
@@ -938,11 +778,10 @@ class Solver {
 
   /// The root dive (see milp/dive.hpp): fixes its way down from the root
   /// relaxation with warm re-solves, offers any integral point it reaches as
-  /// an incumbent, and restores every bound it touched. `shared == nullptr`
-  /// means the sequential search. LP work lands in the dive counters, never
-  /// in the node budget.
-  void run_root_dive(Workspace& ws, const lp::LpSolution& root_relax,
-                     SharedSearch* shared) {
+  /// an incumbent, and restores every bound it touched. It polls the same
+  /// budget check as the node loop before every re-solve. LP work lands in
+  /// the dive counters, never in the node budget.
+  void run_root_dive(Workspace& ws, const lp::LpSolution& root_relax) {
     std::vector<BoundUndo> undo;
     lp::Basis dive_basis = ws.revised->basis();
     DiveHooks hooks;
@@ -960,6 +799,7 @@ class Solver {
       }
       return sol;
     };
+    hooks.stop = [this] { return out_of_budget(); };
     const DiveResult result =
         dive_for_incumbent(reduced_, hooks, root_relax,
                            options_.integrality_tolerance,
@@ -967,106 +807,53 @@ class Solver {
     for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
       set_node_bounds(ws, it->col, it->lower, it->upper);
     }
-    if (shared == nullptr) {
-      dive_lp_solves_ += result.lp_solves;
-      dive_found_ = dive_found_ || result.found;
-      if (result.found) {
-        offer_incumbent(result.values);
-      }
-    } else {
-      shared->dive_lp_solves.fetch_add(result.lp_solves, std::memory_order_relaxed);
-      if (result.found) {
-        shared->dive_found.store(true, std::memory_order_relaxed);
-        offer_shared(*shared, result.values, /*tolerance=*/1e-5);
-      }
+    shared_.dive_lp_solves.fetch_add(result.lp_solves, std::memory_order_relaxed);
+    if (result.found) {
+      shared_.dive_found.store(true, std::memory_order_relaxed);
+      offer_shared(result.values, /*tolerance=*/1e-5);
     }
   }
 
-  void offer_incumbent(const std::vector<double>& x) {
-    std::vector<double> snapped = x;
-    for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
-      if (reduced_.is_integer(c)) {
-        snapped[static_cast<std::size_t>(c)] =
-            std::round(snapped[static_cast<std::size_t>(c)]);
+  /// The common epilogue, after the team has joined: best bound, incumbent
+  /// restoration and status.
+  void finish(MilpSolution& out) {
+    const bool exhausted = shared_.exhausted.load(std::memory_order_relaxed);
+    util::MutexLock lock(shared_.incumbent_mutex);
+    if (shared_.has_incumbent.load(std::memory_order_acquire)) {
+      std::vector<double> full = pre_.restore(shared_.incumbent);
+      for (lp::Col c = 0; c < model_.variable_count(); ++c) {
+        if (model_.is_integer(c)) {
+          full[static_cast<std::size_t>(c)] = std::round(full[static_cast<std::size_t>(c)]);
+        }
       }
-    }
-    const double value = reduced_.lp().objective_value(snapped);
-    if (!has_incumbent_ || value < incumbent_value_ - 1e-12) {
-      if (reduced_.is_feasible(snapped, 1e-5)) {
-        incumbent_ = std::move(snapped);
-        incumbent_value_ = value;
-        has_incumbent_ = true;
-      }
-    }
-  }
-
-  void try_rounding(const std::vector<double>& x) {
-    std::vector<double> rounded = x;
-    for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
-      if (reduced_.is_integer(c)) {
-        rounded[static_cast<std::size_t>(c)] =
-            std::round(rounded[static_cast<std::size_t>(c)]);
-      }
-    }
-    const double value = reduced_.lp().objective_value(rounded);
-    if ((!has_incumbent_ || value < incumbent_value_ - 1e-12) &&
-        reduced_.is_feasible(rounded, options_.integrality_tolerance)) {
-      incumbent_ = std::move(rounded);
-      incumbent_value_ = value;
-      has_incumbent_ = true;
-    }
-  }
-
-  std::vector<double> restore_incumbent() const {
-    std::vector<double> full = pre_.restore(incumbent_);
-    for (lp::Col c = 0; c < model_.variable_count(); ++c) {
-      if (model_.is_integer(c)) {
-        full[static_cast<std::size_t>(c)] = std::round(full[static_cast<std::size_t>(c)]);
-      }
-    }
-    return full;
-  }
-
-  /// The common epilogue: best bound, incumbent restoration and status.
-  void finish(MilpSolution& out, bool exhausted, double global_bound,
-              bool root_infeasible_proven, bool any_lp_solved) {
-    const double bound_offset = objective_offset_;
-    out.best_bound = exhausted && has_incumbent_ ? incumbent_value_ + bound_offset
-                                                 : global_bound + bound_offset;
-    if (has_incumbent_) {
-      out.values = restore_incumbent();
+      out.values = std::move(full);
       out.objective = model_.lp().objective_value(out.values);
       out.status = exhausted ? MilpStatus::Optimal : MilpStatus::Feasible;
-      if (exhausted) {
-        out.best_bound = out.objective;
-      }
-    } else if (exhausted && (any_lp_solved || root_infeasible_proven || out.nodes > 0)) {
-      out.status = MilpStatus::Infeasible;
+      out.best_bound = exhausted ? out.objective
+                                 : shared_.root_bound.load(std::memory_order_relaxed) +
+                                       objective_offset_;
     } else {
-      out.status = MilpStatus::NoSolution;
+      out.best_bound = shared_.root_bound.load(std::memory_order_relaxed) + objective_offset_;
+      const bool proven = shared_.any_lp_solved.load(std::memory_order_relaxed) ||
+                          shared_.root_infeasible.load(std::memory_order_relaxed) ||
+                          out.milp_nodes > 0;
+      out.status = exhausted && proven ? MilpStatus::Infeasible : MilpStatus::NoSolution;
     }
   }
 
   const MilpModel& model_;
   const MilpOptions& options_;
+  const int workers_;
+  SharedSearch shared_;
   lp::Presolved pre_;
   MilpModel reduced_;  ///< presolved model the search actually branches over
   double objective_offset_ = 0.0;  ///< objective mass on presolve-fixed columns
-  Workspace ws_;  ///< root workspace; worker 0's in a parallel solve
+  Workspace ws_;  ///< root workspace; worker 0's
   bool deadline_set_;
   Clock::time_point deadline_{};
-  long nodes_ = 0;
-  bool cancelled_ = false;
   /// Original column index per reduced column (provider mode only).
   std::vector<lp::Col> orig_of_reduced_;
   long dive_budget_ = 0;
-  long bound_prunes_ = 0;
-  long cutoff_prunes_ = 0;
-  long dive_lp_solves_ = 0;
-  bool dive_found_ = false;
-  bool has_incumbent_ = false;
-  std::vector<double> incumbent_;  ///< reduced space; restored on exit
-  double incumbent_value_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace

@@ -30,20 +30,20 @@ enum class MilpStatus {
 [[nodiscard]] std::string to_string(MilpStatus status);
 
 struct MilpOptions {
-  /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited. With
-  /// threads > 1 the budget is global across the worker team (enforced with
-  /// relaxed atomics), so a parallel solve expands the same number of nodes
-  /// as a sequential one.
+  /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited. The
+  /// budget is global across the worker team (enforced with relaxed
+  /// atomics), so every worker count expands the same number of nodes.
   long max_nodes = 200000;
-  /// Branch-and-bound worker threads; values < 1 are treated as 1. The
-  /// default runs the exact sequential depth-first search. With N > 1, N
+  /// Branch-and-bound workers; values < 1 are treated as 1. Every worker
+  /// count runs the same search loop: the calling thread is worker 0 and
+  /// N - 1 threads are spawned beside it, so the default spawns none. The
   /// workers explore the tree through per-worker node deques with work
-  /// stealing and a shared incumbent; each worker owns a private LP
-  /// workspace (cloned off one immutable matrix) so child nodes still
-  /// re-solve warm from their parent's basis. Parallel search is exact —
-  /// status and optimal objective match the sequential solver — but when
-  /// several optima tie, or when a budget truncates the search, the
-  /// incumbent *vector* may differ across worker counts and runs.
+  /// stealing and a shared incumbent; each owns a private LP workspace
+  /// (cloned off one immutable matrix) so child nodes still re-solve warm
+  /// from their parent's basis. Status and optimal objective do not depend
+  /// on N, but when several optima tie, or when a budget truncates the
+  /// search, the incumbent *vector* may differ across worker counts and,
+  /// for N > 1, across runs.
   int threads = 1;
   /// Wall-clock budget in seconds; <= 0 means unlimited.
   double time_limit_seconds = 30.0;
@@ -74,41 +74,51 @@ struct MilpOptions {
   /// feasible incumbent every worker can prune against from node 1. Dive LP
   /// solves are *not* charged against max_nodes.
   bool dive = true;
-  /// Cooperative cancellation: polled between nodes. A cancelled solve
-  /// returns like a limit-hit one (Feasible with the incumbent so far, or
-  /// NoSolution) with `cancelled` set in the solution.
+  /// Cooperative cancellation: polled between nodes and before every root
+  /// dive re-solve, like the wall-clock budget. A cancelled solve returns
+  /// like a limit-hit one (Feasible with the incumbent so far, or
+  /// NoSolution) with `milp_cancelled` set in the solution.
   CancellationToken cancel{};
 };
 
-struct MilpSolution {
+/// The search-work counters of one solve. They are declared here once:
+/// MilpSolution carries them, and so do the synthesis flow's per-layer
+/// outcome and solve event (core::LayerOutcome, core::LayerSolveEvent), which
+/// copy them with one assignment. A new counter is one field in this struct.
+struct MilpStats {
+  long milp_nodes = 0;  ///< branch-and-bound nodes expanded
+  /// The search stopped because MilpOptions::cancel fired. A cancelled layer
+  /// outcome is still usable but must not be cached: a fresh solve could
+  /// return something better.
+  bool milp_cancelled = false;
+
+  // LP work performed across all node relaxations.
+  long lp_pivots = 0;            ///< simplex pivots (primal + dual)
+  long lp_warm_solves = 0;       ///< node re-solves warm-started from a parent basis
+  long lp_cold_solves = 0;       ///< from-scratch two-phase solves
+  long lp_refactorizations = 0;  ///< basis refactorizations
+
+  // Bound-driven search summary.
+  long milp_bound_prunes = 0;    ///< nodes pruned by the combinatorial bound, no LP solve
+  long milp_cutoff_prunes = 0;   ///< node LPs cut off early by the dual objective cutoff
+  long milp_dive_lp_solves = 0;  ///< LP solves spent inside the root dive (not nodes)
+  bool milp_dive_found_incumbent = false;  ///< the root dive installed an incumbent
+
+  // Worker-team summary.
+  int milp_threads = 1;             ///< worker team size the solve actually ran with
+  long milp_steals = 0;             ///< nodes taken from another worker's deque
+  long milp_incumbent_updates = 0;  ///< accepted shared-incumbent improvements
+  /// Offers that reached the incumbent lock but lost to a concurrent update
+  /// (a direct measure of incumbent contention between workers).
+  long milp_incumbent_races = 0;
+  double milp_idle_seconds = 0.0;  ///< summed wall time workers waited for work
+};
+
+struct MilpSolution : MilpStats {
   MilpStatus status = MilpStatus::NoSolution;
   double objective = 0.0;
   std::vector<double> values;  ///< incumbent when status is Optimal/Feasible
   double best_bound = -kBigBound;
-  long nodes = 0;
-  /// True when the search stopped because MilpOptions::cancel fired.
-  bool cancelled = false;
-
-  // LP work performed across all node relaxations, for the engine metrics.
-  long lp_pivots = 0;           ///< simplex pivots (primal + dual)
-  long lp_warm_solves = 0;      ///< node re-solves warm-started from a parent basis
-  long lp_cold_solves = 0;      ///< from-scratch two-phase solves
-  long lp_refactorizations = 0; ///< basis refactorizations
-
-  // Bound-driven search summary.
-  long bound_prunes = 0;   ///< nodes pruned by the combinatorial bound, no LP solve
-  long cutoff_prunes = 0;  ///< node LPs cut off early by the dual objective cutoff
-  long dive_lp_solves = 0; ///< LP solves spent inside the root dive (not nodes)
-  bool dive_found_incumbent = false;  ///< the root dive installed an incumbent
-
-  // Parallel-search work summary (left at defaults when threads == 1).
-  int threads_used = 1;        ///< worker team size the solve actually ran with
-  long steals = 0;             ///< nodes taken from another worker's deque
-  long incumbent_updates = 0;  ///< accepted shared-incumbent improvements
-  /// Offers that reached the incumbent lock but lost to a concurrent update
-  /// (a direct measure of incumbent contention between workers).
-  long incumbent_races = 0;
-  double worker_idle_seconds = 0.0;  ///< summed wall time workers waited for work
 
   static constexpr double kBigBound = 1e100;
 };

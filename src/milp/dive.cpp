@@ -44,6 +44,17 @@ DiveResult dive_for_incumbent(const MilpModel& model, const DiveHooks& hooks,
     return out;
   }
   lp::LpSolution relax = root_relax;
+  // Fixes `col` to `value` and re-solves; false when the re-solve budget is
+  // spent or the owner's stop check fires first.
+  auto fix_and_resolve = [&](lp::Col col, double value) {
+    if (out.lp_solves >= max_lp_solves || (hooks.stop && hooks.stop())) {
+      return false;
+    }
+    hooks.set_bounds(col, value, value);
+    ++out.lp_solves;
+    relax = hooks.resolve();
+    return true;
+  };
   while (true) {
     const int col = least_fractional(model, relax.values, integrality_tolerance);
     if (col < 0) {
@@ -63,9 +74,6 @@ DiveResult dive_for_incumbent(const MilpModel& model, const DiveHooks& hooks,
       out.found = true;
       return out;
     }
-    if (out.lp_solves >= max_lp_solves) {
-      return out;  // budget spent before reaching an integral point
-    }
 
     const std::size_t cs = static_cast<std::size_t>(col);
     const double value = relax.values[cs];
@@ -73,9 +81,9 @@ DiveResult dive_for_incumbent(const MilpModel& model, const DiveHooks& hooks,
     const double hi = (*hooks.upper)[cs];
     const double nearest =
         std::clamp(std::round(value), std::ceil(lo), std::floor(hi));
-    hooks.set_bounds(col, nearest, nearest);
-    ++out.lp_solves;
-    relax = hooks.resolve();
+    if (!fix_and_resolve(col, nearest)) {
+      return out;
+    }
     if (relax.status == lp::LpStatus::Optimal) {
       continue;
     }
@@ -83,13 +91,8 @@ DiveResult dive_for_incumbent(const MilpModel& model, const DiveHooks& hooks,
     // exists inside the box. A second failure aborts the dive — the branch
     // search proper will sort the region out.
     const double other = nearest > value ? nearest - 1.0 : nearest + 1.0;
-    if (other < lo - 1e-9 || other > hi + 1e-9 || out.lp_solves >= max_lp_solves) {
-      return out;
-    }
-    hooks.set_bounds(col, other, other);
-    ++out.lp_solves;
-    relax = hooks.resolve();
-    if (relax.status != lp::LpStatus::Optimal) {
+    if (other < lo - 1e-9 || other > hi + 1e-9 || !fix_and_resolve(col, other) ||
+        relax.status != lp::LpStatus::Optimal) {
       return out;
     }
   }

@@ -10,7 +10,8 @@
 // neighboring integer) when a fix turns the LP infeasible. A successful dive
 // ends at an integral, LP-feasible point — an incumbent every worker can
 // prune against from node 1. Dive LP solves are charged to
-// MilpSolution::dive_lp_solves, never to the node budget.
+// MilpStats::milp_dive_lp_solves, never to the node budget, and the dive
+// stops early when its owner's budget check (DiveHooks::stop) fires.
 #pragma once
 
 #include <functional>
@@ -37,6 +38,9 @@ struct DiveHooks {
   std::function<lp::LpSolution()> resolve;
   /// Tightens one column to [lower, upper]; the owner records the undo.
   std::function<void(lp::Col, double lower, double upper)> set_bounds;
+  /// Polled before every re-solve; returning true ends the dive there (the
+  /// owner's deadline and cancellation check). Optional.
+  std::function<bool()> stop;
   /// The current effective bounds of the box being dived (owner-maintained;
   /// the dive reads them to clamp rounding targets).
   const std::vector<double>* lower = nullptr;

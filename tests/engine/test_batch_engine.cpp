@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "assays/benchmarks.hpp"
+#include "assays/random_assay.hpp"
 #include "io/assay_text.hpp"
 
 namespace cohls::engine {
@@ -297,6 +300,51 @@ TEST(MilpThreadArbitration, SharesTheMachineBetweenJobsAndSolverTeams) {
   EXPECT_EQ(arbitrated_milp_threads(8, 4, 8), 2);   // explicit, clamped
   EXPECT_EQ(arbitrated_milp_threads(2, 2, 8), 2);   // explicit, within budget
   EXPECT_EQ(arbitrated_milp_threads(1, 8, 8), 1);   // sequential stays sequential
+}
+
+/// The value of counter `name` in a metrics_json document.
+long json_counter(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no counter " << name << " in " << json;
+    return -1;
+  }
+  return std::stol(json.substr(at + key.size()));
+}
+
+TEST(BatchEngine, MilpCountersReachTheMetricsAndCacheHitsAddNone) {
+  // The ablation-D random assays: small single-layer assays whose layers
+  // the exact engine admits, so the MILP does real search work.
+  assays::RandomAssayOptions gen;
+  gen.operations = 4;
+  gen.indeterminate_probability = 0.0;
+  gen.max_parents = 2;
+  std::vector<BatchJob> jobs;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    BatchJob job = text_job("seed" + std::to_string(seed), assays::random_assay(seed * 101, gen));
+    job.options.max_devices = 4;
+    job.options.engine.enable_ilp = true;
+    job.options.engine.ilp_max_ops = 6;
+    job.options.engine.ilp_max_devices = 6;
+    job.options.engine.ilp_new_slots = 2;
+    job.options.max_resynthesis_iterations = 1;
+    jobs.push_back(std::move(job));
+  }
+
+  BatchEngine engine{BatchOptions{}};
+  (void)engine.run(jobs);
+  const std::string first = engine.metrics_json();
+  EXPECT_GT(json_counter(first, "milp_nodes"), 0);
+  EXPECT_GT(json_counter(first, "lp_pivots"), 0);
+
+  // The resubmitted layers come from the cache: no search, no new counts.
+  (void)engine.run(jobs);
+  const std::string second = engine.metrics_json();
+  EXPECT_GT(json_counter(second, "layer_cache_hits"), json_counter(first, "layer_cache_hits"));
+  for (const char* name : {"milp_nodes", "lp_pivots", "milp_bound_prunes"}) {
+    EXPECT_EQ(json_counter(second, name), json_counter(first, name)) << name;
+  }
 }
 
 TEST(MilpThreadArbitration, DegradesToOneWorkerWhenTheMachineIsCovered) {

@@ -1,13 +1,19 @@
 // Cooperative cancellation end to end: token semantics, the branch-and-bound
-// node loop, and the synthesis flow's layer / iteration checkpoints.
+// node loop and root dive, and the synthesis flow's layer / iteration
+// checkpoints.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "assays/benchmarks.hpp"
 #include "core/progressive_resynthesis.hpp"
+#include "milp/bounds.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "milp/dive.hpp"
 #include "util/cancellation.hpp"
 
 namespace cohls {
@@ -69,9 +75,9 @@ TEST(Cancellation, PreCancelledTokenStopsBranchAndBoundBeforeAnyNode) {
   options.time_limit_seconds = 0.0;
   options.cancel = source.token();
   const milp::MilpSolution solution = milp::solve_milp(hard_model(40), options);
-  EXPECT_TRUE(solution.cancelled);
+  EXPECT_TRUE(solution.milp_cancelled);
   EXPECT_EQ(solution.status, milp::MilpStatus::NoSolution);
-  EXPECT_EQ(solution.nodes, 0);
+  EXPECT_EQ(solution.milp_nodes, 0);
 }
 
 TEST(Cancellation, DeadlineStopsLongBranchAndBoundSolve) {
@@ -83,8 +89,8 @@ TEST(Cancellation, DeadlineStopsLongBranchAndBoundSolve) {
   options.time_limit_seconds = 0.0;
   options.cancel = source.token_with_deadline(0.05);
   const milp::MilpSolution solution = milp::solve_milp(hard_model(40), options);
-  EXPECT_TRUE(solution.cancelled);
-  EXPECT_GT(solution.nodes, 0);
+  EXPECT_TRUE(solution.milp_cancelled);
+  EXPECT_GT(solution.milp_nodes, 0);
 }
 
 TEST(Cancellation, CrossThreadStopRequestStopsSolver) {
@@ -99,7 +105,81 @@ TEST(Cancellation, CrossThreadStopRequestStopsSolver) {
   });
   const milp::MilpSolution solution = milp::solve_milp(hard_model(40), options);
   stopper.join();
-  EXPECT_TRUE(solution.cancelled);
+  EXPECT_TRUE(solution.milp_cancelled);
+}
+
+TEST(Cancellation, RootDiveStopsAfterTheReSolveThatFiresTheToken) {
+  // Six binaries the relaxation leaves at 0.5 until fixed: uninterrupted,
+  // the dive fixes one per re-solve and reaches an integral point after six.
+  constexpr int kColumns = 6;
+  constexpr long kFiringResolve = 3;
+  milp::MilpModel model;
+  for (int i = 0; i < kColumns; ++i) {
+    (void)model.add_binary(/*objective=*/1.0);
+  }
+  std::vector<double> lower(kColumns, 0.0);
+  std::vector<double> upper(kColumns, 1.0);
+  auto relaxation = [&lower, &upper] {
+    lp::LpSolution relax;
+    relax.status = lp::LpStatus::Optimal;
+    for (std::size_t c = 0; c < lower.size(); ++c) {
+      relax.values.push_back(lower[c] == upper[c] ? lower[c] : 0.5);
+    }
+    return relax;
+  };
+  CancellationSource source;
+  const CancellationToken token = source.token();
+  long resolves = 0;
+  milp::DiveHooks hooks;
+  hooks.lower = &lower;
+  hooks.upper = &upper;
+  hooks.set_bounds = [&lower, &upper](lp::Col c, double lo, double hi) {
+    lower[static_cast<std::size_t>(c)] = lo;
+    upper[static_cast<std::size_t>(c)] = hi;
+  };
+  hooks.resolve = [&] {
+    if (++resolves == kFiringResolve) {
+      source.request_stop();
+    }
+    return relaxation();
+  };
+  hooks.stop = [&token] { return token.cancelled(); };
+  const milp::DiveResult result =
+      milp::dive_for_incumbent(model, hooks, relaxation(), 1e-6, 1e-5, /*max_lp_solves=*/100);
+  EXPECT_EQ(result.lp_solves, kFiringResolve);
+  EXPECT_EQ(resolves, kFiringResolve);
+  EXPECT_FALSE(result.found);
+}
+
+/// A bound provider that proves nothing and fires the token the first time
+/// the search evaluates it — at the root node, before the root LP and dive.
+class CancelAtRootBound final : public milp::NodeBoundProvider {
+ public:
+  explicit CancelAtRootBound(CancellationSource& source) : source_(source) {}
+  [[nodiscard]] double objective_lower_bound(const std::vector<double>& /*lower*/,
+                                             const std::vector<double>& /*upper*/) const override {
+    source_.request_stop();
+    return -std::numeric_limits<double>::infinity();
+  }
+
+ private:
+  CancellationSource& source_;
+};
+
+TEST(Cancellation, RootDiveSeesATokenFiredAtTheRootNode) {
+  CancellationSource source;
+  milp::MilpOptions options;
+  options.max_nodes = 0;
+  options.time_limit_seconds = 0.0;
+  options.cancel = source.token();
+  options.bounds = std::make_shared<CancelAtRootBound>(source);
+  const milp::MilpSolution solution = milp::solve_milp(hard_model(40), options);
+  EXPECT_TRUE(solution.milp_cancelled);
+  EXPECT_EQ(solution.status, milp::MilpStatus::NoSolution);
+  EXPECT_EQ(solution.milp_nodes, 1);
+  // The root relaxation is fractional, so the dive starts, but its first
+  // budget poll sees the fired token and it re-solves nothing.
+  EXPECT_EQ(solution.milp_dive_lp_solves, 0);
 }
 
 TEST(Cancellation, SynthesisThrowsCancelledError) {

@@ -425,9 +425,9 @@ TEST(DiveCertification, DiveFindsIncumbentsAndPreservesExactness) {
     ASSERT_EQ(dived.status, MilpStatus::Optimal);
     ASSERT_EQ(plain.status, MilpStatus::Optimal);
     EXPECT_NEAR(dived.objective, plain.objective, 1e-6);
-    if (dived.dive_found_incumbent) {
+    if (dived.milp_dive_found_incumbent) {
       ++found;
-      EXPECT_GT(dived.dive_lp_solves, 0);
+      EXPECT_GT(dived.milp_dive_lp_solves, 0);
     }
   }
   EXPECT_GT(found, 0) << "the root dive never fired across 25 scheduling instances";

@@ -1,7 +1,8 @@
-// Parallel branch and bound: the work-stealing worker team must be a pure
-// acceleration of the sequential depth-first search. Status and optimal
-// objective agree with threads == 1 on every instance; incumbent vectors may
-// differ only when several optima tie or a budget truncates the search.
+// Parallel branch and bound: a work-stealing team of N workers runs the same
+// search loop as a team of one and must be a pure acceleration of it. Status
+// and optimal objective agree with threads == 1 on every instance; incumbent
+// vectors may differ only when several optima tie or a budget truncates the
+// search.
 // These suites double as the TSan stress target for the parallel solver
 // (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
@@ -90,9 +91,9 @@ TEST_P(MilpParallelParity, FourWorkersAgreeWithSequential) {
       << to_string(par.status) << " vs " << to_string(seq.status);
   // Presolve can prove infeasibility before the worker team launches, in
   // which case the solve legitimately reports a team of one.
-  EXPECT_EQ(par.threads_used, par.nodes > 0 ? 4 : 1);
-  EXPECT_EQ(seq.threads_used, 1);
-  EXPECT_EQ(seq.steals, 0);
+  EXPECT_EQ(par.milp_threads, par.milp_nodes > 0 ? 4 : 1);
+  EXPECT_EQ(seq.milp_threads, 1);
+  EXPECT_EQ(seq.milp_steals, 0);
   if (seq.status == MilpStatus::Optimal) {
     EXPECT_NEAR(par.objective, seq.objective, 1e-6);
     EXPECT_TRUE(model.is_feasible(par.values, 1e-5));
@@ -109,12 +110,12 @@ TEST(MilpParallel, StealsAndWarmSolvesOnBranchyInstance) {
   ASSERT_EQ(seq.status, MilpStatus::Optimal);
   ASSERT_EQ(par.status, MilpStatus::Optimal);
   EXPECT_NEAR(par.objective, seq.objective, 1e-6);
-  EXPECT_GT(par.nodes, 1);
+  EXPECT_GT(par.milp_nodes, 1);
   // The team genuinely shared the tree and kept warm-starting children.
-  EXPECT_GT(par.steals, 0);
-  EXPECT_GT(par.incumbent_updates, 0);
+  EXPECT_GT(par.milp_steals, 0);
+  EXPECT_GT(par.milp_incumbent_updates, 0);
   EXPECT_GT(par.lp_warm_solves, 0);
-  EXPECT_GE(par.worker_idle_seconds, 0.0);
+  EXPECT_GE(par.milp_idle_seconds, 0.0);
 }
 
 TEST(MilpParallel, EqualNodeBudgetsAcrossWorkerCounts) {
@@ -126,7 +127,7 @@ TEST(MilpParallel, EqualNodeBudgetsAcrossWorkerCounts) {
     options.max_nodes = 40;
     options.enable_rounding_heuristic = false;  // keep the tree from closing early
     const MilpSolution sol = solve_milp(model, options);
-    EXPECT_EQ(sol.nodes, 40) << "threads " << threads;
+    EXPECT_EQ(sol.milp_nodes, 40) << "threads " << threads;
     EXPECT_NE(sol.status, MilpStatus::Optimal) << "threads " << threads;
   }
 }
@@ -149,7 +150,7 @@ TEST(MilpParallel, CancellationStopsAllWorkersPromptly) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
   trigger.join();
 
-  EXPECT_TRUE(sol.cancelled);
+  EXPECT_TRUE(sol.milp_cancelled);
   EXPECT_NE(sol.status, MilpStatus::Optimal);
   // Every worker polls the token per node; a cancelled solve must return in
   // token-poll time, not tree-exhaustion time.
@@ -159,15 +160,14 @@ TEST(MilpParallel, CancellationStopsAllWorkersPromptly) {
   }
 }
 
-TEST(MilpParallel, SequentialSolveLeavesParallelStatsAtDefaults) {
+TEST(MilpParallel, OneWorkerNeverStealsRacesOrIdles) {
   const MilpSolution sol =
       solve_milp(make_branchy_knapsack(10, 7.0), parallel_options(1));
   ASSERT_EQ(sol.status, MilpStatus::Optimal);
-  EXPECT_EQ(sol.threads_used, 1);
-  EXPECT_EQ(sol.steals, 0);
-  EXPECT_EQ(sol.incumbent_updates, 0);
-  EXPECT_EQ(sol.incumbent_races, 0);
-  EXPECT_EQ(sol.worker_idle_seconds, 0.0);
+  EXPECT_EQ(sol.milp_threads, 1);
+  EXPECT_EQ(sol.milp_steals, 0);
+  EXPECT_EQ(sol.milp_incumbent_races, 0);
+  EXPECT_EQ(sol.milp_idle_seconds, 0.0);
 }
 
 TEST(MilpParallelStress, RandomInstancesUnderContention) {

@@ -125,9 +125,9 @@ TEST(MilpSolverStats, WarmSolvesDominateOnBranchyInstances) {
   const MilpSolution sol = solve_milp(m);
   ASSERT_EQ(sol.status, MilpStatus::Optimal);
   EXPECT_NEAR(sol.objective, -3.0 - 0.01 * (9 + 8 + 7), 1e-6);
-  EXPECT_GT(sol.nodes, 1);
+  EXPECT_GT(sol.milp_nodes, 1);
   EXPECT_EQ(sol.lp_cold_solves, 1);  // only the root solves from scratch
-  EXPECT_GE(sol.lp_warm_solves, sol.nodes - 1);
+  EXPECT_GE(sol.lp_warm_solves, sol.milp_nodes - 1);
   EXPECT_GT(sol.lp_pivots, 0);
 }
 

@@ -23,9 +23,9 @@
 //                          only continuation instead of failing (default 0
 //                          = unbudgeted)
 //   --deadline S           abort the synthesis after S seconds
-//   --milp-threads N       workers inside each layer MILP solve (default 0 =
-//                          auto: one per hardware thread; 1 = sequential,
-//                          reproducing the library's bit-deterministic path)
+//   --milp-threads N       workers inside each layer MILP solve; 0 = auto,
+//                          one per hardware thread (default 1 = one worker,
+//                          the library's bit-deterministic path)
 //   --lint                 run the static linter first; lint errors abort
 //                          before any solver runs (exit 7)
 //   --lint-only            lint and exit (0 clean, 7 findings); never solves
@@ -82,7 +82,7 @@ struct CliOptions {
   double deadline_seconds = 0.0;
   /// MilpOptions::threads for the layer solves; 0 = auto (whole machine —
   /// cohls_synth runs one job, so its budget share is every hardware thread).
-  int milp_threads = 0;
+  int milp_threads = 1;
   bool lint = false;
   bool lint_only = false;
   bool warnings_as_errors = false;
@@ -252,7 +252,8 @@ int main(int argc, char** argv) {
     if (cli.deadline_seconds > 0.0) {
       synthesis.cancel = deadline_source.token_with_deadline(cli.deadline_seconds);
     }
-    // A single-job run's share of the machine is every hardware thread.
+    // A single-job run's share of the machine is every hardware thread, so
+    // --milp-threads 0 asks for one worker per hardware thread.
     synthesis.engine.milp.threads =
         engine::arbitrated_milp_threads(cli.milp_threads, /*jobs=*/1);
 
