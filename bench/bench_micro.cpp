@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate algorithms: the
 // revised simplex (cold solve and warm child re-solve), branch-and-bound,
-// max-flow, layering, and a full synthesis pass. These track the cost of
-// the pieces the paper's runtime column depends on.
+// max-flow, layering, one list-scheduled layer, and a full synthesis pass.
+// These track the cost of the pieces the paper's runtime column depends on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "graph/max_flow.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "schedule/list_scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -112,6 +113,32 @@ void BM_Layering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Layering)->Arg(10)->Arg(20)->Arg(40);
+
+// One schedule_layer call on the largest layer Algorithm 1 gives for the
+// case-3 assay, on a fresh inventory each iteration: the per-stage cost of
+// the heuristic every paper-protocol layer goes through.
+void BM_ScheduleLayer(benchmark::State& state) {
+  const model::Assay assay = assays::rt_qpcr_assay();
+  core::LayeringOptions layering;
+  layering.indeterminate_threshold = 10;
+  const core::LayerPlan plan = core::layer_assay(assay, layering);
+  schedule::LayerRequest request;
+  for (int li = 0; li < plan.layer_count(); ++li) {
+    if (plan.layer(li).size() > request.ops.size()) {
+      request.layer = LayerId{li};
+      request.ops = plan.layer(li);
+    }
+  }
+  const schedule::TransportPlan transport{Minutes{5}};
+  const model::CostModel costs;
+  for (auto _ : state) {
+    model::DeviceInventory inventory(25);
+    benchmark::DoNotOptimize(
+        schedule::schedule_layer(request, assay, transport, costs, inventory));
+  }
+  state.counters["ops"] = static_cast<double>(request.ops.size());
+}
+BENCHMARK(BM_ScheduleLayer);
 
 void BM_FullSynthesisCase1(benchmark::State& state) {
   const model::Assay assay = assays::kinase_activity_assay();

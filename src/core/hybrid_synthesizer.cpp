@@ -119,8 +119,22 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
     for (const auto& item : outcome.result.schedule.items) {
       prior_binding[item.op] = item.device;
     }
+    // The paths this layer adds: every dependency edge with an endpoint in
+    // the layer whose other endpoint is bound to a different device. Edges
+    // between two earlier layers are already in the set, so this keeps it
+    // equal to result.paths(assay).
+    for (const auto& item : outcome.result.schedule.items) {
+      for (const auto* neighbours : {&assay.operation(item.op).parents(),
+                                     &assay.children(item.op)}) {
+        for (const OperationId other : *neighbours) {
+          const auto bound = prior_binding.find(other);
+          if (bound != prior_binding.end() && bound->second != item.device) {
+            existing_paths.insert(schedule::make_path(item.device, bound->second));
+          }
+        }
+      }
+    }
     result.layers.push_back(std::move(outcome.result.schedule));
-    existing_paths = result.paths(assay);
   }
   return result;
 }

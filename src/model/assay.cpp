@@ -18,10 +18,12 @@ OperationId Assay::add_operation(OperationSpec spec) {
                  "operation requires an accessory kind that is not registered");
   }
   operations_.emplace_back(id, spec);
+  children_.emplace_back();
   const auto node = graph_.add_node();
   COHLS_ASSERT(node == id.index(), "graph nodes must mirror operation ids");
   for (const OperationId parent : spec.parents) {
     graph_.add_edge(parent.index(), id.index());
+    children_[parent.index()].push_back(id);
   }
   return id;
 }
@@ -31,13 +33,9 @@ const Operation& Assay::operation(OperationId id) const {
   return operations_[id.index()];
 }
 
-std::vector<OperationId> Assay::children(OperationId id) const {
+const std::vector<OperationId>& Assay::children(OperationId id) const {
   COHLS_EXPECT(id.valid() && id.value() < operation_count(), "unknown operation id");
-  std::vector<OperationId> out;
-  for (const auto node : graph_.successors(id.index())) {
-    out.push_back(OperationId{static_cast<std::int32_t>(node)});
-  }
-  return out;
+  return children_[id.index()];
 }
 
 std::vector<OperationId> Assay::indeterminate_operations() const {

@@ -28,8 +28,10 @@ class Assay {
   [[nodiscard]] const Operation& operation(OperationId id) const;
   [[nodiscard]] const std::vector<Operation>& operations() const { return operations_; }
 
-  /// Children of `id`: operations that consume its outputs.
-  [[nodiscard]] std::vector<OperationId> children(OperationId id) const;
+  /// Children of `id`: operations that consume its outputs, in the order
+  /// they were added (once per parent entry naming `id`). The reference
+  /// stays valid until the next add_operation.
+  [[nodiscard]] const std::vector<OperationId>& children(OperationId id) const;
 
   /// The dependency digraph: node i == operation id i, edges parent->child.
   [[nodiscard]] const graph::Digraph& dependency_graph() const { return graph_; }
@@ -41,6 +43,7 @@ class Assay {
   std::string name_;
   AccessoryRegistry registry_;
   std::vector<Operation> operations_;
+  std::vector<std::vector<OperationId>> children_;
   graph::Digraph graph_;
 };
 

@@ -121,6 +121,17 @@ double AccessoryRegistry::processing_cost(AccessoryId id) const {
   return costs_[static_cast<std::size_t>(id)];
 }
 
+double AccessoryRegistry::total_processing_cost(AccessorySet set) const {
+  util::ReaderLock lock(mutex_);
+  double total = 0.0;
+  for (std::uint32_t bits = set.bits(); bits != 0; bits &= bits - 1) {
+    const auto id = static_cast<std::size_t>(std::countr_zero(bits));
+    COHLS_EXPECT(id < costs_.size(), "unknown accessory id");
+    total += costs_[id];
+  }
+  return total;
+}
+
 AccessoryId AccessoryRegistry::find(std::string_view name) const {
   util::ReaderLock lock(mutex_);
   for (std::size_t i = 0; i < names_.size(); ++i) {

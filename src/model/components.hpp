@@ -58,6 +58,8 @@ struct BuiltinAccessory {
   static constexpr int kCount = 5;
 };
 
+class AccessorySet;
+
 /// Open registry of accessory kinds: name + chip processing cost (the `Pr_z`
 /// constants of constraint (19)). The five built-ins are always present.
 ///
@@ -86,6 +88,9 @@ class AccessoryRegistry {
   /// reference into a reallocating vector would race with registration.
   [[nodiscard]] std::string name(AccessoryId id) const;
   [[nodiscard]] double processing_cost(AccessoryId id) const;
+  /// Sum of processing_cost over the ids in `set`, added in ascending id
+  /// order under a single lock.
+  [[nodiscard]] double total_processing_cost(AccessorySet set) const;
 
   /// Looks a kind up by name; returns -1 when unknown.
   [[nodiscard]] AccessoryId find(std::string_view name) const;
@@ -117,6 +122,8 @@ class AccessorySet {
   }
   [[nodiscard]] int count() const;
   [[nodiscard]] bool empty() const { return bits_ == 0; }
+  /// Bit `id` is set iff accessory `id` is in the set.
+  [[nodiscard]] std::uint32_t bits() const { return bits_; }
 
   [[nodiscard]] AccessorySet united_with(AccessorySet other) const {
     AccessorySet result;

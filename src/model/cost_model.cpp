@@ -39,11 +39,7 @@ void CostModel::set_container_processing(ContainerKind kind, Capacity capacity, 
 
 double CostModel::accessory_set_processing(const AccessoryRegistry& registry,
                                            AccessorySet set) const {
-  double total = 0.0;
-  for (const AccessoryId id : set.to_list()) {
-    total += registry.processing_cost(id);
-  }
-  return total;
+  return registry.total_processing_cost(set);
 }
 
 void CostModel::set_weights(double time, double area, double processing, double paths) {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <optional>
+#include <queue>
 #include <tuple>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -13,32 +13,37 @@ namespace cohls::schedule {
 
 namespace {
 
-/// Longest downstream duration chain within the layer (critical-path
-/// priority). Indeterminate operations contribute their minimum duration.
-std::map<OperationId, Minutes> critical_priorities(const LayerRequest& request,
-                                                   const model::Assay& assay) {
-  std::map<OperationId, Minutes> priority;
-  // Children always carry larger ids than their parents, so a reverse sweep
-  // over sorted ids sees children before parents.
-  std::vector<OperationId> ordered = request.ops;
-  std::sort(ordered.begin(), ordered.end());
-  const std::set<OperationId> in_layer(ordered.begin(), ordered.end());
-  for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) {
-    Minutes best{0};
-    for (const OperationId child : assay.children(*it)) {
-      if (in_layer.count(child)) {
-        best = std::max(best, priority.at(child));
-      }
-    }
-    priority[*it] = best + assay.operation(*it).duration();
-  }
-  return priority;
-}
-
 struct DeviceState {
   DeviceId id;
   model::DeviceConfig config;
   Minutes available{0};
+  /// Claimed by an indeterminate operation of this layer.
+  bool indeterminate = false;
+};
+
+/// Per-operation state of the layer, indexed by the operation's position in
+/// the sorted layer (see LayerScheduler::local).
+struct OpState {
+  const model::Operation* op = nullptr;
+  /// Longest downstream duration chain within the layer (critical-path
+  /// priority). Indeterminate operations contribute their minimum duration.
+  Minutes priority{0};
+  /// In-layer parents not placed yet (counted once per parent entry).
+  int waiting_parents = 0;
+  /// Some device of devices_ binds the operation. Devices are only ever
+  /// added, so the flag only ever turns on.
+  bool bound_somewhere = false;
+  bool placed = false;
+  DeviceId device;  // when placed
+  Minutes end{0};   // when placed
+};
+
+/// A parent whose output the operation being placed consumes: the start it
+/// imposes on the same device and on any other device.
+struct ParentLink {
+  DeviceId device;
+  Minutes same_device{0};
+  Minutes other_device{0};
 };
 
 class LayerScheduler {
@@ -51,46 +56,74 @@ class LayerScheduler {
         transport_(transport),
         costs_(costs),
         inventory_(inventory),
-        in_layer_(request.ops.begin(), request.ops.end()),
+        ops_(request.ops),
         binds_(request.binds ? request.binds
                              : [](const model::Operation& op,
                                   const model::DeviceConfig& config) {
                                  return model::is_compatible(op, config);
                                }) {
+    std::sort(ops_.begin(), ops_.end());
+    ops_.erase(std::unique(ops_.begin(), ops_.end()), ops_.end());
     for (const DeviceId id : request.usable_devices) {
       devices_.push_back(DeviceState{id, inventory.device(id).config, Minutes{0}});
     }
     hint_consumed_.assign(request.hints.size(), false);
-    paths_ = request.existing_paths;
-    unplaced_ = in_layer_;
+    state_.resize(ops_.size());
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      OpState& s = state_[i];
+      s.op = &assay_.operation(ops_[i]);
+      for (const OperationId parent : s.op->parents()) {
+        if (local(parent) >= 0) {
+          ++s.waiting_parents;
+        }
+      }
+      s.bound_somewhere =
+          std::any_of(devices_.begin(), devices_.end(),
+                      [&](const DeviceState& d) { return binds_(*s.op, d.config); });
+    }
+    // Children always carry larger ids than their parents, so a reverse
+    // sweep over the sorted layer sees children before parents.
+    for (std::size_t i = ops_.size(); i-- > 0;) {
+      Minutes best{0};
+      for (const OperationId child : assay_.children(ops_[i])) {
+        const int c = local(child);
+        if (c >= 0) {
+          best = std::max(best, state_[static_cast<std::size_t>(c)].priority);
+        }
+      }
+      state_[i].priority = best + state_[i].op->duration();
+    }
+    walk_mark_.assign(static_cast<std::size_t>(assay_.operation_count()), false);
   }
 
   LayerResult run() {
     LayerResult result;
     result.schedule.layer = request_.layer;
-    const auto priority = critical_priorities(request_, assay_);
 
-    std::vector<OperationId> determinate;
     std::vector<OperationId> indeterminate;
     for (const OperationId id : request_.ops) {
-      (assay_.operation(id).indeterminate() ? indeterminate : determinate).push_back(id);
+      if (assay_.operation(id).indeterminate()) {
+        indeterminate.push_back(id);
+      }
     }
 
-    place_determinate(determinate, priority, result);
+    place_determinate(result);
     place_indeterminate(indeterminate, result);
     fill_transport_fields(result.schedule);
     return result;
   }
 
  private:
-  // ---- readiness ----------------------------------------------------------
-  bool ready(OperationId id) const {
-    for (const OperationId parent : assay_.operation(id).parents()) {
-      if (in_layer_.count(parent) && !placed_.count(parent)) {
-        return false;
-      }
-    }
-    return true;
+  /// Position of `id` in the sorted layer, or -1 when it is not in the layer.
+  int local(OperationId id) const {
+    const auto it = std::lower_bound(ops_.begin(), ops_.end(), id);
+    return it != ops_.end() && *it == id ? static_cast<int>(it - ops_.begin()) : -1;
+  }
+
+  OpState& state(OperationId id) {
+    const int i = local(id);
+    COHLS_ASSERT(i >= 0, "operation is not in the layer");
+    return state_[static_cast<std::size_t>(i)];
   }
 
   /// Rounds a start time up to the next slot boundary when fixed-time-slot
@@ -103,28 +136,95 @@ class LayerScheduler {
     return Minutes{(start.count() + slot - 1) / slot * slot};
   }
 
-  /// Earliest start of `id` on a device, honoring parent completions and
-  /// incoming transport (constraint (9)). Fresh devices pass an invalid id
-  /// (they can never host a parent).
-  Minutes earliest_start(OperationId id, DeviceId device, Minutes available) const {
-    Minutes start = available;
+  // ---- the operation being placed ------------------------------------------
+  /// Loads parent_links_ and parent_devices_ (sorted, distinct) for `id`
+  /// under the current partial binding: placed parents of this layer and
+  /// parents bound by earlier layers.
+  void load_parents(OperationId id) {
+    parent_links_.clear();
+    parent_devices_.clear();
     for (const OperationId parent : assay_.operation(id).parents()) {
-      const auto placed = placed_.find(parent);
-      if (placed != placed_.end()) {
-        const Minutes t = (device.valid() && placed->second.device == device)
-                              ? Minutes{0}
-                              : transport_.edge_time(parent, id);
-        start = std::max(start, placed->second.end + t);
+      const int p = local(parent);
+      if (p >= 0 && state_[static_cast<std::size_t>(p)].placed) {
+        const OpState& placed = state_[static_cast<std::size_t>(p)];
+        parent_links_.push_back(ParentLink{placed.device, placed.end,
+                                           placed.end + transport_.edge_time(parent, id)});
+        parent_devices_.push_back(placed.device);
         continue;
       }
       const auto prior = request_.prior_binding.find(parent);
-      if (prior != request_.prior_binding.end() &&
-          !(device.valid() && prior->second == device)) {
-        // Reagent inherited across the layer boundary must be moved first.
-        start = std::max(start, transport_.edge_time(parent, id));
+      if (prior != request_.prior_binding.end()) {
+        // Reagent inherited across the layer boundary must be moved first
+        // unless the operation stays on its device.
+        parent_links_.push_back(
+            ParentLink{prior->second, Minutes{0}, transport_.edge_time(parent, id)});
+        parent_devices_.push_back(prior->second);
       }
     }
+    std::sort(parent_devices_.begin(), parent_devices_.end());
+    parent_devices_.erase(std::unique(parent_devices_.begin(), parent_devices_.end()),
+                          parent_devices_.end());
+  }
+
+  /// Loads descendants_: every descendant of `id`, in this layer or later
+  /// ones, once. None of them is placed: a descendant in this layer waits
+  /// for `id` (determinate ones through the ready counts, and indeterminate
+  /// operations have no descendants in their own layer), so the list is the
+  /// unscheduled suffix the lookahead scores against.
+  void load_descendants(OperationId id) {
+    descendants_.clear();
+    std::vector<OperationId>& frontier = walk_frontier_;
+    frontier.assign(1, id);
+    while (!frontier.empty()) {
+      const OperationId current = frontier.back();
+      frontier.pop_back();
+      for (const OperationId child : assay_.children(current)) {
+        if (walk_mark_[child.index()]) {
+          continue;
+        }
+        walk_mark_[child.index()] = true;
+        frontier.push_back(child);
+        const int c = local(child);
+        COHLS_ASSERT(c < 0 || !state_[static_cast<std::size_t>(c)].placed,
+                     "a descendant of an unplaced operation is already placed");
+        descendants_.push_back(&assay_.operation(child));
+      }
+    }
+    for (const model::Operation* op : descendants_) {
+      walk_mark_[op->id().index()] = false;
+    }
+  }
+
+  /// Earliest start of the loaded operation on a device, honoring parent
+  /// completions and incoming transport (constraint (9)). Fresh devices pass
+  /// an invalid id (they can never host a parent).
+  Minutes earliest_start(DeviceId device, Minutes available) const {
+    Minutes start = available;
+    for (const ParentLink& link : parent_links_) {
+      start = std::max(start, device.valid() && link.device == device ? link.same_device
+                                                                      : link.other_device);
+    }
     return quantize(start);
+  }
+
+  bool has_path(const DevicePath& path) const {
+    return request_.existing_paths.count(path) > 0 ||
+           std::find(new_paths_.begin(), new_paths_.end(), path) != new_paths_.end();
+  }
+
+  /// Paths the loaded operation adds on a device; a fresh device (invalid
+  /// id) needs one per distinct parent device.
+  int new_paths_on(DeviceId device) const {
+    if (!device.valid()) {
+      return static_cast<int>(parent_devices_.size());
+    }
+    int count = 0;
+    for (const DeviceId parent_device : parent_devices_) {
+      if (parent_device != device && !has_path(make_path(parent_device, device))) {
+        ++count;
+      }
+    }
+    return count;
   }
 
   /// Worst-case outgoing transport of `id`: assume every same-layer child
@@ -133,51 +233,11 @@ class LayerScheduler {
   Minutes outgoing_reserve(OperationId id) const {
     Minutes reserve{0};
     for (const OperationId child : assay_.children(id)) {
-      if (in_layer_.count(child)) {
+      if (local(child) >= 0) {
         reserve = std::max(reserve, transport_.edge_time(id, child));
       }
     }
     return reserve;
-  }
-
-  /// Parent devices of `id` under the current partial binding.
-  std::vector<DeviceId> parent_devices(OperationId id) const {
-    std::vector<DeviceId> out;
-    for (const OperationId parent : assay_.operation(id).parents()) {
-      const auto placed = placed_.find(parent);
-      if (placed != placed_.end()) {
-        out.push_back(placed->second.device);
-        continue;
-      }
-      const auto prior = request_.prior_binding.find(parent);
-      if (prior != request_.prior_binding.end()) {
-        out.push_back(prior->second);
-      }
-    }
-    return out;
-  }
-
-  int new_paths_on(OperationId id, DeviceId device) const {
-    int count = 0;
-    std::set<DevicePath> seen;
-    for (const DeviceId parent_device : parent_devices(id)) {
-      if (device.valid() && parent_device == device) {
-        continue;
-      }
-      if (!device.valid()) {
-        // Fresh device: any inter-device edge is a new path; dedupe by
-        // parent device.
-        if (seen.insert(make_path(parent_device, DeviceId{-1})).second) {
-          ++count;
-        }
-        continue;
-      }
-      const DevicePath path = make_path(parent_device, device);
-      if (!paths_.count(path) && seen.insert(path).second) {
-        ++count;
-      }
-    }
-    return count;
   }
 
   // ---- capability reservation ---------------------------------------------
@@ -187,50 +247,57 @@ class LayerScheduler {
   /// indeterminate operation that cannot be matched to a distinct existing
   /// device. Spawning a device for parallelism is only allowed when it
   /// leaves at least this many slots.
-  int slots_reserved_for_others(OperationId current) const {
-    std::set<std::tuple<int, int, std::uint64_t>> unsatisfied_groups;
-    std::set<DeviceId> matched;
-    int unmatched_indeterminate = 0;
-    for (const OperationId id : unplaced_) {
-      if (id == current) {
+  int slots_reserved_for_others(OperationId current) {
+    std::vector<std::tuple<int, int, std::uint32_t>> unsatisfied_groups;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const OpState& s = state_[i];
+      if (s.placed || s.bound_somewhere || s.op->indeterminate() || ops_[i] == current) {
         continue;
       }
-      const model::Operation& op = assay_.operation(id);
-      if (!op.indeterminate()) {
-        bool satisfied = false;
-        for (const DeviceState& d : devices_) {
-          if (binds_(op, d.config)) {
-            satisfied = true;
-            break;
-          }
-        }
-        if (!satisfied) {
-          std::uint64_t acc_bits = 0;
-          for (const model::AccessoryId a : op.accessories().to_list()) {
-            acc_bits |= (std::uint64_t{1} << a);
-          }
-          unsatisfied_groups.insert(
-              {op.container() ? static_cast<int>(*op.container()) : -1,
-               op.capacity() ? static_cast<int>(*op.capacity()) : -1, acc_bits});
-        }
+      const model::Operation& op = *s.op;
+      unsatisfied_groups.emplace_back(op.container() ? static_cast<int>(*op.container()) : -1,
+                                      op.capacity() ? static_cast<int>(*op.capacity()) : -1,
+                                      op.accessories().bits());
+    }
+    std::sort(unsatisfied_groups.begin(), unsatisfied_groups.end());
+    const auto groups = std::unique(unsatisfied_groups.begin(), unsatisfied_groups.end()) -
+                        unsatisfied_groups.begin();
+    // While the determinate operations are placed, the unplaced
+    // indeterminate ones and the devices' claims stay fixed, so the
+    // matching only changes when a device is added.
+    if (assay_.operation(current).indeterminate()) {
+      return static_cast<int>(groups) + unmatched_indeterminate(current);
+    }
+    if (unmatched_indeterminate_ < 0) {
+      unmatched_indeterminate_ = unmatched_indeterminate(current);
+    }
+    return static_cast<int>(groups) + unmatched_indeterminate_;
+  }
+
+  /// Unplaced indeterminate operations other than `current` left without a
+  /// device by a greedy matching in id order: each needs its own device,
+  /// distinct from those already claimed by other indeterminate operations.
+  int unmatched_indeterminate(OperationId current) const {
+    std::vector<DeviceId> matched;
+    int unmatched = 0;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const OpState& s = state_[i];
+      if (s.placed || !s.op->indeterminate() || ops_[i] == current) {
         continue;
       }
-      // Indeterminate: needs its own device, distinct from those already
-      // claimed by other indeterminate operations.
-      bool found = false;
-      for (const DeviceState& d : devices_) {
-        if (!indeterminate_devices_.count(d.id) && !matched.count(d.id) &&
-            binds_(op, d.config)) {
-          matched.insert(d.id);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        ++unmatched_indeterminate;
+      const auto free_match =
+          std::find_if(devices_.begin(), devices_.end(), [&](const DeviceState& d) {
+            return !d.indeterminate &&
+                   std::find(matched.begin(), matched.end(), d.id) == matched.end() &&
+                   binds_(*s.op, d.config);
+          });
+      if (free_match != devices_.end()) {
+        matched.push_back(free_match->id);
+      } else {
+        ++unmatched;
       }
     }
-    return static_cast<int>(unsatisfied_groups.size()) + unmatched_indeterminate;
+    return unmatched;
   }
 
   /// When slots are scarce, a forced new device is *enriched*: it takes the
@@ -240,21 +307,12 @@ class LayerScheduler {
   /// component-oriented rule (custom new_config callers keep exact classes).
   model::DeviceConfig enrich_config(model::DeviceConfig config,
                                     OperationId current) const {
-    for (const OperationId id : unplaced_) {
-      if (id == current) {
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const OpState& s = state_[i];
+      if (s.placed || s.bound_somewhere || ops_[i] == current) {
         continue;
       }
-      const model::Operation& op = assay_.operation(id);
-      bool satisfied = false;
-      for (const DeviceState& d : devices_) {
-        if (binds_(op, d.config)) {
-          satisfied = true;
-          break;
-        }
-      }
-      if (satisfied) {
-        continue;
-      }
+      const model::Operation& op = *s.op;
       if (op.container().has_value() && *op.container() != config.container) {
         continue;
       }
@@ -281,32 +339,18 @@ class LayerScheduler {
   /// could run on the same device need no new path and no transport; half
   /// the path weight per such descendant rewards binding (or building)
   /// devices the pipeline can stay on.
-  int hostable_descendants(OperationId id, const model::DeviceConfig& config) const {
-    int count = 0;
-    std::vector<OperationId> frontier{id};
-    std::set<OperationId> seen{id};
-    while (!frontier.empty()) {
-      const OperationId current = frontier.back();
-      frontier.pop_back();
-      for (const OperationId child : assay_.children(current)) {
-        if (!seen.insert(child).second || placed_.count(child)) {
-          continue;
-        }
-        frontier.push_back(child);
-        if (binds_(assay_.operation(child), config)) {
-          ++count;
-        }
-      }
-    }
-    return count;
+  int hostable_descendants(const model::DeviceConfig& config) const {
+    return static_cast<int>(std::count_if(
+        descendants_.begin(), descendants_.end(),
+        [&](const model::Operation* descendant) { return binds_(*descendant, config); }));
   }
 
   double base_score(OperationId id, DeviceId device, const model::DeviceConfig& config,
                     Minutes start) const {
     const Minutes completion = start + assay_.operation(id).duration();
     return costs_.weight_time() * static_cast<double>(completion.count()) +
-           costs_.weight_paths() * new_paths_on(id, device) -
-           0.5 * costs_.weight_paths() * hostable_descendants(id, config);
+           costs_.weight_paths() * new_paths_on(device) -
+           0.5 * costs_.weight_paths() * hostable_descendants(config);
   }
 
   /// The component-oriented alternative to a minimal device: enrich the
@@ -316,33 +360,23 @@ class LayerScheduler {
   /// device. This is exactly the paper's integrated-device reality: mixers
   /// with cell-separation modules, heaters and optics on one ring
   /// (Fig. 1/2).
-  model::DeviceConfig pipeline_config(OperationId id,
-                                      model::DeviceConfig config) const {
-    std::vector<OperationId> frontier{id};
-    std::set<OperationId> seen{id};
-    while (!frontier.empty()) {
-      const OperationId current = frontier.back();
-      frontier.pop_back();
-      for (const OperationId child : assay_.children(current)) {
-        if (!seen.insert(child).second) {
-          continue;
-        }
-        frontier.push_back(child);
-        const model::Operation& op = assay_.operation(child);
-        if (op.container().has_value() && *op.container() != config.container) {
-          continue;
-        }
-        if (op.capacity().has_value() && *op.capacity() != config.capacity) {
-          continue;
-        }
-        config.accessories = config.accessories.united_with(op.accessories());
+  model::DeviceConfig pipeline_config(model::DeviceConfig config) const {
+    for (const model::Operation* op : descendants_) {
+      if (op->container().has_value() && *op->container() != config.container) {
+        continue;
       }
+      if (op->capacity().has_value() && *op->capacity() != config.capacity) {
+        continue;
+      }
+      config.accessories = config.accessories.united_with(op->accessories());
     }
     return config;
   }
 
   std::optional<Choice> best_choice(OperationId id, bool exclude_indeterminate_devices) {
     const model::Operation& op = assay_.operation(id);
+    load_parents(id);
+    load_descendants(id);
     // A pinned operation (recovery: it is physically mid-flight on that
     // device) considers no alternative binding — the pin overrides scoring
     // and the indeterminate-device exclusion alike.
@@ -360,7 +394,7 @@ class LayerScheduler {
         Choice c;
         c.fresh = false;
         c.device_index = i;
-        c.start = earliest_start(id, d.id, d.available);
+        c.start = earliest_start(d.id, d.available);
         c.score = base_score(id, d.id, d.config, c.start);
         return c;
       }
@@ -380,14 +414,14 @@ class LayerScheduler {
       if (!binds_(op, d.config)) {
         continue;
       }
-      if (exclude_indeterminate_devices && indeterminate_devices_.count(d.id)) {
+      if (exclude_indeterminate_devices && d.indeterminate) {
         continue;
       }
       reusable_exists = true;
       Choice c;
       c.fresh = false;
       c.device_index = i;
-      c.start = earliest_start(id, d.id, d.available);
+      c.start = earliest_start(d.id, d.available);
       c.score = base_score(id, d.id, d.config, c.start);
       offer(c);
     }
@@ -400,6 +434,7 @@ class LayerScheduler {
                              (!reusable_exists || !slots_scarce);
 
     if (allow_fresh) {
+      const Minutes fresh_start = earliest_start(DeviceId{}, Minutes{0});
       // Hinted configurations: a later layer integrates them anyway, so the
       // integration cost is already accounted for globally.
       for (std::size_t h = 0; h < request_.hints.size(); ++h) {
@@ -415,7 +450,7 @@ class LayerScheduler {
         c.fresh_config = hint.config;
         c.hint_key = hint.key;
         c.hint_index = h;
-        c.start = earliest_start(id, DeviceId{}, Minutes{0});
+        c.start = fresh_start;
         c.score = base_score(id, DeviceId{}, hint.config, c.start);
         offer(c);
       }
@@ -433,7 +468,7 @@ class LayerScheduler {
           minimal = enrich_config(minimal, id);
         }
         candidates.push_back(minimal);
-        const model::DeviceConfig piped = pipeline_config(id, candidates.front());
+        const model::DeviceConfig piped = pipeline_config(candidates.front());
         if (!(piped == candidates.front())) {
           candidates.push_back(piped);
         }
@@ -445,7 +480,7 @@ class LayerScheduler {
         Choice c;
         c.fresh = true;
         c.fresh_config = config;
-        c.start = earliest_start(id, DeviceId{}, Minutes{0});
+        c.start = fresh_start;
         c.score = base_score(id, DeviceId{}, config, c.start) +
                   costs_.weight_area() * model::device_area(config, costs_) +
                   costs_.weight_processing() *
@@ -463,6 +498,12 @@ class LayerScheduler {
     }
     const DeviceId id = inventory_.instantiate(choice.fresh_config, request_.layer);
     devices_.push_back(DeviceState{id, choice.fresh_config, Minutes{0}});
+    unmatched_indeterminate_ = -1;
+    for (OpState& s : state_) {
+      if (!s.placed && !s.bound_somewhere && binds_(*s.op, choice.fresh_config)) {
+        s.bound_somewhere = true;
+      }
+    }
     if (choice.hint_key >= 0) {
       hint_consumed_[choice.hint_index] = true;
       result.consumed_hints.push_back(choice.hint_key);
@@ -476,35 +517,41 @@ class LayerScheduler {
     const model::Operation& op = assay_.operation(id);
     const Minutes end = choice.start + op.duration();
     d.available = end + outgoing_reserve(id);
-    placed_.emplace(id, PlacedOp{d.id, end});
-    unplaced_.erase(id);
-    for (const DeviceId parent_device : parent_devices(id)) {
-      if (parent_device != d.id) {
-        paths_.insert(make_path(parent_device, d.id));
+    load_parents(id);
+    OpState& s = state(id);
+    s.placed = true;
+    s.device = d.id;
+    s.end = end;
+    for (const DeviceId parent_device : parent_devices_) {
+      const DevicePath path = make_path(parent_device, d.id);
+      if (parent_device != d.id && !has_path(path)) {
+        new_paths_.push_back(path);
       }
     }
     result.schedule.items.push_back(
         ScheduledOperation{id, d.id, choice.start, op.duration(), Minutes{0}});
   }
 
-  void place_determinate(const std::vector<OperationId>& ops,
-                         const std::map<OperationId, Minutes>& priority,
-                         LayerResult& result) {
-    std::set<OperationId> pending(ops.begin(), ops.end());
-    while (!pending.empty()) {
-      // Highest critical-path priority among ready operations.
-      OperationId pick;
-      Minutes best_priority{-1};
-      for (const OperationId id : pending) {
-        if (!ready(id)) {
-          continue;
-        }
-        if (priority.at(id) > best_priority) {
-          best_priority = priority.at(id);
-          pick = id;
-        }
+  /// Places the determinate operations in list order: the ready one (all
+  /// in-layer parents placed) with the highest critical-path priority,
+  /// the lowest id among ties.
+  void place_determinate(LayerResult& result) {
+    // Max-heap on (priority, -position): positions ascend with ids.
+    std::priority_queue<std::pair<Minutes, int>> ready;
+    std::size_t pending = 0;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      if (state_[i].op->indeterminate()) {
+        continue;
       }
-      COHLS_ASSERT(pick.valid(), "no ready operation: layer dependencies are cyclic");
+      ++pending;
+      if (state_[i].waiting_parents == 0) {
+        ready.emplace(state_[i].priority, -static_cast<int>(i));
+      }
+    }
+    for (; pending > 0; --pending) {
+      COHLS_ASSERT(!ready.empty(), "no ready operation: layer dependencies are cyclic");
+      const OperationId pick = ops_[static_cast<std::size_t>(-ready.top().second)];
+      ready.pop();
       const auto choice = best_choice(pick, /*exclude_indeterminate_devices=*/false);
       if (!choice) {
         throw InfeasibleError("no device can execute operation '" +
@@ -513,7 +560,16 @@ class LayerScheduler {
       }
       const std::size_t index = materialize(*choice, result);
       commit(pick, *choice, index, result);
-      pending.erase(pick);
+      for (const OperationId child : assay_.children(pick)) {
+        const int c = local(child);
+        if (c < 0) {
+          continue;
+        }
+        OpState& s = state_[static_cast<std::size_t>(c)];
+        if (--s.waiting_parents == 0 && !s.op->indeterminate()) {
+          ready.emplace(s.priority, -c);
+        }
+      }
     }
   }
 
@@ -544,7 +600,12 @@ class LayerScheduler {
             "' a dedicated device; increase |D| or lower the layer threshold");
       }
       const std::size_t index = materialize(*choice, result);
-      indeterminate_devices_.insert(devices_[index].id);
+      for (DeviceState& d : devices_) {
+        if (d.id == devices_[index].id) {
+          d.indeterminate = true;
+        }
+      }
+      unmatched_indeterminate_ = -1;
       tentative.push_back(Tentative{id, *choice, index});
     }
     Minutes common_start{0};
@@ -566,8 +627,9 @@ class LayerScheduler {
     for (ScheduledOperation& item : schedule.items) {
       Minutes actual{0};
       for (const OperationId child : assay_.children(item.op)) {
-        const auto placed = placed_.find(child);
-        if (placed != placed_.end() && placed->second.device != item.device) {
+        const int c = local(child);
+        if (c >= 0 && state_[static_cast<std::size_t>(c)].placed &&
+            state_[static_cast<std::size_t>(c)].device != item.device) {
           actual = std::max(actual, transport_.edge_time(item.op, child));
         }
       }
@@ -575,24 +637,27 @@ class LayerScheduler {
     }
   }
 
-  struct PlacedOp {
-    DeviceId device;
-    Minutes end;
-  };
-
   const LayerRequest& request_;
   const model::Assay& assay_;
   const TransportPlan& transport_;
   const model::CostModel& costs_;
   model::DeviceInventory& inventory_;
-  std::set<OperationId> in_layer_;
-  std::set<OperationId> unplaced_;
+  /// The layer's operations, ascending; OpState i belongs to ops_[i].
+  std::vector<OperationId> ops_;
+  std::vector<OpState> state_;
   std::function<bool(const model::Operation&, const model::DeviceConfig&)> binds_;
   std::vector<DeviceState> devices_;
   std::vector<bool> hint_consumed_;
-  std::map<OperationId, PlacedOp> placed_;
-  std::set<DevicePath> paths_;
-  std::set<DeviceId> indeterminate_devices_;
+  /// unmatched_indeterminate() for a determinate caller; -1 = recompute.
+  int unmatched_indeterminate_ = -1;
+  /// Paths this layer created (request_.existing_paths holds the rest).
+  std::vector<DevicePath> new_paths_;
+  // The operation being placed (load_parents / load_descendants).
+  std::vector<ParentLink> parent_links_;
+  std::vector<DeviceId> parent_devices_;
+  std::vector<const model::Operation*> descendants_;
+  std::vector<OperationId> walk_frontier_;
+  std::vector<bool> walk_mark_;
 };
 
 }  // namespace

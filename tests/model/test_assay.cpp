@@ -27,6 +27,27 @@ TEST(Assay, AddOperationsBuildsGraph) {
   EXPECT_EQ(assay.dependency_graph().edge_count(), 3u);
 }
 
+TEST(Assay, ChildrenListInTheOrderTheyWereAdded) {
+  Assay assay("test");
+  const auto a = assay.add_operation(op("a"));
+  const auto b = assay.add_operation(op("b", {a}));
+  const auto c = assay.add_operation(op("c"));
+  const auto d = assay.add_operation(op("d", {c, a}));
+  const auto e = assay.add_operation(op("e", {a, c}));
+  const auto f = assay.add_operation(op("f", {b, a}));
+  EXPECT_EQ(assay.children(a), (std::vector<OperationId>{b, d, e, f}));
+  EXPECT_EQ(assay.children(b), std::vector<OperationId>{f});
+  EXPECT_EQ(assay.children(c), (std::vector<OperationId>{d, e}));
+  // The same order as the dependency graph's successor lists.
+  for (const Operation& operation : assay.operations()) {
+    std::vector<OperationId> successors;
+    for (const auto node : assay.dependency_graph().successors(operation.id().index())) {
+      successors.push_back(OperationId{static_cast<std::int32_t>(node)});
+    }
+    EXPECT_EQ(assay.children(operation.id()), successors) << operation.name();
+  }
+}
+
 TEST(Assay, ParentsMustExistFirst) {
   Assay assay("test");
   EXPECT_THROW(assay.add_operation(op("x", {OperationId{0}})), PreconditionError);

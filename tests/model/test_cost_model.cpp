@@ -49,6 +49,21 @@ TEST(CostModel, AccessorySetProcessingSumsRegistryCosts) {
   EXPECT_DOUBLE_EQ(costs.accessory_set_processing(registry, AccessorySet{}), 0.0);
 }
 
+TEST(CostModel, AccessorySetProcessingAddsInAscendingIdOrder) {
+  const CostModel costs;
+  AccessoryRegistry registry;
+  const AccessoryId sorter = registry.register_accessory("droplet sorter", 0.1);
+  const AccessorySet set{sorter, BuiltinAccessory::kOpticalSystem, BuiltinAccessory::kPump};
+  double expected = 0.0;
+  for (const AccessoryId id : set.to_list()) {
+    expected += registry.processing_cost(id);
+  }
+  EXPECT_EQ(costs.accessory_set_processing(registry, set), expected);
+  // An id the registry does not know is still rejected.
+  EXPECT_THROW((void)costs.accessory_set_processing(registry, AccessorySet{sorter + 1}),
+               PreconditionError);
+}
+
 TEST(CostModel, WeightsRoundTrip) {
   CostModel costs;
   costs.set_weights(1.5, 2.5, 3.5, 4.5);

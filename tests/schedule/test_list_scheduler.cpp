@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "assays/random_assay.hpp"
+#include "core/layering.hpp"
 #include "schedule/validate.hpp"
 
 namespace cohls::schedule {
@@ -286,33 +290,176 @@ TEST(ListScheduler, ZeroSlotSizeKeepsContinuousStarts) {
   EXPECT_EQ(result.schedule.find(b)->start, 7_min);
 }
 
-// Property: on random assays treated as a single determinate layer, the
-// scheduler's output always validates.
-class ListSchedulerProperty : public ::testing::TestWithParam<int> {};
+// Property: the scheduler's output always certifies. Each instantiation
+// widens the input one way beyond a single roomy determinate layer.
+enum class Shape {
+  /// 14 determinate ops in one layer, no hints, a roomy inventory.
+  SingleLayer,
+  /// Indeterminate ops, laid out by the layering algorithm; every layer is
+  /// scheduled in turn on the devices of the layers before it.
+  Indeterminate,
+  /// As SingleLayer, plus device hints the layer may consume.
+  Hints,
+  /// Two layers: the second sees the first's binding and paths, and one of
+  /// its ops is pinned to an inherited device when one fits.
+  SecondLayer,
+  /// As SingleLayer on the smallest inventory that schedules the layer.
+  ScarceInventory,
+};
+
+struct PropertyInput {
+  Shape shape;
+  int seed;
+};
+
+// The seed alone: the instantiation prefix names the shape, and the
+// SingleLayer instantiation keeps the names it had with a plain int seed.
+void PrintTo(const PropertyInput& input, std::ostream* out) { *out << input.seed; }
+
+std::vector<PropertyInput> seeds(Shape shape) {
+  std::vector<PropertyInput> inputs;
+  for (int seed = 0; seed < 25; ++seed) {
+    inputs.push_back(PropertyInput{shape, seed});
+  }
+  return inputs;
+}
+
+std::vector<OperationId> all_ops(const model::Assay& assay) {
+  std::vector<OperationId> ops;
+  for (const auto& op : assay.operations()) {
+    ops.push_back(op.id());
+  }
+  return ops;
+}
+
+/// Schedules `layers` in order the way a synthesis pass does: each layer
+/// may use every device so far and sees the binding and paths of the
+/// layers before it. `inherit` requires every later layer to start from a
+/// non-empty binding and path set, and pins its first op that an inherited
+/// device can execute (if any; 23 of the 25 seeds have one) to that device.
+SynthesisResult schedule_in_turn(const model::Assay& assay,
+                                 const std::vector<std::vector<OperationId>>& layers,
+                                 const TransportPlan& transport, const model::CostModel& costs,
+                                 int max_devices, std::vector<DeviceHint> hints = {},
+                                 bool inherit = false) {
+  SynthesisResult result;
+  result.devices = model::DeviceInventory(max_devices);
+  std::map<OperationId, DeviceId> binding;
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    LayerRequest request;
+    request.layer = LayerId{static_cast<std::int32_t>(li)};
+    request.ops = layers[li];
+    request.prior_binding = binding;
+    for (const model::Device& device : result.devices.devices()) {
+      request.usable_devices.push_back(device.id);
+    }
+    request.existing_paths = result.paths(assay);
+    request.hints = hints;
+    if (inherit && li > 0) {
+      EXPECT_FALSE(request.prior_binding.empty());
+      EXPECT_FALSE(request.existing_paths.empty());
+      for (const OperationId id : request.ops) {
+        for (const model::Device& device : result.devices.devices()) {
+          if (request.pinned.empty() && model::is_compatible(assay.operation(id), device.config)) {
+            request.pinned.emplace(id, device.id);
+          }
+        }
+      }
+    }
+    const LayerResult layer =
+        schedule_layer(request, assay, transport, costs, result.devices);
+    for (const ScheduledOperation& item : layer.schedule.items) {
+      binding[item.op] = item.device;
+      if (request.pinned.count(item.op) > 0) {
+        EXPECT_EQ(item.device, request.pinned.at(item.op));
+      }
+    }
+    for (const int key : layer.consumed_hints) {
+      hints.erase(std::find_if(hints.begin(), hints.end(),
+                               [key](const DeviceHint& hint) { return hint.key == key; }));
+    }
+    result.layers.push_back(layer.schedule);
+  }
+  return result;
+}
+
+class ListSchedulerProperty : public ::testing::TestWithParam<PropertyInput> {};
 
 TEST_P(ListSchedulerProperty, OutputAlwaysValidates) {
+  const PropertyInput input = GetParam();
+  const auto seed = static_cast<std::uint64_t>(input.seed) * 33 + 5;
   assays::RandomAssayOptions gen;
   gen.operations = 14;
   gen.indeterminate_probability = 0.0;
-  const model::Assay assay =
-      assays::random_assay(static_cast<std::uint64_t>(GetParam()) * 33 + 5, gen);
-  model::DeviceInventory inventory(8);
-  LayerRequest request;
-  request.layer = LayerId{0};
-  for (const auto& op : assay.operations()) {
-    request.ops.push_back(op.id());
-  }
   const TransportPlan transport{2_min};
-  const model::CostModel costs;
-  const auto result = schedule_layer(request, assay, transport, costs, inventory);
-  SynthesisResult wrapped;
-  wrapped.layers.push_back(result.schedule);
-  wrapped.devices = inventory;
-  const auto violations = certify_result(wrapped, assay, transport);
+  model::CostModel costs;
+  SynthesisResult result;
+  model::Assay assay{"unset"};
+  switch (input.shape) {
+    case Shape::SingleLayer:
+      assay = assays::random_assay(seed, gen);
+      result = schedule_in_turn(assay, {all_ops(assay)}, transport, costs, 8);
+      break;
+    case Shape::Indeterminate: {
+      gen.operations = 20;
+      gen.indeterminate_probability = 0.3;
+      assay = assays::random_assay(seed, gen);
+      ASSERT_GT(assay.indeterminate_count(), 0);
+      const core::LayerPlan plan = core::layer_assay(assay, {/*threshold=*/3});
+      result = schedule_in_turn(assay, plan.layers(), transport, costs, 25);
+      break;
+    }
+    case Shape::Hints: {
+      assay = assays::random_assay(seed, gen);
+      std::vector<DeviceHint> hints;
+      for (const auto& op : assay.operations()) {
+        if (op.id().value() % 4 == 0) {
+          model::DeviceConfig config = model::minimal_config(op, costs, assay.registry());
+          config.accessories.insert(BuiltinAccessory::kPump);
+          hints.push_back(DeviceHint{config, op.id().value()});
+        }
+      }
+      result = schedule_in_turn(assay, {all_ops(assay)}, transport, costs, 8, hints);
+      break;
+    }
+    case Shape::SecondLayer: {
+      assay = assays::random_assay(seed, gen);
+      // Parents carry smaller ids, so an id split is a valid layering.
+      std::vector<std::vector<OperationId>> layers(2);
+      for (const OperationId id : all_ops(assay)) {
+        layers[id.value() < 9 ? 0 : 1].push_back(id);
+      }
+      costs.set_weights(10.0, 0.1, 0.1, 0.1);  // spread layer 0 over devices
+      result = schedule_in_turn(assay, layers, transport, costs, 25, {}, /*inherit=*/true);
+      break;
+    }
+    case Shape::ScarceInventory: {
+      assay = assays::random_assay(seed, gen);
+      costs.set_weights(10.0, 0.1, 0.1, 0.1);  // tempt it to spend slots
+      for (int max_devices = 1;; ++max_devices) {
+        ASSERT_LE(max_devices, 14) << "no inventory size schedules the layer";
+        try {
+          result = schedule_in_turn(assay, {all_ops(assay)}, transport, costs, max_devices);
+          break;
+        } catch (const InfeasibleError&) {
+        }
+      }
+      break;
+    }
+  }
+  const auto violations = certify_result(result, assay, transport);
   EXPECT_TRUE(violations.empty()) << diag::summary_line(violations.front());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ListSchedulerProperty, ::testing::Range(0, 25));
+INSTANTIATE_TEST_SUITE_P(Seeds, ListSchedulerProperty,
+                         ::testing::ValuesIn(seeds(Shape::SingleLayer)));
+INSTANTIATE_TEST_SUITE_P(Indeterminate, ListSchedulerProperty,
+                         ::testing::ValuesIn(seeds(Shape::Indeterminate)));
+INSTANTIATE_TEST_SUITE_P(Hints, ListSchedulerProperty, ::testing::ValuesIn(seeds(Shape::Hints)));
+INSTANTIATE_TEST_SUITE_P(SecondLayer, ListSchedulerProperty,
+                         ::testing::ValuesIn(seeds(Shape::SecondLayer)));
+INSTANTIATE_TEST_SUITE_P(ScarceInventory, ListSchedulerProperty,
+                         ::testing::ValuesIn(seeds(Shape::ScarceInventory)));
 
 }  // namespace
 }  // namespace cohls::schedule
