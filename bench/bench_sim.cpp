@@ -1,5 +1,5 @@
-// Simulation-runtime benchmark: the event-wheel fleet driver (compile-once
-// schedule, calendar-queue replay, trace-free summaries, break truncation)
+// Simulation-runtime benchmark: the fleet driver (compile-once schedule,
+// per-layer break-scan replay, trace-free summaries, break truncation)
 // against a loop of the original three-pass simulate_run — per run a full
 // window materialization, O(windows x faults) break scans, and a complete
 // RunTrace. Both sides replay the same Table-2 schedules under the same
@@ -25,7 +25,8 @@
 //
 // Output: a human-readable table, and BENCH_sim.json with one record per
 // Table-2 case holding runs/sec, events/sec, the speedup, the reliability
-// reduction, the mission-survival reduction and the wheel statistics.
+// reduction, the mission-survival reduction and the break-scan counters
+// (`events`, `wheel.posted`, `wheel.cascaded`).
 // Smoke mode writes the same document (timing fields included but
 // meaningless at one worker) so CI can assert its fields.
 //
@@ -147,10 +148,7 @@ bool summaries_identical(const sim::FleetSummary& a, const sim::FleetSummary& b)
          a.mean_completion_minutes == b.mean_completion_minutes &&
          a.histogram_min == b.histogram_min && a.histogram_max == b.histogram_max &&
          a.completion_histogram == b.completion_histogram && a.events == b.events &&
-         a.wheel.posted == b.wheel.posted && a.wheel.popped == b.wheel.popped &&
-         a.wheel.cascaded == b.wheel.cascaded &&
-         a.wheel.overflowed == b.wheel.overflowed &&
-         a.wheel.peak_pending == b.wheel.peak_pending &&
+         a.wheel.posted == b.wheel.posted && a.wheel.cascaded == b.wheel.cascaded &&
          a.missions == b.missions && a.missions_recovered == b.missions_recovered &&
          a.missions_degraded == b.missions_degraded &&
          a.mission_rounds == b.mission_rounds &&
@@ -195,10 +193,8 @@ std::string json_record(const CaseRecord& record) {
       << ", \"mttf_minutes\": " << record.summary.mttf_minutes
       << ", \"mean_completion_minutes\": " << record.summary.mean_completion_minutes
       << ", \"events\": " << record.summary.events << ", \"wheel\": {\"posted\": "
-      << record.summary.wheel.posted << ", \"popped\": " << record.summary.wheel.popped
-      << ", \"cascaded\": " << record.summary.wheel.cascaded
-      << ", \"overflowed\": " << record.summary.wheel.overflowed
-      << ", \"peak_pending\": " << record.summary.wheel.peak_pending << "}"
+      << record.summary.wheel.posted << ", \"cascaded\": " << record.summary.wheel.cascaded
+      << "}"
       << ", \"mission_runs\": " << record.mission_runs
       << ", \"missions\": " << record.mission.missions
       << ", \"missions_recovered\": " << record.mission.missions_recovered
@@ -384,7 +380,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   if (!all_match) {
-    std::cerr << "FAIL: event-wheel fleet reduction diverges from the"
+    std::cerr << "FAIL: fleet reduction diverges from the"
                  " simulate_run_reference loop\n";
     return 1;
   }
@@ -393,7 +389,7 @@ int main(int argc, char** argv) {
   // The 10x criterion presumes a multi-worker fleet against the serial
   // reference; under 4 workers (including smoke's jobs=1) the shared
   // sampling/realization cost caps the ratio below the gate no matter how
-  // fast the wheel is, so the measured value is recorded but not enforced.
+  // fast the replay is, so the measured value is recorded but not enforced.
   const bool gate_enforced = !smoke && workers >= 4;
   const char* gate_reason =
       smoke ? "smoke mode times a single worker: the ratio is not meaningful"

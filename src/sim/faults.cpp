@@ -1,5 +1,8 @@
 #include "sim/faults.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -36,6 +39,17 @@ long parse_long(const std::string& token, const char* what, int line) {
                              token + "'",
                          line);
   }
+}
+
+/// A device or operation id: a number that fits an id without wrapping.
+/// Negative values pass through so the caller's validity check rejects them.
+std::int32_t parse_id(const std::string& token, const char* what, int line) {
+  const long value = parse_long(token, what, line);
+  if (value > std::numeric_limits<std::int32_t>::max() ||
+      value < std::numeric_limits<std::int32_t>::min()) {
+    throw FaultPlanError(std::string(what) + " out of range: '" + token + "'", line);
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 double parse_double(const std::string& token, const char* what, int line) {
@@ -138,8 +152,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
                              line_number);
       }
       event.kind = FaultKind::DeviceFailure;
-      event.device = DeviceId{
-          static_cast<std::int32_t>(parse_long(tokens[1], "device id", line_number))};
+      event.device = DeviceId{parse_id(tokens[1], "device id", line_number)};
       event.at = Minutes{parse_long(tokens[3], "failure time", line_number)};
       if (!event.device.valid() || event.at < Minutes{0}) {
         throw FaultPlanError("device id and failure time must be non-negative",
@@ -153,15 +166,16 @@ FaultPlan parse_fault_plan(const std::string& text) {
             "expected: degrade <device-id> by <factor> [from <minute>]", line_number);
       }
       event.kind = FaultKind::Degradation;
-      event.device = DeviceId{
-          static_cast<std::int32_t>(parse_long(tokens[1], "device id", line_number))};
+      event.device = DeviceId{parse_id(tokens[1], "device id", line_number)};
       event.factor = parse_double(tokens[3], "degradation factor", line_number);
       if (with_from) {
         event.at = Minutes{parse_long(tokens[5], "activation time", line_number)};
       }
-      if (!event.device.valid() || event.factor < 1.0 || event.at < Minutes{0}) {
+      if (!event.device.valid() || !std::isfinite(event.factor) || event.factor < 1.0 ||
+          event.at < Minutes{0}) {
         throw FaultPlanError(
-            "degradation needs a valid device, a factor >= 1 and a non-negative time",
+            "degradation needs a valid device, a finite factor >= 1 and a non-negative "
+            "time",
             line_number);
       }
     } else if (directive == "exhaust") {
@@ -170,8 +184,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
         throw FaultPlanError("expected: exhaust <op-id>", line_number);
       }
       event.kind = FaultKind::AttemptExhaustion;
-      event.op = OperationId{
-          static_cast<std::int32_t>(parse_long(tokens[1], "operation id", line_number))};
+      event.op = OperationId{parse_id(tokens[1], "operation id", line_number)};
       if (!event.op.valid()) {
         throw FaultPlanError("operation id must be non-negative", line_number);
       }

@@ -23,7 +23,7 @@ constexpr Minutes kNoHorizon{std::numeric_limits<std::int64_t>::max()};
 /// Latest minute a sampled failure can still matter. Without scripted
 /// degradation or transport delays no replay outlives the schedule's
 /// attempt-capped worst case, so failures sampled past it are provably
-/// inert and are never turned into events (the per-device draws still
+/// inert and are never added to a plan (the per-device draws still
 /// happen, keeping every stream — and thus every outcome — unchanged).
 Minutes sampling_horizon(const CompiledSchedule& compiled, const RuntimeOptions& runtime) {
   for (const FaultEvent& event : runtime.faults.events) {
@@ -50,7 +50,7 @@ struct RunRecord {
 void simulate_chunk(const CompiledSchedule& compiled,
                     const model::DeviceInventory& devices, const FleetOptions& options,
                     int lo, int hi, std::vector<RunRecord>& records,
-                    EventWheel::Stats& wheel_stats) {
+                    ReplayStats& stats) {
   Replayer replayer;
   RuntimeOptions run_options = options.runtime;
   const std::size_t scripted_faults = run_options.faults.events.size();
@@ -94,7 +94,7 @@ void simulate_chunk(const CompiledSchedule& compiled,
     record.events = summary.events;
     records[static_cast<std::size_t>(r)] = record;
   }
-  wheel_stats = replayer.wheel_stats();
+  stats = replayer.wheel_stats();
 }
 
 FleetSummary reduce(const std::vector<RunRecord>& records, const FleetOptions& options) {
@@ -193,21 +193,16 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
   std::vector<RunRecord> records(static_cast<std::size_t>(options.runs));
   const int jobs = std::clamp(options.jobs, 1, std::max(options.runs, 1));
 
+  std::vector<ReplayStats> worker_stats(static_cast<std::size_t>(jobs));
   if (jobs <= 1) {
-    EventWheel::Stats stats;
-    simulate_chunk(compiled, devices, options, 0, options.runs, records, stats);
-    FleetSummary summary = reduce(records, options);
-    summary.wheel = stats;
-    return summary;
-  }
-
-  // Contiguous chunks into disjoint record slots; the serial reduction over
-  // run order afterwards makes the result independent of worker timing.
-  std::vector<EventWheel::Stats> worker_stats(static_cast<std::size_t>(jobs));
-  std::vector<std::future<void>> pending;
-  pending.reserve(static_cast<std::size_t>(jobs));
-  const int chunk = (options.runs + jobs - 1) / jobs;
-  {
+    simulate_chunk(compiled, devices, options, 0, options.runs, records, worker_stats[0]);
+  } else {
+    // Contiguous chunks into disjoint record slots; the serial reduction
+    // over run order afterwards makes the result independent of worker
+    // timing.
+    std::vector<std::future<void>> pending;
+    pending.reserve(static_cast<std::size_t>(jobs));
+    const int chunk = (options.runs + jobs - 1) / jobs;
     engine::ThreadPool pool(jobs);
     for (int w = 0; w < jobs; ++w) {
       const int lo = w * chunk;
@@ -215,7 +210,7 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
       if (lo >= hi) {
         break;
       }
-      EventWheel::Stats& stats = worker_stats[static_cast<std::size_t>(w)];
+      ReplayStats& stats = worker_stats[static_cast<std::size_t>(w)];
       pending.push_back(pool.submit([&, lo, hi](const CancellationToken&) {
         simulate_chunk(compiled, devices, options, lo, hi, records, stats);
       }));
@@ -226,8 +221,8 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
   }
 
   FleetSummary summary = reduce(records, options);
-  for (const EventWheel::Stats& stats : worker_stats) {
-    summary.wheel.merge(stats);
+  for (const ReplayStats& stats : worker_stats) {
+    summary.wheel.posted += stats.posted;
   }
   return summary;
 }

@@ -76,10 +76,10 @@ struct FleetSummary {
   Minutes histogram_min{0};
   Minutes histogram_max{0};
   std::vector<int> completion_histogram;
-  /// Wheel events consumed across all runs.
+  /// Break candidates examined across all runs (ReplaySummary::events).
   std::uint64_t events = 0;
-  /// Calendar-wheel statistics merged across all workers.
-  EventWheel::Stats wheel;
+  /// Break-scan statistics summed across all workers.
+  ReplayStats wheel;
 
   // Multi-fault mission reductions (populated when a mission probe is set;
   // zero otherwise). A "mission" is one broken run driven through the

@@ -15,7 +15,8 @@ namespace {
 constexpr std::uint64_t kHazardStreamTag = 0x48415A41524421ULL;  // "HAZARD!"
 
 /// Ceiling on sampled failure times: far enough out that no replay reaches
-/// it, small enough that calendar-wheel arithmetic can never overflow.
+/// it, small enough that the conversion to integer minutes can never
+/// overflow.
 constexpr double kMaxFailureMinutes = 1e15;
 
 Minutes clamp_minutes(double t) {

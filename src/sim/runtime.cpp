@@ -1,11 +1,11 @@
-// Event-driven replay on the sim::EventWheel calendar queue. The schedule is
-// compiled once (compile_schedule) and each run posts operation-start,
-// completion, attempt-exhaustion and device-failure events which drain in
-// (time, type, key, seq) order; the first break event truncates the run
-// without realizing the remaining layers or rescanning any window list. The
-// output is bit-identical to the original three-pass implementation, which
-// the tests keep as a differential oracle (the reference replay in
-// tests/support):
+// Layer-by-layer replay with a break scan. The schedule is compiled once
+// (compile_schedule); each run realizes one layer's windows at a time and
+// then asks whether the run broke by the layer's drain horizon. Only two
+// things can break it: a device failure with unfinished work on its device,
+// and an exhausted check. The first break truncates the run without
+// realizing the remaining layers. The output is bit-identical to the
+// original three-pass implementation, which the tests keep as a
+// differential oracle (the reference replay in tests/support):
 //
 //  - RNG draws happen at layer-realization time in schedule order, so the
 //    draw sequence for every computed layer matches the reference; layers
@@ -15,20 +15,19 @@
 //    device still finishes after T. Windows of unrealized layers all do
 //    (they start at or after the drain horizon, hence after T), which the
 //    realized-count-vs-static-load comparison answers in O(1); realized
-//    windows are answered by one scan of the window list, performed at most
-//    once per run because the first break truncates it. This replaces
-//    per-event pending-count bookkeeping, so a summary replay posts only
-//    the events that can break a run (failures and exhaustions).
-//  - Same-instant events drain completions first (releasing devices before a
-//    failure looks for stranded work), then device failures by device id,
-//    then exhaustions by operation id — exactly the reference's Break::beats
-//    tie-break — then starts (a window starting at T is not stranded by a
-//    failure at T).
+//    windows are answered by one scan of the window list.
+//  - Due failures are walked by (minute, device id, plan index); the
+//    earliest exhausted window, by (minute, operation id), wins only when
+//    strictly earlier. That is the reference's Break::beats tie-break:
+//    failures before exhaustions at one minute, then device id, then
+//    operation id.
 #include "sim/runtime.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -152,39 +151,43 @@ ReplaySummary Replayer::replay(const CompiledSchedule& compiled,
 
   const int layer_count = static_cast<int>(compiled.layers.size());
 
-  // Hazard sweeps post plans holding nothing but device failures; those are
-  // consumed straight from the options. Mixed plans are split by kind once
-  // per run so the hot loops touch only the events that can affect them, in
-  // plan order.
+  // Split the plan by kind once per run, in plan order, so the hot loops
+  // touch only the events that can affect them. Failures can only matter on
+  // devices the schedule uses; a failure of an unused device can never be
+  // "affected" and is dropped here.
   degrade_events_.clear();
   transport_events_.clear();
-  failure_events_.clear();
+  failures_.clear();
   exhausted_ops_.clear();
-  const std::vector<FaultEvent>* failures = &options.faults.events;
-  for (const FaultEvent& event : options.faults.events) {
-    if (event.kind != FaultKind::DeviceFailure) {
-      failures = &failure_events_;
-      break;
-    }
-  }
-  if (failures == &failure_events_) {
-    for (const FaultEvent& event : options.faults.events) {
-      switch (event.kind) {
-        case FaultKind::Degradation:
-          degrade_events_.push_back(event);
-          break;
-        case FaultKind::TransportDelay:
-          transport_events_.push_back(event);
-          break;
-        case FaultKind::DeviceFailure:
-          failure_events_.push_back(event);
-          break;
-        case FaultKind::AttemptExhaustion:
-          exhausted_ops_.push_back(event.op);
-          break;
+  const std::vector<FaultEvent>& faults = options.faults.events;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    const FaultEvent& event = faults[fi];
+    switch (event.kind) {
+      case FaultKind::Degradation:
+        degrade_events_.push_back(event);
+        break;
+      case FaultKind::TransportDelay:
+        transport_events_.push_back(event);
+        break;
+      case FaultKind::AttemptExhaustion:
+        exhausted_ops_.push_back(event.op);
+        break;
+      case FaultKind::DeviceFailure: {
+        const int d = event.device.value();
+        if (d >= 0 && d < compiled.device_limit &&
+            compiled.device_load[static_cast<std::size_t>(d)] > 0) {
+          failures_.push_back(PendingFailure{std::max<std::int64_t>(event.at.count(), 0), d,
+                                             static_cast<std::uint32_t>(fi)});
+        }
+        break;
       }
     }
   }
+  stats_.posted += failures_.size();
+  std::size_t next_failure = 0;
+  // The exhausted window that breaks first, by (completion, op id). It
+  // points into `windows_`, which is reserved for every item below.
+  const Window* exhausted = nullptr;
 
   windows_.clear();
   windows_.reserve(compiled.items.size());
@@ -194,24 +197,6 @@ ReplaySummary Replayer::replay(const CompiledSchedule& compiled,
 
   ReplaySummary summary;
   summary.planned_fixed = compiled.planned_fixed;
-
-  wheel_.reset(0);
-  // Failures can only matter on devices the schedule actually uses; a
-  // failure of an unused device can never be "affected" and is dropped here.
-  for (std::size_t fi = 0; fi < failures->size(); ++fi) {
-    const FaultEvent& event = (*failures)[fi];
-    const int d = event.device.value();
-    if (d < 0 || d >= compiled.device_limit || compiled.device_load[static_cast<std::size_t>(d)] == 0) {
-      continue;
-    }
-    wheel_.post(Event{std::max<std::int64_t>(event.at.count(), 0),
-                      EventType::DeviceFailure, d, static_cast<std::int32_t>(fi), 0});
-  }
-  // A summary-only replay posts the minimal event set — device failures and
-  // attempt exhaustions, the only events that can break a run. Starts and
-  // completions steer nothing a summary reports; a traced replay still
-  // posts the full stream so the drained timeline is complete.
-  const bool minimal_events = trace == nullptr;
 
   std::optional<BreakPoint> broke;
   Minutes clock{0};
@@ -248,94 +233,89 @@ ReplaySummary Replayer::replay(const CompiledSchedule& compiled,
                              : Minutes{0};
       layer_span = std::max(layer_span, item.start + w.actual + transport_tail);
 
-      const std::int32_t window_index = static_cast<std::int32_t>(windows_.size());
       windows_.push_back(w);
       ++device_realized_[static_cast<std::size_t>(w.device.value())];
-      if (!minimal_events) {
-        wheel_.post(Event{w.start.count(), EventType::Start, window_index, window_index, 0});
-        wheel_.post(Event{w.completion().count(), EventType::Completion, window_index,
-                          window_index, 0});
-      }
       if (w.exhausted) {
         // The controller alarms when the attempt cap trips: a break
         // candidate keyed by operation id (the reference's exhaustion
         // tie-break), losing to any same-minute device failure.
-        wheel_.post(Event{w.completion().count(), EventType::Exhaustion,
-                          w.op.value(), window_index, 0});
+        ++stats_.posted;
+        if (exhausted == nullptr || std::pair{w.completion(), w.op.value()} <
+                                        std::pair{exhausted->completion(),
+                                                  exhausted->op.value()}) {
+          exhausted = &windows_.back();
+        }
       }
     }
     clock += layer_span;
     layer_finish_[static_cast<std::size_t>(li)] = clock;
 
-    // Drain this layer's horizon. Events exactly on a non-final boundary are
-    // deferred to the next round: a boundary break belongs to the layer
+    // Drain this layer's horizon. Breaks exactly on a non-final boundary
+    // are deferred to the next round: a boundary break belongs to the layer
     // about to run (the reference's layer_at uses `at < finish`), and the
-    // next layer's starts at that same minute must be posted first.
+    // next layer's windows must be realized first.
     const std::int64_t horizon =
         li + 1 < layer_count ? clock.count() - 1 : clock.count();
-    while (std::optional<Event> event = wheel_.next(horizon)) {
+    const auto due_begin = failures_.begin() + static_cast<std::ptrdiff_t>(next_failure);
+    const auto due_end = std::partition(due_begin, failures_.end(), [&](const PendingFailure& f) {
+      return f.minute <= horizon;
+    });
+    std::sort(due_begin, due_end, [](const PendingFailure& a, const PendingFailure& b) {
+      return std::tie(a.minute, a.device, a.index) < std::tie(b.minute, b.device, b.index);
+    });
+    next_failure = static_cast<std::size_t>(due_end - failures_.begin());
+    const bool exhaustion_due =
+        exhausted != nullptr && exhausted->completion().count() <= horizon;
+    for (auto it = due_begin; it != due_end; ++it) {
+      if (exhaustion_due && exhausted->completion().count() < it->minute) {
+        break;  // the exhaustion comes strictly first
+      }
       ++summary.events;
-      switch (event->type) {
-        case EventType::Completion:
-        case EventType::Start:
-          break;  // neither alters a replay; posted for the trace stream
-        case EventType::DeviceFailure: {
-          const FaultEvent& fault = (*failures)[static_cast<std::size_t>(event->payload)];
-          const std::size_t d = static_cast<std::size_t>(fault.device.value());
-          // The failure breaks the run iff some window on the device still
-          // finishes after it. Unrealized layers answer in O(1): every
-          // window there starts after the drain horizon >= fault.at. The
-          // realized half takes one scan, which also picks the stranded
-          // operation — the earliest-started window still running (ties:
-          // schedule order, like the reference's first-wins scan). At most
-          // one failure breaks a run, so the scan happens at most once.
-          bool affected = device_realized_[d] < compiled.device_load[d];
-          const Window* stranded = nullptr;
-          for (const Window& w : windows_) {
-            if (w.device != fault.device || w.completion() <= fault.at) {
-              continue;
-            }
-            affected = true;
-            if (w.start < fault.at &&
-                (stranded == nullptr || w.start < stranded->start)) {
-              stranded = &w;
-            }
-          }
-          if (!affected) {
-            break;  // no unfinished work bound to the device: harmless
-          }
-          BreakPoint bp;
-          bp.at = fault.at;
-          bp.outcome = RunOutcome::DeviceFailed;
-          // Binary search over the realized layer boundaries: first layer
-          // finishing strictly after the break owns it.
-          const auto it =
-              std::upper_bound(layer_finish_.begin(),
-                               layer_finish_.begin() + (li + 1), fault.at);
-          bp.layer_index =
-              it != layer_finish_.begin() + (li + 1)
-                  ? static_cast<int>(it - layer_finish_.begin())
-                  : (layer_count > 0 ? layer_count - 1 : 0);
-          bp.device = fault.device;
-          bp.op = stranded != nullptr ? stranded->op : OperationId{};
-          broke = bp;
-          break;
+      const FaultEvent& fault = faults[it->index];
+      const std::size_t d = static_cast<std::size_t>(it->device);
+      // The failure breaks the run iff some window on the device still
+      // finishes after it. Unrealized layers answer in O(1): every window
+      // there starts after the drain horizon >= fault.at. The realized half
+      // takes one scan, which also picks the stranded operation — the
+      // earliest-started window still running (ties: schedule order, like
+      // the reference's first-wins scan).
+      bool affected = device_realized_[d] < compiled.device_load[d];
+      const Window* stranded = nullptr;
+      for (const Window& w : windows_) {
+        if (w.device != fault.device || w.completion() <= fault.at) {
+          continue;
         }
-        case EventType::Exhaustion: {
-          const Window& w = windows_[static_cast<std::size_t>(event->payload)];
-          BreakPoint bp;
-          bp.at = w.completion();
-          bp.outcome = RunOutcome::AttemptsExhausted;
-          bp.layer_index = w.layer_index;
-          bp.device = DeviceId{};
-          bp.op = w.op;
-          broke = bp;
-          break;
+        affected = true;
+        if (w.start < fault.at && (stranded == nullptr || w.start < stranded->start)) {
+          stranded = &w;
         }
       }
-      if (broke) {
-        break;
+      if (!affected) {
+        continue;  // no unfinished work bound to the device: harmless
       }
+      BreakPoint bp;
+      bp.at = fault.at;
+      bp.outcome = RunOutcome::DeviceFailed;
+      // Binary search over the realized layer boundaries: first layer
+      // finishing strictly after the break owns it.
+      const auto owner =
+          std::upper_bound(layer_finish_.begin(), layer_finish_.begin() + (li + 1), fault.at);
+      bp.layer_index = owner != layer_finish_.begin() + (li + 1)
+                           ? static_cast<int>(owner - layer_finish_.begin())
+                           : (layer_count > 0 ? layer_count - 1 : 0);
+      bp.device = fault.device;
+      bp.op = stranded != nullptr ? stranded->op : OperationId{};
+      broke = bp;
+      break;
+    }
+    if (!broke && exhaustion_due) {
+      ++summary.events;
+      BreakPoint bp;
+      bp.at = exhausted->completion();
+      bp.outcome = RunOutcome::AttemptsExhausted;
+      bp.layer_index = exhausted->layer_index;
+      bp.op = exhausted->op;
+      broke = bp;
     }
   }
 

@@ -12,13 +12,13 @@
 // re-synthesizer (core/recovery.hpp) needs to build the residual assay.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "model/assay.hpp"
 #include "schedule/types.hpp"
-#include "sim/event_wheel.hpp"
 #include "sim/faults.hpp"
 
 namespace cohls::sim {
@@ -167,22 +167,32 @@ struct ReplaySummary {
   int break_layer = -1;  ///< layer index active at the break; -1 when completed
   DeviceId failed_device;
   OperationId failed_op;
-  /// Wheel events consumed by this replay. Summary-only replays post the
-  /// minimal event set (device failures and attempt exhaustions — the only
-  /// events that can break a run), so this is smaller than for a traced
-  /// replay of the same run, and zero for a fault-free summary; it is
-  /// deterministic for fixed inputs either way.
+  /// Break candidates this replay examined: the due device failures walked
+  /// up to the break, plus the exhaustion when one broke the run. A traced
+  /// and a summary replay of the same inputs count the same; zero for a
+  /// fault-free run.
   std::uint64_t events = 0;
 
   [[nodiscard]] bool ok() const { return outcome == RunOutcome::Completed; }
   [[nodiscard]] Minutes overrun() const { return completed_at - planned_fixed; }
 };
 
-/// Event-driven replay engine. One Replayer owns the calendar wheel and all
-/// scratch state, reused across runs so a steady-state fleet replay performs
-/// no allocation; it is cheap to construct but NOT thread-safe — use one per
-/// worker. Results are bit-identical to simulate_run{,_reference} for the
-/// same inputs.
+/// Break-scan counters, cumulative across every run of one Replayer.
+struct ReplayStats {
+  /// Break candidates offered to the scan: device failures on devices the
+  /// schedule uses, plus every exhausted window realized.
+  std::uint64_t posted = 0;
+  /// Always 0; kept only while the end-to-end benchmark still reads it.
+  std::uint64_t cascaded = 0;
+};
+
+/// Layer-by-layer replay engine. Each layer's windows are realized in
+/// schedule order; then the failures due by the layer's drain horizon are
+/// sorted and walked, together with the earliest exhausted window, and the
+/// first break truncates the run. One Replayer owns all scratch state, reused
+/// across runs so a steady-state fleet replay performs no allocation; it is
+/// cheap to construct but NOT thread-safe — use one per worker. Results are
+/// bit-identical to simulate_run{,_reference} for the same inputs.
 class Replayer {
  public:
   /// Full replay with trace assembly (equivalent to simulate_run). When
@@ -196,10 +206,8 @@ class Replayer {
   [[nodiscard]] ReplaySummary run_summary(const CompiledSchedule& compiled,
                                           const RuntimeOptions& options);
 
-  /// Cumulative wheel statistics across every run of this Replayer.
-  [[nodiscard]] const EventWheel::Stats& wheel_stats() const {
-    return wheel_.stats();
-  }
+  /// Cumulative break-scan statistics across every run of this Replayer.
+  [[nodiscard]] const ReplayStats& wheel_stats() const { return stats_; }
 
  private:
   /// One realized execution window (same quantity the reference's pass 1
@@ -223,25 +231,34 @@ class Replayer {
     OperationId op;
   };
 
+  /// A device failure on a used device: its minute clamped at 0, the device
+  /// id and its index into the options' fault plan. Sorted by all three
+  /// when due, so same-minute failures break in device-id, then plan order.
+  struct PendingFailure {
+    std::int64_t minute = 0;
+    std::int32_t device = 0;
+    std::uint32_t index = 0;
+  };
+
   [[nodiscard]] ReplaySummary replay(const CompiledSchedule& compiled,
                                      const RuntimeOptions& options, RunTrace* trace);
 
-  EventWheel wheel_;
+  ReplayStats stats_;
   std::vector<Window> windows_;
   std::vector<Minutes> layer_begin_;
   std::vector<Minutes> layer_finish_;
   /// Windows realized so far per device id. A failure at time t "affects"
   /// its device iff some window there still finishes after t; windows of
   /// unrealized layers all do (they start after the drain horizon), so the
-  /// count answers the unrealized half and one scan of `windows_` — at most
-  /// once per run, on a failure pop — answers the realized half exactly.
+  /// count answers the unrealized half and one scan of `windows_` answers
+  /// the realized half exactly.
   std::vector<int> device_realized_;
-  /// The run's fault plan split by kind (scripted events + sampled hazards).
-  /// A plan holding only device failures — the hazard-sweep hot path — is
-  /// posted straight from the options without copying into these.
+  /// This run's failures; each drain sorts and walks the due ones after
+  /// the prefix earlier drains walked.
+  std::vector<PendingFailure> failures_;
+  /// The run's other faults split by kind, in plan order.
   std::vector<FaultEvent> degrade_events_;
   std::vector<FaultEvent> transport_events_;
-  std::vector<FaultEvent> failure_events_;
   std::vector<OperationId> exhausted_ops_;
 };
 

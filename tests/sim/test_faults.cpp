@@ -70,6 +70,10 @@ TEST(FaultPlan, RejectsMalformedDirectivesWithLineNumbers) {
   EXPECT_EQ(line_of("device-fail 0 at -3\n"), 1);    // negative time
   EXPECT_EQ(line_of("exhaust many\n"), 1);           // not a number
   EXPECT_EQ(line_of("device-fail 0 at 5 extra\n"), 1);
+  EXPECT_EQ(line_of("degrade 0 by nan\n"), 1);       // non-finite factor
+  EXPECT_EQ(line_of("degrade 0 by inf\n"), 1);
+  EXPECT_EQ(line_of("\ndevice-fail 4294967296 at 5\n"), 2);  // id above INT32_MAX
+  EXPECT_EQ(line_of("exhaust 4294967297\n"), 1);
 }
 
 TEST(FaultPlan, HelpersAggregateActiveEvents) {

@@ -4,6 +4,7 @@
 
 #include "assays/benchmarks.hpp"
 #include "core/progressive_resynthesis.hpp"
+#include "sim/hazard.hpp"
 
 namespace cohls::sim {
 namespace {
@@ -105,6 +106,51 @@ TEST(Runtime, ExhaustedAttemptsBreakTheRunInsteadOfFakingSuccess) {
   for (const OperationId op : trace.completed) {
     EXPECT_NE(op, trace.failure->op);
   }
+}
+
+TEST(Runtime, TracedAndSummaryReplaysCountTheSameEvents) {
+  const Fixture f;
+  const CompiledSchedule compiled = compile_schedule(f.report.result, f.assay);
+  const HazardModel hazard = parse_hazard_spec("exp:300", f.assay.registry());
+  const std::vector<model::Device>& devices = f.report.result.devices.devices();
+  ASSERT_GE(devices.size(), 2u);
+
+  std::vector<RuntimeOptions> plans;
+  for (std::uint64_t run = 0; run < 32; ++run) {
+    RuntimeOptions options;
+    options.seed = run + 1;
+    hazard.sample_into(options.faults, f.report.result.devices, 42, run,
+                       Minutes{1'000'000});
+    plans.push_back(options);
+  }
+  for (const Minutes at : {0_min, 5_min, 40_min, 1'000'000_min}) {
+    RuntimeOptions options;
+    options.max_attempts = 3;
+    options.faults.events.push_back(
+        FaultEvent{FaultKind::DeviceFailure, devices[0].id, OperationId{}, at});
+    options.faults.events.push_back(
+        FaultEvent{FaultKind::DeviceFailure, devices[1].id, OperationId{}, at});
+    FaultEvent exhaust;
+    exhaust.kind = FaultKind::AttemptExhaustion;
+    exhaust.op = f.assay.indeterminate_operations().front();
+    options.faults.events.push_back(exhaust);
+    plans.push_back(options);
+  }
+
+  Replayer traced;
+  Replayer summarized;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    ReplaySummary digest;
+    (void)traced.run(compiled, plans[i], &digest);
+    const ReplaySummary summary = summarized.run_summary(compiled, plans[i]);
+    EXPECT_EQ(digest.events, summary.events) << "plan " << i;
+    EXPECT_EQ(digest.outcome, summary.outcome) << "plan " << i;
+    EXPECT_EQ(digest.completed_at, summary.completed_at) << "plan " << i;
+    total += summary.events;
+  }
+  EXPECT_GT(total, 0u);  // the plans must actually offer break candidates
+  EXPECT_EQ(traced.wheel_stats().posted, summarized.wheel_stats().posted);
 }
 
 TEST(Runtime, RejectsBadOptions) {

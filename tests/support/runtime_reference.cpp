@@ -1,9 +1,9 @@
 // The original three-pass replay: realize every window, scan the full
 // window list for the earliest break, then assemble the trace. Kept verbatim
-// as the differential-testing oracle for the event-wheel implementation in
+// as the differential-testing oracle for the break-scan replay in
 // sim/runtime.cpp and as the baseline of bench_sim — every behavioural detail
 // here (RNG draw order, tie-breaks, boundary ownership) is the contract the
-// event-driven replay must reproduce bit-identically.
+// layer-by-layer replay must reproduce bit-identically.
 #include <algorithm>
 #include <cmath>
 #include <sstream>

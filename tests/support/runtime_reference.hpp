@@ -1,6 +1,6 @@
 // Test-only replay reference: the original three-pass implementation of
 // sim::simulate_run (full-window materialization and O(windows x faults)
-// break scans). The event-wheel replay must produce bit-identical RunTraces
+// break scans). The break-scan replay must produce bit-identical RunTraces
 // for every input; the parity tests and bench_sim's baseline loop hold it
 // to that.
 #pragma once
