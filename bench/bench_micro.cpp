@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate algorithms: the
 // revised simplex (cold solve and warm child re-solve), branch-and-bound,
-// max-flow, layering, one list-scheduled layer, and a full synthesis pass.
+// the layer-model build and its presolve, max-flow, layering, one
+// list-scheduled layer, and a full synthesis pass.
 // These track the cost of the pieces the paper's runtime column depends on.
 #include <benchmark/benchmark.h>
 
@@ -9,12 +10,15 @@
 
 #include "assays/benchmarks.hpp"
 #include "assays/random_assay.hpp"
+#include "core/ilp_layer_model.hpp"
 #include "core/layering.hpp"
 #include "core/progressive_resynthesis.hpp"
 #include "graph/max_flow.hpp"
+#include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "support/layer_capture.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -84,6 +88,40 @@ void BM_MilpKnapsack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MilpKnapsack)->Arg(8)->Arg(12);
+
+/// The case-2 layer-0 model at t = 10 (386 x 1335), as the milp-closure
+/// benchmark captures it.
+const oracles::LayerCapture& case2_layer0() {
+  static const oracles::LayerCapture capture =
+      oracles::capture_layers("case2", assays::gene_expression_assay(), 10, 1).at(0);
+  return capture;
+}
+
+/// One IlpLayerModel build: every column and row of constraints (1)-(21).
+void BM_BuildLayerModel(benchmark::State& state) {
+  const oracles::LayerCapture& capture = case2_layer0();
+  int rows = 0;
+  for (auto _ : state) {
+    const core::IlpLayerModel ilp(*capture.assay, capture.inputs, capture.transport,
+                                  capture.costs);
+    rows = ilp.model().constraint_count();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_BuildLayerModel);
+
+/// One lp::presolve of the same model, as branch and bound runs at the root.
+void BM_PresolveLayerModel(benchmark::State& state) {
+  const oracles::LayerCapture& capture = case2_layer0();
+  const core::IlpLayerModel ilp(*capture.assay, capture.inputs, capture.transport,
+                                capture.costs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lp::presolve(ilp.model().lp()));
+  }
+  state.counters["rows"] = static_cast<double>(ilp.model().constraint_count());
+}
+BENCHMARK(BM_PresolveLayerModel);
 
 void BM_MaxFlow(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "milp/bounds.hpp"
 #include "model/compatibility.hpp"
 #include "util/check.hpp"
 
 namespace cohls::core {
-
-namespace {
-std::string var_name(const std::string& base, int a, int b = -1) {
-  std::ostringstream out;
-  out << base << '_' << a;
-  if (b >= 0) {
-    out << '_' << b;
-  }
-  return out.str();
-}
-}  // namespace
 
 IlpLayerModel::IlpLayerModel(const model::Assay& assay, IlpLayerInputs inputs,
                              const schedule::TransportPlan& transport,
@@ -136,16 +124,14 @@ void IlpLayerModel::build() {
   binding_.assign(static_cast<std::size_t>(n), {});
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < device_count(); ++j) {
-      binding_[static_cast<std::size_t>(i)].push_back(
-          model_.add_binary(0.0, var_name("o_d", i, j)));
+      binding_[static_cast<std::size_t>(i)].push_back(model_.add_binary(0.0));
     }
   }
   for (int i = 0; i < n; ++i) {
-    start_.push_back(model_.add_variable(milp::VarKind::Integer, 0.0, horizon_, 0.0,
-                                         var_name("st", i)));
+    start_.push_back(model_.add_variable(milp::VarKind::Integer, 0.0, horizon_, 0.0));
   }
-  makespan_ = model_.add_variable(milp::VarKind::Continuous, 0.0, horizon_,
-                                  costs_.weight_time(), "sum_t");
+  makespan_ =
+      model_.add_variable(milp::VarKind::Continuous, 0.0, horizon_, costs_.weight_time());
 
   tighten_time_windows();
   add_device_configuration();
@@ -279,23 +265,21 @@ void IlpLayerModel::add_device_configuration() {
       continue;
     }
     NewSlotVars vars;
-    vars.used = model_.add_binary(0.0, var_name("d_used", j));
-    vars.ring = model_.add_binary(0.0, var_name("d_r", j));
-    vars.chamber = model_.add_binary(0.0, var_name("d_ch", j));
+    vars.used = model_.add_binary(0.0);
+    vars.ring = model_.add_binary(0.0);
+    vars.chamber = model_.add_binary(0.0);
     for (const model::Capacity cap : model::kAllCapacities) {
-      vars.capacity[static_cast<std::size_t>(cap)] =
-          model_.add_binary(0.0, var_name("d_c", j, static_cast<int>(cap)));
-      vars.ring_extra[static_cast<std::size_t>(cap)] = model_.add_variable(
-          milp::VarKind::Continuous, 0.0, 1.0, 0.0,
-          var_name("w", j, static_cast<int>(cap)));
+      vars.capacity[static_cast<std::size_t>(cap)] = model_.add_binary(0.0);
+      vars.ring_extra[static_cast<std::size_t>(cap)] =
+          model_.add_variable(milp::VarKind::Continuous, 0.0, 1.0, 0.0);
     }
     for (const model::AccessoryId acc : relevant) {
-      vars.accessories[acc] = model_.add_binary(0.0, var_name("d_acc", j, acc));
+      vars.accessories[acc] = model_.add_binary(0.0);
     }
 
     // (1): exactly one container — when the slot is used at all.
     model_.add_constraint({{vars.ring, 1.0}, {vars.chamber, 1.0}, {vars.used, -1.0}},
-                          lp::RowSense::Equal, 0.0, var_name("cfg_container", j));
+                          lp::RowSense::Equal, 0.0);
     // (2): exactly one capacity — when used.
     {
       std::vector<lp::Term> terms;
@@ -303,8 +287,7 @@ void IlpLayerModel::add_device_configuration() {
         terms.emplace_back(vars.capacity[static_cast<std::size_t>(cap)], 1.0);
       }
       terms.emplace_back(vars.used, -1.0);
-      model_.add_constraint(std::move(terms), lp::RowSense::Equal, 0.0,
-                            var_name("cfg_capacity", j));
+      model_.add_constraint(std::move(terms), lp::RowSense::Equal, 0.0);
     }
     // (3) as '>=': a ring's capacity lies in {large, medium, small}
     // (equivalently, tiny implies chamber).
@@ -313,18 +296,17 @@ void IlpLayerModel::add_device_configuration() {
          {vars.capacity[static_cast<std::size_t>(model::Capacity::Medium)], 1.0},
          {vars.capacity[static_cast<std::size_t>(model::Capacity::Small)], 1.0},
          {vars.ring, -1.0}},
-        lp::RowSense::GreaterEqual, 0.0, var_name("cfg_ring_caps", j));
+        lp::RowSense::GreaterEqual, 0.0);
     // (4) as '>=': a chamber's capacity lies in {medium, small, tiny}.
     model_.add_constraint(
         {{vars.capacity[static_cast<std::size_t>(model::Capacity::Medium)], 1.0},
          {vars.capacity[static_cast<std::size_t>(model::Capacity::Small)], 1.0},
          {vars.capacity[static_cast<std::size_t>(model::Capacity::Tiny)], 1.0},
          {vars.chamber, -1.0}},
-        lp::RowSense::GreaterEqual, 0.0, var_name("cfg_chamber_caps", j));
+        lp::RowSense::GreaterEqual, 0.0);
     // Accessories only on used slots.
     for (const auto& [acc, col] : vars.accessories) {
-      model_.add_constraint({{col, 1.0}, {vars.used, -1.0}}, lp::RowSense::LessEqual, 0.0,
-                            var_name("cfg_acc_used", j, acc));
+      model_.add_constraint({{col, 1.0}, {vars.used, -1.0}}, lp::RowSense::LessEqual, 0.0);
     }
     // w = ring AND capacity (lower-bounded product; the objective pushes w
     // down, so only the >= side is needed).
@@ -333,8 +315,7 @@ void IlpLayerModel::add_device_configuration() {
           {{vars.ring_extra[static_cast<std::size_t>(cap)], 1.0},
            {vars.ring, -1.0},
            {vars.capacity[static_cast<std::size_t>(cap)], -1.0}},
-          lp::RowSense::GreaterEqual, -1.0, var_name("cfg_ring_cap_link", j,
-                                                     static_cast<int>(cap)));
+          lp::RowSense::GreaterEqual, -1.0);
     }
     new_slot_vars_.push_back(vars);
   }
@@ -358,8 +339,7 @@ void IlpLayerModel::add_binding_consistency() {
     for (int j = 0; j < device_count(); ++j) {
       sum.emplace_back(binding_var(i, j), 1.0);
     }
-    model_.add_constraint(std::move(sum), lp::RowSense::Equal, 1.0,
-                          var_name("bind_once", i));
+    model_.add_constraint(std::move(sum), lp::RowSense::Equal, 1.0);
 
     for (int j = 0; j < device_count(); ++j) {
       const lp::Col od = binding_var(i, j);
@@ -373,26 +353,23 @@ void IlpLayerModel::add_binding_consistency() {
       const NewSlotVars& vars =
           new_slot_vars_[static_cast<std::size_t>(new_slot_of_device[static_cast<std::size_t>(j)])];
       // Binding implies the slot is used.
-      model_.add_constraint({{od, 1.0}, {vars.used, -1.0}}, lp::RowSense::LessEqual, 0.0,
-                            var_name("bind_used", i, j));
+      model_.add_constraint({{od, 1.0}, {vars.used, -1.0}}, lp::RowSense::LessEqual, 0.0);
       // (6): container requirement.
       if (op.container().has_value()) {
         const lp::Col want =
             *op.container() == model::ContainerKind::Ring ? vars.ring : vars.chamber;
-        model_.add_constraint({{want, 1.0}, {od, -1.0}}, lp::RowSense::GreaterEqual, 0.0,
-                              var_name("bind_container", i, j));
+        model_.add_constraint({{want, 1.0}, {od, -1.0}}, lp::RowSense::GreaterEqual, 0.0);
       }
       // (8): capacity requirement.
       if (op.capacity().has_value()) {
         model_.add_constraint(
             {{vars.capacity[static_cast<std::size_t>(*op.capacity())], 1.0}, {od, -1.0}},
-            lp::RowSense::GreaterEqual, 0.0, var_name("bind_capacity", i, j));
+            lp::RowSense::GreaterEqual, 0.0);
       }
       // (7): accessory requirements.
       for (const model::AccessoryId acc : op.accessories().to_list()) {
         model_.add_constraint({{vars.accessories.at(acc), 1.0}, {od, -1.0}},
-                              lp::RowSense::GreaterEqual, 0.0,
-                              var_name("bind_accessory", i, j * 100 + acc));
+                              lp::RowSense::GreaterEqual, 0.0);
       }
     }
 
@@ -440,18 +417,15 @@ void IlpLayerModel::add_dependencies() {
             transport_.edge_time(parent_id, child_id).count());
         if (t == 0.0) {
           model_.add_constraint({{start_var(c), 1.0}, {start_var(p), -1.0}},
-                                lp::RowSense::GreaterEqual, dur_p,
-                                var_name("dep", p, c));
+                                lp::RowSense::GreaterEqual, dur_p);
           continue;
         }
         // same = sum_j z_j with z_j <= o_d[p][j], z_j <= o_d[c][j].
-        const lp::Col same = model_.add_variable(milp::VarKind::Continuous, 0.0, 1.0, 0.0,
-                                                 var_name("same", p, c));
+        const lp::Col same = model_.add_variable(milp::VarKind::Continuous, 0.0, 1.0, 0.0);
         DepVars dep{p, c, same, {}};
         std::vector<lp::Term> same_sum{{same, 1.0}};
         for (int j = 0; j < device_count(); ++j) {
-          const lp::Col z = model_.add_variable(milp::VarKind::Continuous, 0.0, 1.0, 0.0,
-                                                var_name("z", p * 1000 + c, j));
+          const lp::Col z = model_.add_variable(milp::VarKind::Continuous, 0.0, 1.0, 0.0);
           model_.add_constraint({{z, 1.0}, {binding_var(p, j), -1.0}},
                                 lp::RowSense::LessEqual, 0.0);
           model_.add_constraint({{z, 1.0}, {binding_var(c, j), -1.0}},
@@ -460,12 +434,11 @@ void IlpLayerModel::add_dependencies() {
           dep.z.push_back(z);
         }
         dep_vars_.push_back(std::move(dep));
-        model_.add_constraint(std::move(same_sum), lp::RowSense::LessEqual, 0.0,
-                              var_name("same_def", p, c));
+        model_.add_constraint(std::move(same_sum), lp::RowSense::LessEqual, 0.0);
         // st_c - st_p - t*same >= dur_p + t ... rearranged:
         model_.add_constraint(
             {{start_var(c), 1.0}, {start_var(p), -1.0}, {same, -t}},
-            lp::RowSense::GreaterEqual, dur_p + t, var_name("dep", p, c));
+            lp::RowSense::GreaterEqual, dur_p + t);
       } else {
         // Cross-layer parent: the inherited reagent must arrive first.
         const double t = static_cast<double>(
@@ -487,10 +460,9 @@ void IlpLayerModel::add_dependencies() {
           // st_c >= t * (1 - o_d[c][parent_device])
           model_.add_constraint(
               {{start_var(c), 1.0}, {binding_var(c, parent_device), t}},
-              lp::RowSense::GreaterEqual, t, var_name("dep_cross", c, parent_device));
+              lp::RowSense::GreaterEqual, t);
         } else {
-          model_.add_constraint({{start_var(c), 1.0}}, lp::RowSense::GreaterEqual, t,
-                                var_name("dep_cross", c));
+          model_.add_constraint({{start_var(c), 1.0}}, lp::RowSense::GreaterEqual, t);
         }
       }
     }
@@ -518,29 +490,28 @@ void IlpLayerModel::add_conflicts() {
       const double est_b = est_[static_cast<std::size_t>(b)];
       const double lst_a = lst_[static_cast<std::size_t>(a)];
       const double lst_b = lst_[static_cast<std::size_t>(b)];
-      const lp::Col q0 = model_.add_binary(0.0, var_name("q0", a, b));
-      const lp::Col q1 = model_.add_binary(0.0, var_name("q1", a, b));
-      const lp::Col q2 = model_.add_binary(0.0, var_name("q2", a, b));
+      const lp::Col q0 = model_.add_binary(0.0);
+      const lp::Col q1 = model_.add_binary(0.0);
+      const lp::Col q2 = model_.add_binary(0.0);
       // (10): q0 = 0 forces a to start after b's occupation ends. At q0 = 1
       // the row must hold for every feasible start pair, which needs exactly
       // M0 >= occ_b + lst_b - est_a.
       const double m0 = std::max(0.0, occ_b + lst_b - est_a);
       model_.add_constraint({{start_var(a), 1.0}, {q0, m0}, {start_var(b), -1.0}},
-                            lp::RowSense::GreaterEqual, occ_b, var_name("cfl10", a, b));
+                            lp::RowSense::GreaterEqual, occ_b);
       // (11): q1 = 0 forces a's occupation to end before b starts; vacuity
       // at q1 = 1 needs M1 >= occ_a + lst_a - est_b.
       const double m1 = std::max(0.0, occ_a + lst_a - est_b);
       model_.add_constraint({{start_var(a), 1.0}, {q1, -m1}, {start_var(b), -1.0}},
-                            lp::RowSense::LessEqual, -occ_a, var_name("cfl11", a, b));
+                            lp::RowSense::LessEqual, -occ_a);
       // (12): q2 = 0 forces distinct devices.
       for (int j = 0; j < device_count(); ++j) {
         model_.add_constraint(
             {{binding_var(a, j), 1.0}, {binding_var(b, j), 1.0}, {q2, -1.0}},
-            lp::RowSense::LessEqual, 1.0, var_name("cfl12", a * 1000 + b, j));
+            lp::RowSense::LessEqual, 1.0);
       }
       // (13): at least one of the three must be zero.
-      model_.add_constraint({{q0, 1.0}, {q1, 1.0}, {q2, 1.0}}, lp::RowSense::LessEqual,
-                            2.0, var_name("cfl13", a, b));
+      model_.add_constraint({{q0, 1.0}, {q1, 1.0}, {q2, 1.0}}, lp::RowSense::LessEqual, 2.0);
 
       // Structural fixings: "a after b" is impossible when a precedes b or
       // the windows leave no room for it, so q0 = 1 — symmetrically for q1.
@@ -595,17 +566,14 @@ void IlpLayerModel::add_clique_cuts() {
       cliques.insert(std::move(members));
     }
   }
-  int clique_index = 0;
   for (const std::vector<int>& clique : cliques) {
     for (int j = 0; j < device_count(); ++j) {
       std::vector<lp::Term> terms;
       for (const int i : clique) {
         terms.emplace_back(binding_var(i, j), 1.0);
       }
-      model_.add_constraint(std::move(terms), lp::RowSense::LessEqual, 1.0,
-                            var_name("clique", clique_index, j));
+      model_.add_constraint(std::move(terms), lp::RowSense::LessEqual, 1.0);
     }
-    ++clique_index;
   }
 
   double max_reserve = 0.0;
@@ -620,8 +588,7 @@ void IlpLayerModel::add_clique_cuts() {
       terms.emplace_back(binding_var(i, j), occupation(i));
     }
     terms.emplace_back(makespan_, -1.0);
-    model_.add_constraint(std::move(terms), lp::RowSense::LessEqual, max_reserve,
-                          var_name("devcap", j));
+    model_.add_constraint(std::move(terms), lp::RowSense::LessEqual, max_reserve);
   }
 }
 
@@ -644,7 +611,7 @@ void IlpLayerModel::add_indeterminate_rules() {
       // st_a <= st_i + dur_i.
       model_.add_constraint(
           {{start_var(static_cast<int>(a)), 1.0}, {start_var(i), -1.0}},
-          lp::RowSense::LessEqual, min_dur, var_name("ind14", static_cast<int>(a), i));
+          lp::RowSense::LessEqual, min_dur);
     }
   }
   // "Indeterminate operations are mapped to different devices to allow
@@ -655,8 +622,7 @@ void IlpLayerModel::add_indeterminate_rules() {
       for (const int i : indeterminate) {
         terms.emplace_back(binding_var(i, j), 1.0);
       }
-      model_.add_constraint(std::move(terms), lp::RowSense::LessEqual, 1.0,
-                            var_name("ind_parallel", j));
+      model_.add_constraint(std::move(terms), lp::RowSense::LessEqual, 1.0);
     }
   }
 }
@@ -668,8 +634,7 @@ void IlpLayerModel::add_objective_sums() {
     const double dur =
         static_cast<double>(assay_.operation(inputs_.ops[i]).duration().count());
     model_.add_constraint({{makespan_, 1.0}, {start_var(static_cast<int>(i)), -1.0}},
-                          lp::RowSense::GreaterEqual, dur,
-                          var_name("mk", static_cast<int>(i)));
+                          lp::RowSense::GreaterEqual, dur);
   }
 
   // (16)-(20): configuration costs of new slots, folded into the objective
@@ -684,8 +649,7 @@ void IlpLayerModel::add_objective_sums() {
     // cost_j >= C_a * area + C_pr * processing of the chosen configuration,
     // expressed through an epigraph variable with objective coefficient 1
     // (minimization pins it to the configuration cost).
-    vars.cost = model_.add_variable(milp::VarKind::Continuous, 0.0,
-                                    lp::kInfinity, 1.0, var_name("slotcost", j));
+    vars.cost = model_.add_variable(milp::VarKind::Continuous, 0.0, lp::kInfinity, 1.0);
     std::vector<lp::Term> defn{{vars.cost, 1.0}};
     for (const model::Capacity cap : model::kAllCapacities) {
       const double chamber_part =
@@ -704,8 +668,7 @@ void IlpLayerModel::add_objective_sums() {
       defn.emplace_back(col,
                         -costs_.weight_processing() * assay_.registry().processing_cost(acc));
     }
-    model_.add_constraint(std::move(defn), lp::RowSense::GreaterEqual, 0.0,
-                          var_name("slotcost_def", j));
+    model_.add_constraint(std::move(defn), lp::RowSense::GreaterEqual, 0.0);
   }
 
   // (21): path counting over unordered visible-device pairs. Pairs of fixed
@@ -725,7 +688,7 @@ void IlpLayerModel::add_objective_sums() {
         cost = 0.0;
       }
     }
-    const lp::Col col = model_.add_binary(cost, var_name("p", key.first, key.second));
+    const lp::Col col = model_.add_binary(cost);
     path_vars_.emplace(key, col);
     return col;
   };
@@ -821,8 +784,7 @@ void IlpLayerModel::add_cost_floor_cuts() {
         }
       }
       if (agg.size() > 1) {
-        model_.add_constraint(std::move(agg), lp::RowSense::GreaterEqual, 0.0,
-                              var_name("costfloor_ind", j));
+        model_.add_constraint(std::move(agg), lp::RowSense::GreaterEqual, 0.0);
       }
     }
     for (int i = 0; i < n; ++i) {
@@ -832,7 +794,7 @@ void IlpLayerModel::add_cost_floor_cuts() {
       }
       model_.add_constraint(
           {{vars.cost, 1.0}, {binding_var(i, j), -floor_cost[static_cast<std::size_t>(i)]}},
-          lp::RowSense::GreaterEqual, 0.0, var_name("costfloor", i, j));
+          lp::RowSense::GreaterEqual, 0.0);
     }
   }
 }

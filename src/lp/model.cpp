@@ -5,39 +5,37 @@
 
 namespace cohls::lp {
 
-Col LpModel::add_variable(double lower, double upper, double objective, std::string name) {
+Col LpModel::add_variable(double lower, double upper, double objective) {
   COHLS_EXPECT(lower <= upper, "variable lower bound exceeds upper bound");
   COHLS_EXPECT(!std::isnan(lower) && !std::isnan(upper) && !std::isnan(objective),
                "variable data must not be NaN");
   lower_.push_back(lower);
   upper_.push_back(upper);
   objective_.push_back(objective);
-  names_.push_back(std::move(name));
   return variable_count() - 1;
 }
 
-Row LpModel::add_constraint(std::vector<Term> terms, RowSense sense, double rhs,
-                            std::string name) {
+Row LpModel::add_constraint(std::vector<Term> terms, RowSense sense, double rhs) {
   COHLS_EXPECT(!std::isnan(rhs), "constraint rhs must not be NaN");
-  // Merge duplicate columns so solvers can assume one coefficient per column.
+  // Merge duplicate columns in place so solvers can assume one coefficient
+  // per column.
   std::sort(terms.begin(), terms.end(),
             [](const Term& a, const Term& b) { return a.first < b.first; });
-  std::vector<Term> merged;
-  merged.reserve(terms.size());
+  std::size_t kept = 0;
   for (const Term& t : terms) {
     COHLS_EXPECT(t.first >= 0 && t.first < variable_count(),
                  "constraint references an unknown column");
     COHLS_EXPECT(!std::isnan(t.second), "constraint coefficient must not be NaN");
-    if (!merged.empty() && merged.back().first == t.first) {
-      merged.back().second += t.second;
+    if (kept > 0 && terms[kept - 1].first == t.first) {
+      terms[kept - 1].second += t.second;
     } else {
-      merged.push_back(t);
+      terms[kept++] = t;
     }
   }
-  rows_.push_back(std::move(merged));
+  terms.resize(kept);
+  rows_.push_back(std::move(terms));
   senses_.push_back(sense);
   rhs_.push_back(rhs);
-  row_names_.push_back(std::move(name));
   return constraint_count() - 1;
 }
 
@@ -60,7 +58,8 @@ double LpModel::objective_value(const std::vector<double>& x) const {
 bool LpModel::is_feasible(const std::vector<double>& x, double tolerance) const {
   COHLS_EXPECT(x.size() == lower_.size(), "point arity must match variable count");
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < lower_[i] - tolerance || x[i] > upper_[i] + tolerance) {
+    if (!std::isfinite(x[i]) || x[i] < lower_[i] - tolerance ||
+        x[i] > upper_[i] + tolerance) {
       return false;
     }
   }

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,12 +34,12 @@ class LpModel {
  public:
   /// Adds a variable with bounds [lower, upper] (either may be infinite)
   /// and the given objective coefficient; returns its column index.
-  Col add_variable(double lower, double upper, double objective, std::string name = {});
+  Col add_variable(double lower, double upper, double objective);
 
   /// Adds the constraint `terms · x  sense  rhs`; returns its row index.
-  /// Duplicate columns within `terms` are summed.
-  Row add_constraint(std::vector<Term> terms, RowSense sense, double rhs,
-                     std::string name = {});
+  /// The row is stored in ascending column order, duplicate columns
+  /// summed.
+  Row add_constraint(std::vector<Term> terms, RowSense sense, double rhs);
 
   [[nodiscard]] int variable_count() const { return static_cast<int>(lower_.size()); }
   [[nodiscard]] int constraint_count() const { return static_cast<int>(rhs_.size()); }
@@ -48,7 +47,6 @@ class LpModel {
   [[nodiscard]] double lower_bound(Col c) const { return lower_[check_col(c)]; }
   [[nodiscard]] double upper_bound(Col c) const { return upper_[check_col(c)]; }
   [[nodiscard]] double objective_coefficient(Col c) const { return objective_[check_col(c)]; }
-  [[nodiscard]] const std::string& variable_name(Col c) const { return names_[check_col(c)]; }
 
   /// Tightens the bounds of an existing variable (used by branch & bound).
   void set_bounds(Col c, double lower, double upper);
@@ -56,12 +54,12 @@ class LpModel {
   [[nodiscard]] const std::vector<Term>& row_terms(Row r) const { return rows_[check_row(r)]; }
   [[nodiscard]] RowSense row_sense(Row r) const { return senses_[check_row(r)]; }
   [[nodiscard]] double row_rhs(Row r) const { return rhs_[check_row(r)]; }
-  [[nodiscard]] const std::string& row_name(Row r) const { return row_names_[check_row(r)]; }
 
   /// Evaluates the objective at a point (size must equal variable_count()).
   [[nodiscard]] double objective_value(const std::vector<double>& x) const;
 
-  /// True when `x` satisfies every bound and row within tolerance.
+  /// True when `x` is finite and satisfies every bound and row within
+  /// tolerance.
   [[nodiscard]] bool is_feasible(const std::vector<double>& x, double tolerance = 1e-6) const;
 
  private:
@@ -77,11 +75,9 @@ class LpModel {
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<double> objective_;
-  std::vector<std::string> names_;
   std::vector<std::vector<Term>> rows_;
   std::vector<RowSense> senses_;
   std::vector<double> rhs_;
-  std::vector<std::string> row_names_;
 };
 
 }  // namespace cohls::lp

@@ -23,13 +23,19 @@ struct Working {
 
   explicit Working(const LpModel& m) {
     const int n = m.variable_count();
+    const int rows_count = m.constraint_count();
     lower.reserve(static_cast<std::size_t>(n));
+    upper.reserve(static_cast<std::size_t>(n));
+    objective.reserve(static_cast<std::size_t>(n));
+    rows.reserve(static_cast<std::size_t>(rows_count));
+    senses.reserve(static_cast<std::size_t>(rows_count));
+    rhs.reserve(static_cast<std::size_t>(rows_count));
     for (Col c = 0; c < n; ++c) {
       lower.push_back(m.lower_bound(c));
       upper.push_back(m.upper_bound(c));
       objective.push_back(m.objective_coefficient(c));
     }
-    for (Row r = 0; r < m.constraint_count(); ++r) {
+    for (Row r = 0; r < rows_count; ++r) {
       rows.push_back(m.row_terms(r));
       senses.push_back(m.row_sense(r));
       rhs.push_back(m.row_rhs(r));
@@ -66,6 +72,7 @@ Presolved presolve(const LpModel& original) {
     changed = false;
 
     // -- fix columns whose bounds have closed --------------------------------
+    bool fixed_any = false;
     for (std::size_t c = 0; c < w.col_alive.size(); ++c) {
       if (!w.col_alive[c]) {
         continue;
@@ -75,28 +82,34 @@ Presolved presolve(const LpModel& original) {
         break;
       }
       if (w.upper[c] - w.lower[c] <= kFixTolerance) {
-        // Substitute the fixed value into every row.
-        const double value = w.lower[c];
-        for (std::size_t r = 0; r < w.rows.size(); ++r) {
-          if (!w.row_alive[r]) {
-            continue;
-          }
-          auto& terms = w.rows[r];
-          for (std::size_t t = 0; t < terms.size();) {
-            if (terms[t].first == static_cast<Col>(c)) {
-              w.rhs[r] -= terms[t].second * value;
-              terms.erase(terms.begin() + static_cast<std::ptrdiff_t>(t));
-            } else {
-              ++t;
-            }
-          }
-        }
         w.col_alive[c] = false;
-        changed = true;
+        fixed_any = true;
       }
     }
     if (out.infeasible_) {
       break;
+    }
+    if (fixed_any) {
+      // Live rows hold no column fixed in an earlier round, so every dead
+      // column met here was fixed just now. Substitute its value in the
+      // row's ascending column order and compact the survivors.
+      changed = true;
+      for (std::size_t r = 0; r < w.rows.size(); ++r) {
+        if (!w.row_alive[r]) {
+          continue;
+        }
+        auto& terms = w.rows[r];
+        std::size_t kept = 0;
+        for (const Term& t : terms) {
+          const std::size_t c = static_cast<std::size_t>(t.first);
+          if (w.col_alive[c]) {
+            terms[kept++] = t;
+          } else {
+            w.rhs[r] -= t.second * w.lower[c];
+          }
+        }
+        terms.resize(kept);
+      }
     }
 
     // -- empty and singleton rows ---------------------------------------------
@@ -162,8 +175,7 @@ Presolved presolve(const LpModel& original) {
   std::vector<int> reduced_index(w.col_alive.size(), -1);
   for (std::size_t c = 0; c < w.col_alive.size(); ++c) {
     if (w.col_alive[c]) {
-      reduced_index[c] = out.reduced_.add_variable(w.lower[c], w.upper[c], w.objective[c],
-                                                   original.variable_name(static_cast<Col>(c)));
+      reduced_index[c] = out.reduced_.add_variable(w.lower[c], w.upper[c], w.objective[c]);
       out.origins_[c] = Presolved::ColumnOrigin{false, 0.0, reduced_index[c]};
     } else {
       out.origins_[c] = Presolved::ColumnOrigin{true, w.lower[c], -1};
@@ -175,13 +187,12 @@ Presolved presolve(const LpModel& original) {
       ++out.removed_rows_;
       continue;
     }
-    std::vector<Term> terms;
-    terms.reserve(w.rows[r].size());
-    for (const auto& [col, coef] : w.rows[r]) {
-      terms.emplace_back(reduced_index[static_cast<std::size_t>(col)], coef);
+    // Surviving columns keep their relative order, so the renumbered row
+    // stays sorted.
+    for (Term& t : w.rows[r]) {
+      t.first = reduced_index[static_cast<std::size_t>(t.first)];
     }
-    out.reduced_.add_constraint(std::move(terms), w.senses[r], w.rhs[r],
-                                original.row_name(static_cast<Row>(r)));
+    out.reduced_.add_constraint(std::move(w.rows[r]), w.senses[r], w.rhs[r]);
   }
   return out;
 }

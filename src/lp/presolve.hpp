@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -20,6 +21,10 @@ class Presolved {
 
   /// The reduced model (valid only when !infeasible()).
   [[nodiscard]] const LpModel& model() const { return reduced_; }
+
+  /// Moves the reduced model out; model() is empty afterwards. The column
+  /// mapping below stays valid.
+  [[nodiscard]] LpModel take_model() { return std::move(reduced_); }
 
   /// Number of columns / rows eliminated.
   [[nodiscard]] int removed_columns() const { return removed_columns_; }

@@ -522,9 +522,10 @@ class Solver {
 
   // --- shared machinery -----------------------------------------------------
 
-  /// Presolves the model, builds the reduced-space MILP and the root node
-  /// solver. Returns false when presolve alone proves infeasibility (which
-  /// includes an integer column fixed to a fractional value).
+  /// Presolves the model, adopts the reduced LP as the reduced-space MILP
+  /// and builds the root node solver. Returns false when presolve alone
+  /// proves infeasibility (which includes an integer column fixed to a
+  /// fractional value).
   bool prepare() {
     pre_ = lp::presolve(model_.lp());
     if (pre_.infeasible()) {
@@ -539,20 +540,13 @@ class Solver {
         return false;  // integer column pinned to a fractional value
       }
     }
-    const lp::LpModel& red = pre_.model();
-    for (lp::Col rc = 0; rc < red.variable_count(); ++rc) {
-      reduced_.add_variable(VarKind::Continuous, red.lower_bound(rc),
-                            red.upper_bound(rc), red.objective_coefficient(rc));
-    }
+    reduced_ = MilpModel(pre_.take_model());
     for (lp::Col c = 0; c < model_.variable_count(); ++c) {
       if (pre_.column_fixed(c)) {
         objective_offset_ += model_.lp().objective_coefficient(c) * pre_.fixed_value(c);
       } else {
         reduced_.set_kind(pre_.reduced_column(c), model_.kind(c));
       }
-    }
-    for (lp::Row r = 0; r < red.constraint_count(); ++r) {
-      reduced_.add_constraint(red.row_terms(r), red.row_sense(r), red.row_rhs(r));
     }
 
     const int n = reduced_.variable_count();

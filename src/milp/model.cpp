@@ -4,12 +4,11 @@
 
 namespace cohls::milp {
 
-lp::Col MilpModel::add_variable(VarKind kind, double lower, double upper, double objective,
-                                std::string name) {
+lp::Col MilpModel::add_variable(VarKind kind, double lower, double upper, double objective) {
   if (kind == VarKind::Binary) {
     COHLS_EXPECT(lower >= 0.0 && upper <= 1.0, "binary bounds must lie within [0, 1]");
   }
-  const lp::Col c = lp_.add_variable(lower, upper, objective, std::move(name));
+  const lp::Col c = lp_.add_variable(lower, upper, objective);
   kinds_.push_back(kind);
   return c;
 }

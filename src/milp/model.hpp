@@ -4,7 +4,7 @@
 // times.
 #pragma once
 
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -21,17 +21,23 @@ enum class VarKind {
 /// integral values.
 class MilpModel {
  public:
-  lp::Col add_variable(VarKind kind, double lower, double upper, double objective,
-                       std::string name = {});
+  MilpModel() = default;
+
+  /// Adopts `lp` with every column Continuous; set_kind marks the integer
+  /// ones.
+  explicit MilpModel(lp::LpModel lp)
+      : lp_(std::move(lp)),
+        kinds_(static_cast<std::size_t>(lp_.variable_count()), VarKind::Continuous) {}
+
+  lp::Col add_variable(VarKind kind, double lower, double upper, double objective);
 
   /// Convenience: a {0,1} variable.
-  lp::Col add_binary(double objective, std::string name = {}) {
-    return add_variable(VarKind::Binary, 0.0, 1.0, objective, std::move(name));
+  lp::Col add_binary(double objective) {
+    return add_variable(VarKind::Binary, 0.0, 1.0, objective);
   }
 
-  lp::Row add_constraint(std::vector<lp::Term> terms, lp::RowSense sense, double rhs,
-                         std::string name = {}) {
-    return lp_.add_constraint(std::move(terms), sense, rhs, std::move(name));
+  lp::Row add_constraint(std::vector<lp::Term> terms, lp::RowSense sense, double rhs) {
+    return lp_.add_constraint(std::move(terms), sense, rhs);
   }
 
   [[nodiscard]] const lp::LpModel& lp() const { return lp_; }
@@ -42,8 +48,8 @@ class MilpModel {
   }
   [[nodiscard]] VarKind kind(lp::Col c) const { return kinds_[static_cast<std::size_t>(c)]; }
 
-  /// Reclassifies an existing column. Used when mirroring a presolved LP
-  /// into a reduced MILP, where bounds may already be tighter than the
+  /// Reclassifies an existing column. Used when adopting a presolved LP as
+  /// the reduced MILP, where bounds may already be tighter than the
   /// canonical {0, 1} box add_variable enforces for binaries.
   void set_kind(lp::Col c, VarKind kind) { kinds_[static_cast<std::size_t>(c)] = kind; }
   [[nodiscard]] int variable_count() const { return lp_.variable_count(); }

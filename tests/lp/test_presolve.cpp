@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "support/lp_oracles.hpp"
 #include "util/rng.hpp"
 
@@ -23,6 +27,41 @@ TEST(Presolve, RemovesFixedColumns) {
   // absorbs into the bound free <= 4 and drops.
   EXPECT_EQ(pre.model().constraint_count(), 0);
   EXPECT_DOUBLE_EQ(pre.model().upper_bound(0), 4.0);
+}
+
+TEST(Presolve, FixedColumnsOfOneRoundSubtractInAscendingColumnOrder) {
+  // Three columns fixed in the same round share one row. The reduced rhs
+  // must be the sequential subtraction in ascending column order, bit for
+  // bit; these values round differently in any other order.
+  LpModel m;
+  const Col a = m.add_variable(0.1, 0.1, 0.0);
+  const Col b = m.add_variable(0.2, 0.2, 0.0);
+  const Col c = m.add_variable(3.3, 3.3, 0.0);
+  const Col x = m.add_variable(0.0, 10.0, 1.0);
+  const Col y = m.add_variable(0.0, 10.0, 1.0);
+  m.add_constraint({{y, 1.0}, {c, 0.3}, {x, 1.0}, {a, 0.1}, {b, 0.1}}, RowSense::LessEqual,
+                   1.0);
+  double ascending = 1.0;
+  ascending -= 0.1 * 0.1;
+  ascending -= 0.1 * 0.2;
+  ascending -= 0.3 * 3.3;
+  double descending = 1.0;
+  descending -= 0.3 * 3.3;
+  descending -= 0.1 * 0.2;
+  descending -= 0.1 * 0.1;
+  ASSERT_NE(ascending, descending);
+  ASSERT_NE(ascending, 1.0 - (0.1 * 0.1 + 0.1 * 0.2 + 0.3 * 3.3));
+
+  const Presolved pre = presolve(m);
+  ASSERT_FALSE(pre.infeasible());
+  EXPECT_EQ(pre.removed_columns(), 3);
+  ASSERT_EQ(pre.model().constraint_count(), 1);
+  const std::vector<Term> live{{0, 1.0}, {1, 1.0}};
+  EXPECT_EQ(pre.model().row_terms(0), live);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pre.model().row_rhs(0)),
+            std::bit_cast<std::uint64_t>(ascending));
+  EXPECT_EQ(pre.reduced_column(x), 0);
+  EXPECT_EQ(pre.reduced_column(y), 1);
 }
 
 TEST(Presolve, DropsEmptyConsistentRows) {

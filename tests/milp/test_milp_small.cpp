@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
 
@@ -104,6 +108,33 @@ TEST(Milp, InfeasibleWarmStartIgnored) {
   const auto sol = solve_milp(m, opts);
   ASSERT_EQ(sol.status, MilpStatus::Optimal);
   EXPECT_NEAR(sol.objective, 40.0, kTol);
+}
+
+// min -x - y, x + y <= 7.5, integer x, y in [0, 10]: the optimum is -7.
+MilpModel two_integer_model() {
+  MilpModel m;
+  const auto x = m.add_variable(VarKind::Integer, 0, 10, -1.0);
+  const auto y = m.add_variable(VarKind::Integer, 0, 10, -1.0);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, lp::RowSense::LessEqual, 7.5);
+  return m;
+}
+
+TEST(Milp, NonFiniteWarmStartIgnored) {
+  const MilpModel m = two_integer_model();
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> starts{{nan, nan}, {nan, 3.0}, {inf, -inf}, {2.0, inf}};
+  for (const std::vector<double>& start : starts) {
+    EXPECT_FALSE(m.is_feasible(start));
+    MilpOptions opts;
+    opts.warm_start = start;
+    const auto sol = solve_milp(m, opts);
+    ASSERT_EQ(sol.status, MilpStatus::Optimal);
+    EXPECT_NEAR(sol.objective, -7.0, kTol);
+  }
+  const auto cold = solve_milp(m);
+  ASSERT_EQ(cold.status, MilpStatus::Optimal);
+  EXPECT_NEAR(cold.objective, -7.0, kTol);
 }
 
 TEST(Milp, NodeLimitReportsFeasibleOrNoSolution) {
