@@ -25,25 +25,19 @@ namespace cohls::engine {
 namespace {
 
 /// The per-solve MILP counters summed into engine metrics, by metric name.
-/// Team counters are summed for multi-worker solves only, so one-worker
-/// solves leave the work-stealing metrics at zero.
 struct SummedCounter {
   const char* metric;
   long milp::MilpStats::*field;
-  bool team_only;
 };
 constexpr SummedCounter kSummedCounters[] = {
-    {"milp_nodes", &milp::MilpStats::milp_nodes, false},
-    {"lp_pivots", &milp::MilpStats::lp_pivots, false},
-    {"lp_warm_solves", &milp::MilpStats::lp_warm_solves, false},
-    {"lp_cold_solves", &milp::MilpStats::lp_cold_solves, false},
-    {"lp_refactorizations", &milp::MilpStats::lp_refactorizations, false},
-    {"milp_bound_prunes", &milp::MilpStats::milp_bound_prunes, false},
-    {"milp_cutoff_prunes", &milp::MilpStats::milp_cutoff_prunes, false},
-    {"milp_dive_lp_solves", &milp::MilpStats::milp_dive_lp_solves, false},
-    {"milp_steals", &milp::MilpStats::milp_steals, true},
-    {"milp_incumbent_updates", &milp::MilpStats::milp_incumbent_updates, true},
-    {"milp_incumbent_races", &milp::MilpStats::milp_incumbent_races, true},
+    {"milp_nodes", &milp::MilpStats::milp_nodes},
+    {"lp_pivots", &milp::MilpStats::lp_pivots},
+    {"lp_warm_solves", &milp::MilpStats::lp_warm_solves},
+    {"lp_cold_solves", &milp::MilpStats::lp_cold_solves},
+    {"lp_refactorizations", &milp::MilpStats::lp_refactorizations},
+    {"milp_bound_prunes", &milp::MilpStats::milp_bound_prunes},
+    {"milp_cutoff_prunes", &milp::MilpStats::milp_cutoff_prunes},
+    {"milp_dive_lp_solves", &milp::MilpStats::milp_dive_lp_solves},
 };
 
 /// Adapts the core's per-layer solve events onto the metrics registry.
@@ -53,10 +47,8 @@ class MetricsObserver final : public core::SolveObserver {
       : layers_solved_(metrics.counter("layers_solved")),
         layer_cache_hits_(metrics.counter("layer_cache_hits")),
         ilp_layers_(metrics.counter("ilp_layers")),
-        milp_parallel_solves_(metrics.counter("milp_parallel_solves")),
         milp_dive_incumbents_(metrics.counter("milp_dive_incumbents")),
-        solve_seconds_(metrics.histogram("layer_solve_seconds")),
-        milp_idle_seconds_(metrics.histogram("milp_worker_idle_seconds")) {
+        solve_seconds_(metrics.histogram("layer_solve_seconds")) {
     for (const SummedCounter& summed : kSummedCounters) {
       summed_.push_back(&metrics.counter(summed.metric));
     }
@@ -71,15 +63,8 @@ class MetricsObserver final : public core::SolveObserver {
     if (event.used_ilp) {
       ilp_layers_.increment();
     }
-    const bool team = event.milp_threads > 1;
     for (std::size_t i = 0; i < summed_.size(); ++i) {
-      if (team || !kSummedCounters[i].team_only) {
-        summed_[i]->add(event.*kSummedCounters[i].field);
-      }
-    }
-    if (team) {
-      milp_parallel_solves_.increment();
-      milp_idle_seconds_.observe(event.milp_idle_seconds);
+      summed_[i]->add(event.*kSummedCounters[i].field);
     }
     if (event.milp_dive_found_incumbent) {
       milp_dive_incumbents_.increment();
@@ -91,10 +76,8 @@ class MetricsObserver final : public core::SolveObserver {
   Counter& layers_solved_;
   Counter& layer_cache_hits_;
   Counter& ilp_layers_;
-  Counter& milp_parallel_solves_;
   Counter& milp_dive_incumbents_;
   Histogram& solve_seconds_;
-  Histogram& milp_idle_seconds_;
   std::vector<Counter*> summed_;  ///< parallel to kSummedCounters
 };
 
@@ -139,16 +122,8 @@ std::string to_string(JobStatus status) {
   return "unknown";
 }
 
-int arbitrated_milp_threads(int requested, int jobs, unsigned hardware_threads) {
-  if (hardware_threads == 0) {
-    hardware_threads = std::thread::hardware_concurrency();
-  }
-  const int budget =
-      std::max(1, static_cast<int>(hardware_threads) / std::max(1, jobs));
-  if (requested <= 0) {
-    return budget;  // auto: the whole per-job share
-  }
-  return std::min(requested, budget);
+int per_job_thread_share(int jobs) {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()) / std::max(1, jobs));
 }
 
 BatchEngine::BatchEngine(BatchOptions options)
@@ -211,11 +186,6 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
     if (options_.cache_capacity > 0) {
       options.layer_cache = &cache_;
     }
-    // Per-solve workers and batch jobs draw from one concurrency budget, so
-    // a fully loaded pool degrades every solve to a single worker instead of
-    // oversubscribing the machine.
-    options.engine.milp.threads =
-        arbitrated_milp_threads(options_.milp_threads, options_.jobs);
     if (options_.deterministic_budgets) {
       // Wall-clock budgets make the layer solver load-dependent, which
       // breaks both the cache and --jobs determinism; fall back to a node
@@ -366,9 +336,9 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
       sim::FleetOptions fleet;
       fleet.runs = job.fleet_runs;
       fleet.seed = job.fleet_seed;
-      // Fleet workers draw from the same per-job concurrency share as the
-      // MILP solves; the reduction is identical either way.
-      fleet.jobs = arbitrated_milp_threads(0, options_.jobs);
+      // Fleet workers get this job's share of the machine; the reduction is
+      // identical for any worker count.
+      fleet.jobs = per_job_thread_share(options_.jobs);
       fleet.runtime.seed = job.simulate_seed;
       if (job.fault_plan.has_value()) {
         fleet.runtime.faults = sim::parse_fault_plan(*job.fault_plan);

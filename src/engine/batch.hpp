@@ -142,14 +142,6 @@ struct BatchOptions {
   /// cache to be sound and for --jobs N determinism; disable only for
   /// latency experiments.
   bool deterministic_budgets = true;
-  /// Worker threads inside each per-layer MILP solve (MilpOptions::threads).
-  /// 0 means auto: share the machine with the batch pool so that
-  /// jobs x milp-threads never exceeds the hardware threads (degrading to 1
-  /// per solve under full batch load). Explicit values are clamped to the
-  /// same budget. The default of 1 keeps the engine's bit-determinism
-  /// guarantee; with more workers per solve, results are still
-  /// objective-identical but incumbent ties may resolve differently.
-  int milp_threads = 1;
   /// Default per-job deadline applied when a job does not set its own.
   double default_deadline_seconds = 0.0;
   /// Debug: verify every cache hit against a fresh solve (see
@@ -174,14 +166,10 @@ struct BatchOptions {
   double stall_seconds = 0.0;
 };
 
-/// Resolves a per-solve MILP worker count against the batch job parallelism
-/// so the two levels draw from one concurrency budget: with B hardware
-/// threads and J jobs, each solve gets at most max(1, B / J) workers.
-/// `requested` 0 means auto (use the whole per-job share); explicit requests
-/// are clamped to the share. Always returns >= 1. `hardware_threads` 0 means
-/// query the machine.
-[[nodiscard]] int arbitrated_milp_threads(int requested, int jobs,
-                                          unsigned hardware_threads = 0);
+/// One batch job's share of the machine: max(1, B / J) threads for B
+/// hardware threads and J concurrent jobs (J < 1 counts as 1). A job's fleet
+/// simulation fans out over this many workers.
+[[nodiscard]] int per_job_thread_share(int jobs);
 
 class BatchEngine {
  public:

@@ -32,118 +32,17 @@ constexpr double kInfeasibleTol = 1e-6;
 
 }  // namespace
 
-/// The immutable half of a revised-simplex instance: sparse structural
-/// columns (CSC), objective, right-hand sides and the model's original
-/// bounds (structural columns first, then one logical per row). Workspaces
-/// cloned off one instance share this read-only, so concurrent
-/// branch-and-bound workers pay for a single copy of the matrix.
-struct SharedCscModel {
-  int n = 0;      ///< structural columns
-  int m = 0;      ///< rows (= logical columns)
-  int total = 0;  ///< n + m
-  std::vector<int> col_start;
-  std::vector<int> row_idx;
-  std::vector<double> val;
-  std::vector<double> cost;        ///< size total (logicals cost 0)
-  std::vector<double> b;           ///< row right-hand sides
-  std::vector<double> base_lower;  ///< size total, includes logical bounds
-  std::vector<double> base_upper;
-};
-
-namespace {
-
-std::shared_ptr<const SharedCscModel> build_csc(const LpModel& model) {
-  auto csc = std::make_shared<SharedCscModel>();
-  const int n = csc->n = model.variable_count();
-  const int m = csc->m = model.constraint_count();
-  const int total = csc->total = n + m;
-  csc->base_lower.resize(static_cast<std::size_t>(total));
-  csc->base_upper.resize(static_cast<std::size_t>(total));
-  csc->cost.assign(static_cast<std::size_t>(total), 0.0);
-  for (Col c = 0; c < n; ++c) {
-    csc->base_lower[static_cast<std::size_t>(c)] = model.lower_bound(c);
-    csc->base_upper[static_cast<std::size_t>(c)] = model.upper_bound(c);
-    csc->cost[static_cast<std::size_t>(c)] = model.objective_coefficient(c);
-  }
-  csc->b.resize(static_cast<std::size_t>(m));
-  for (Row r = 0; r < m; ++r) {
-    csc->b[static_cast<std::size_t>(r)] = model.row_rhs(r);
-    const std::size_t logical = static_cast<std::size_t>(n + r);
-    switch (model.row_sense(r)) {
-      case RowSense::LessEqual:
-        csc->base_lower[logical] = 0.0;
-        csc->base_upper[logical] = kInfinity;
-        break;
-      case RowSense::GreaterEqual:
-        csc->base_lower[logical] = -kInfinity;
-        csc->base_upper[logical] = 0.0;
-        break;
-      case RowSense::Equal:
-        csc->base_lower[logical] = 0.0;
-        csc->base_upper[logical] = 0.0;
-        break;
-    }
-  }
-  // CSC of the structural columns (the model stores rows).
-  std::vector<int> counts(static_cast<std::size_t>(n), 0);
-  for (Row r = 0; r < m; ++r) {
-    for (const auto& [col, coef] : model.row_terms(r)) {
-      if (coef != 0.0) {
-        ++counts[static_cast<std::size_t>(col)];
-      }
-    }
-  }
-  csc->col_start.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Col c = 0; c < n; ++c) {
-    csc->col_start[static_cast<std::size_t>(c) + 1] =
-        csc->col_start[static_cast<std::size_t>(c)] + counts[static_cast<std::size_t>(c)];
-  }
-  csc->row_idx.resize(static_cast<std::size_t>(csc->col_start.back()));
-  csc->val.resize(csc->row_idx.size());
-  std::vector<int> fill(csc->col_start.begin(), csc->col_start.end() - 1);
-  for (Row r = 0; r < m; ++r) {
-    for (const auto& [col, coef] : model.row_terms(r)) {
-      if (coef == 0.0) {
-        continue;
-      }
-      const int slot = fill[static_cast<std::size_t>(col)]++;
-      csc->row_idx[static_cast<std::size_t>(slot)] = r;
-      csc->val[static_cast<std::size_t>(slot)] = coef;
-    }
-  }
-  return csc;
-}
-
-}  // namespace
-
 class RevisedSimplex::Impl {
  public:
-  Impl(std::shared_ptr<const SharedCscModel> shared, const SimplexOptions& options)
-      : shared_(std::move(shared)),
-        col_start_(shared_->col_start),
-        row_idx_(shared_->row_idx),
-        val_(shared_->val),
-        cost_(shared_->cost),
-        b_(shared_->b),
-        n_(shared_->n),
-        m_(shared_->m),
-        total_(shared_->total),
+  Impl(const LpModel& model, const SimplexOptions& options)
+      : n_(model.variable_count()),
+        m_(model.constraint_count()),
+        total_(n_ + m_),
         eps_(options.tolerance),
-        options_(options),
-        refactor_interval_(std::max(4, options.refactor_interval)),
-        lower_(shared_->base_lower),
-        upper_(shared_->base_upper) {
+        refactor_interval_(std::max(4, options.refactor_interval)) {
     max_iterations_ = options.max_iterations > 0 ? options.max_iterations
                                                  : 200 * (m_ + total_) + 10000;
-  }
-
-  Impl(const LpModel& model, const SimplexOptions& options)
-      : Impl(build_csc(model), options) {}
-
-  /// A fresh workspace over the same immutable matrix: original bounds, no
-  /// basis, zeroed stats.
-  [[nodiscard]] std::unique_ptr<Impl> clone_workspace() const {
-    return std::make_unique<Impl>(shared_, options_);
+    build_columns(model);
   }
 
   void set_bounds(Col c, double lower, double upper) {
@@ -187,6 +86,65 @@ class RevisedSimplex::Impl {
   [[nodiscard]] const SolveStats& total_stats() const { return total_stats_; }
 
  private:
+  /// Fills the CSC columns, objective, right-hand sides and the starting
+  /// bounds (the model's, plus the logical bounds each row sense implies).
+  void build_columns(const LpModel& model) {
+    lower_.resize(static_cast<std::size_t>(total_));
+    upper_.resize(static_cast<std::size_t>(total_));
+    cost_.assign(static_cast<std::size_t>(total_), 0.0);
+    for (Col c = 0; c < n_; ++c) {
+      lower_[static_cast<std::size_t>(c)] = model.lower_bound(c);
+      upper_[static_cast<std::size_t>(c)] = model.upper_bound(c);
+      cost_[static_cast<std::size_t>(c)] = model.objective_coefficient(c);
+    }
+    b_.resize(static_cast<std::size_t>(m_));
+    for (Row r = 0; r < m_; ++r) {
+      b_[static_cast<std::size_t>(r)] = model.row_rhs(r);
+      const std::size_t logical = static_cast<std::size_t>(n_ + r);
+      switch (model.row_sense(r)) {
+        case RowSense::LessEqual:
+          lower_[logical] = 0.0;
+          upper_[logical] = kInfinity;
+          break;
+        case RowSense::GreaterEqual:
+          lower_[logical] = -kInfinity;
+          upper_[logical] = 0.0;
+          break;
+        case RowSense::Equal:
+          lower_[logical] = 0.0;
+          upper_[logical] = 0.0;
+          break;
+      }
+    }
+    // CSC of the structural columns (the model stores rows).
+    std::vector<int> counts(static_cast<std::size_t>(n_), 0);
+    for (Row r = 0; r < m_; ++r) {
+      for (const auto& [col, coef] : model.row_terms(r)) {
+        if (coef != 0.0) {
+          ++counts[static_cast<std::size_t>(col)];
+        }
+      }
+    }
+    col_start_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (Col c = 0; c < n_; ++c) {
+      col_start_[static_cast<std::size_t>(c) + 1] =
+          col_start_[static_cast<std::size_t>(c)] + counts[static_cast<std::size_t>(c)];
+    }
+    row_idx_.resize(static_cast<std::size_t>(col_start_.back()));
+    val_.resize(row_idx_.size());
+    std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
+    for (Row r = 0; r < m_; ++r) {
+      for (const auto& [col, coef] : model.row_terms(r)) {
+        if (coef == 0.0) {
+          continue;
+        }
+        const int slot = fill[static_cast<std::size_t>(col)]++;
+        row_idx_[static_cast<std::size_t>(slot)] = r;
+        val_[static_cast<std::size_t>(slot)] = coef;
+      }
+    }
+  }
+
   // --- factorization: dense refactorized inverse + eta file -----------------
 
   struct Eta {
@@ -1013,29 +971,26 @@ class RevisedSimplex::Impl {
 
   // --- data -----------------------------------------------------------------
 
-  // Immutable model view, shared read-only across cloned workspaces.
-  // `shared_` owns it; the references alias into it so the algorithm code
-  // reads the matrix under the same names it always did. Logical column
-  // n_ + r is the implicit unit column of row r.
-  std::shared_ptr<const SharedCscModel> shared_;
-  const std::vector<int>& col_start_;
-  const std::vector<int>& row_idx_;
-  const std::vector<double>& val_;
-  const std::vector<double>& cost_;
-  const std::vector<double>& b_;
+  // The model, fixed at construction: sparse structural columns (CSC),
+  // objective and right-hand sides. Logical column n_ + r is the implicit
+  // unit column of row r.
   const int n_;      ///< structural columns
   const int m_;      ///< rows (= logical columns)
   const int total_;  ///< n_ + m_
+  std::vector<int> col_start_;
+  std::vector<int> row_idx_;
+  std::vector<double> val_;
+  std::vector<double> cost_;  ///< size total_ (logicals cost 0)
+  std::vector<double> b_;     ///< row right-hand sides
   const double eps_;
-  const SimplexOptions options_;  ///< kept so clones inherit the configuration
   const int refactor_interval_;
   int max_iterations_;
 
   /// Dual-solve objective cutoff; +infinity disables (see the public doc).
   double cutoff_ = kInfinity;
 
-  // Mutable per-workspace bounds (branch and bound overrides them between
-  // solves); start as a copy of the shared model's originals.
+  // Current bounds, structural columns first, then one logical per row;
+  // branch and bound overrides the structural ones between solves.
   std::vector<double> lower_;
   std::vector<double> upper_;
 
@@ -1065,10 +1020,6 @@ class RevisedSimplex::Impl {
 
 RevisedSimplex::RevisedSimplex(const LpModel& model, const SimplexOptions& options)
     : impl_(std::make_unique<Impl>(model, options)) {}
-RevisedSimplex::RevisedSimplex(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-RevisedSimplex RevisedSimplex::clone_workspace() const {
-  return RevisedSimplex(impl_->clone_workspace());
-}
 RevisedSimplex::~RevisedSimplex() = default;
 RevisedSimplex::RevisedSimplex(RevisedSimplex&&) noexcept = default;
 RevisedSimplex& RevisedSimplex::operator=(RevisedSimplex&&) noexcept = default;

@@ -55,27 +55,12 @@ struct SolveStats {
 /// A reusable revised-simplex instance. The sparse matrix is built once from
 /// the model; variable bounds may then be mutated between solves (branch and
 /// bound tightens one bound per node) without rebuilding anything else.
-///
-/// Internally an instance is split into an immutable model view (CSC
-/// columns, objective, right-hand sides, original bounds) and mutable
-/// per-instance state (current bounds, basis, factorization, eta file,
-/// scratch). clone_workspace() shares the former and duplicates the latter,
-/// so a parallel branch and bound can hand each worker thread a private
-/// workspace over one copy of the matrix.
 class RevisedSimplex {
  public:
   explicit RevisedSimplex(const LpModel& model, const SimplexOptions& options = {});
   ~RevisedSimplex();
   RevisedSimplex(RevisedSimplex&&) noexcept;
   RevisedSimplex& operator=(RevisedSimplex&&) noexcept;
-
-  /// A fresh solver sharing this instance's immutable matrix read-only. The
-  /// clone starts from the model's original bounds with no basis and empty
-  /// stats; it is safe to solve on a different thread than the original as
-  /// long as neither outlives the other's shared matrix (enforced by a
-  /// shared_ptr spine). Bound overrides applied to this instance are NOT
-  /// inherited.
-  [[nodiscard]] RevisedSimplex clone_workspace() const;
 
   /// Overrides the bounds of a structural variable for subsequent solves.
   /// (The LpModel passed to the constructor is not modified.)
@@ -85,8 +70,8 @@ class RevisedSimplex {
   /// objective — a monotonically nondecreasing lower bound on the LP
   /// optimum — reaches `cutoff` stops immediately with
   /// LpStatus::CutoffReached instead of solving to optimality. Sticky until
-  /// changed; +infinity (the default, restored on clone) disables it. Cold
-  /// primal solves ignore the cutoff.
+  /// changed; +infinity (the default) disables it. Cold primal solves
+  /// ignore the cutoff.
   void set_objective_cutoff(double cutoff);
 
   /// Cold solve: bounded-variable primal simplex, phase 1 from the all-
@@ -110,7 +95,6 @@ class RevisedSimplex {
 
  private:
   class Impl;
-  explicit RevisedSimplex(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
 

@@ -32,8 +32,7 @@ using DeviceMask = std::uint64_t;
 /// columns collapsed to their fixed value). Implementations return a valid
 /// lower bound on the objective of every integral solution inside that box —
 /// +infinity when the box provably contains none — or -infinity when nothing
-/// beyond the LP bound is known. Implementations must be thread-safe: a
-/// parallel search calls them concurrently from every worker.
+/// beyond the LP bound is known.
 class NodeBoundProvider {
  public:
   virtual ~NodeBoundProvider() = default;
@@ -43,8 +42,8 @@ class NodeBoundProvider {
 
 /// Combinatorial bounds for disjunctive device-conflict scheduling MILPs
 /// (the per-layer model of Sec. 4). Built once per model by the code that
-/// owns the model's structure (core::IlpLayerModel), then shared read-only
-/// by all search workers.
+/// owns the model's structure (core::IlpLayerModel), then read by the
+/// search.
 class SchedulingBounds final : public NodeBoundProvider {
  public:
   struct Task {

@@ -30,20 +30,10 @@ enum class MilpStatus {
 [[nodiscard]] std::string to_string(MilpStatus status);
 
 struct MilpOptions {
-  /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited. The
-  /// budget is global across the worker team (enforced with relaxed
-  /// atomics), so every worker count expands the same number of nodes.
+  /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited.
   long max_nodes = 200000;
-  /// Branch-and-bound workers; values < 1 are treated as 1. Every worker
-  /// count runs the same search loop: the calling thread is worker 0 and
-  /// N - 1 threads are spawned beside it, so the default spawns none. The
-  /// workers explore the tree through per-worker node deques with work
-  /// stealing and a shared incumbent; each owns a private LP workspace
-  /// (cloned off one immutable matrix) so child nodes still re-solve warm
-  /// from their parent's basis. Status and optimal objective do not depend
-  /// on N, but when several optima tie, or when a budget truncates the
-  /// search, the incumbent *vector* may differ across worker counts and,
-  /// for N > 1, across runs.
+  /// The search runs on the calling thread alone. Only values <= 1 are
+  /// accepted: solve_milp rejects larger ones with a precondition error.
   int threads = 1;
   /// Wall-clock budget in seconds; <= 0 means unlimited.
   double time_limit_seconds = 30.0;
@@ -66,12 +56,11 @@ struct MilpOptions {
   /// bounds (in ORIGINAL model space) before its LP relaxation; the node
   /// prunes without an LP solve when the combinatorial bound already meets
   /// the incumbent, and otherwise the node bound is the max of the two.
-  /// Shared read-only across all search workers.
   std::shared_ptr<const NodeBoundProvider> bounds;
-  /// Depth-first rounding/fixing dive at the root, before any fan-out: fix
+  /// Depth-first rounding/fixing dive at the root, before any branching: fix
   /// the least-fractional integer column to its nearest value, re-solve warm,
   /// backtrack once per column on infeasibility. A successful dive installs a
-  /// feasible incumbent every worker can prune against from node 1. Dive LP
+  /// feasible incumbent the search prunes against from the root's children on. Dive LP
   /// solves are *not* charged against max_nodes.
   bool dive = true;
   /// Cooperative cancellation: polled between nodes and before every root
@@ -103,15 +92,6 @@ struct MilpStats {
   long milp_cutoff_prunes = 0;   ///< node LPs cut off early by the dual objective cutoff
   long milp_dive_lp_solves = 0;  ///< LP solves spent inside the root dive (not nodes)
   bool milp_dive_found_incumbent = false;  ///< the root dive installed an incumbent
-
-  // Worker-team summary.
-  int milp_threads = 1;             ///< worker team size the solve actually ran with
-  long milp_steals = 0;             ///< nodes taken from another worker's deque
-  long milp_incumbent_updates = 0;  ///< accepted shared-incumbent improvements
-  /// Offers that reached the incumbent lock but lost to a concurrent update
-  /// (a direct measure of incumbent contention between workers).
-  long milp_incumbent_races = 0;
-  double milp_idle_seconds = 0.0;  ///< summed wall time workers waited for work
 };
 
 struct MilpSolution : MilpStats {

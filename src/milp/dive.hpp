@@ -2,14 +2,14 @@
 //
 // The search's worst failure mode on the layer MILPs was fan-out with no
 // incumbent: every near-root node survives the bound test because there is
-// nothing to prune against, and a parallel team burns the whole shared node
-// budget before anything integral is found. The dive fixes that by spending
-// a few warm LP re-solves *before* any fan-out: repeatedly fix the
+// nothing to prune against, and the search burns its whole node budget
+// before anything integral is found. The dive fixes that by spending a few
+// warm LP re-solves *before* any branching: repeatedly fix the
 // least-fractional integer column to its nearest value and re-solve from the
 // previous optimal basis, backtracking once per column (flip to the other
 // neighboring integer) when a fix turns the LP infeasible. A successful dive
-// ends at an integral, LP-feasible point — an incumbent every worker can
-// prune against from node 1. Dive LP solves are charged to
+// ends at an integral, LP-feasible point — an incumbent the search can
+// prune against from the root's children on. Dive LP solves are charged to
 // MilpStats::milp_dive_lp_solves, never to the node budget, and the dive
 // stops early when its owner's budget check (DiveHooks::stop) fires.
 #pragma once

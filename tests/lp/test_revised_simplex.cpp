@@ -238,51 +238,6 @@ TEST(RevisedSimplex, WarmStatsCountBasisReuse) {
   EXPECT_NEAR(warm.objective, -11.0, 1e-9);  // y=3, x=5
 }
 
-TEST(RevisedSimplex, CloneWorkspaceSharesTheMatrixButNotTheState) {
-  LpModel model;
-  const Col x = model.add_variable(0.0, 10.0, -1.0);
-  const Col y = model.add_variable(0.0, 10.0, -2.0);
-  model.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::LessEqual, 8.0);
-  RevisedSimplex original(model);
-  // Bound overrides on the original must NOT leak into the clone: a clone
-  // starts from the model's own bounds with fresh stats and no basis.
-  original.set_bounds(y, 0.0, 3.0);
-  ASSERT_EQ(original.solve().status, LpStatus::Optimal);
-
-  RevisedSimplex clone = original.clone_workspace();
-  EXPECT_EQ(clone.total_stats().cold_solves, 0);
-  EXPECT_TRUE(clone.basis().empty());
-  const LpSolution fresh = clone.solve();
-  ASSERT_EQ(fresh.status, LpStatus::Optimal);
-  EXPECT_NEAR(fresh.objective, -16.0, 1e-9);  // y=8 allowed again: x=0, y=8
-
-  // Mutating the clone afterwards must not disturb the original either.
-  clone.set_bounds(x, 2.0, 2.0);
-  ASSERT_EQ(clone.solve().status, LpStatus::Optimal);
-  const LpSolution again = original.solve();
-  ASSERT_EQ(again.status, LpStatus::Optimal);
-  EXPECT_NEAR(again.objective, -11.0, 1e-9);  // y still capped at 3: x=5, y=3
-}
-
-TEST(RevisedSimplex, ClonesSolveIndependentlyAcrossRandomModels) {
-  // The parallel branch and bound hands every worker a clone; each must
-  // reproduce the dense solver on its own bound trajectory.
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    const LpModel model = make_random_bounded_lp(seed * 104729 + 13);
-    RevisedSimplex original(model);
-    RevisedSimplex clone = original.clone_workspace();
-    const LpSolution a = original.solve();
-    const LpSolution b = clone.solve();
-    const LpSolution reference = oracles::solve_lp_dense(model);
-    ASSERT_EQ(a.status, reference.status) << "seed " << seed;
-    ASSERT_EQ(b.status, reference.status) << "seed " << seed;
-    if (reference.status == LpStatus::Optimal) {
-      EXPECT_NEAR(a.objective, reference.objective, 1e-6) << "seed " << seed;
-      EXPECT_NEAR(b.objective, reference.objective, 1e-6) << "seed " << seed;
-    }
-  }
-}
-
 TEST(RevisedSimplex, WarmStartFromForeignBasisFallsBackSafely) {
   LpModel model;
   model.add_variable(0.0, 4.0, -1.0);

@@ -234,28 +234,6 @@ TEST_P(SchedulingBoundMonotonicity, DeviceAndDeadlineDirectionsAreMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingBoundMonotonicity, ::testing::Range(0, 20));
 
-class SchedulingThreadParity : public ::testing::TestWithParam<int> {};
-
-// With bounds and dive attached, a 4-worker team reports the same status and
-// objective as the sequential search.
-TEST_P(SchedulingThreadParity, FourWorkersMatchSequentialWithBounds) {
-  const auto instance = make_from_seed(static_cast<std::uint64_t>(GetParam()) + 2000);
-  const auto provider = std::make_shared<SchedulingBounds>(instance.config);
-
-  MilpOptions opts;
-  opts.bounds = provider;
-  const auto sequential = solve_milp(instance.model, opts);
-  opts.threads = 4;
-  const auto parallel = solve_milp(instance.model, opts);
-
-  ASSERT_EQ(sequential.status, MilpStatus::Optimal);
-  EXPECT_EQ(parallel.status, sequential.status);
-  EXPECT_NEAR(parallel.objective, sequential.objective, 1e-6);
-  EXPECT_TRUE(instance.model.is_feasible(parallel.values, 1e-5));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingThreadParity, ::testing::Range(0, 15));
-
 // --- wide masks ------------------------------------------------------------
 
 // Device masks are 64-bit: a 40-slot instance must carry allowed-device bits

@@ -6,6 +6,7 @@
 
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "util/check.hpp"
 
 namespace cohls::milp {
 namespace {
@@ -157,6 +158,43 @@ TEST(Milp, NodeLimitReportsFeasibleOrNoSolution) {
   opts.warm_start = start;
   const auto sol = solve_milp(m, opts);
   EXPECT_EQ(sol.status, MilpStatus::Feasible);
+}
+
+/// Identical even weights against an odd capacity keep every relaxation
+/// fractional, so the tree is deep.
+MilpModel make_branchy_knapsack(int items, double capacity) {
+  MilpModel model;
+  std::vector<lp::Term> row;
+  for (int i = 0; i < items; ++i) {
+    row.emplace_back(model.add_binary(-1.0 - 0.01 * i), 2.0);
+  }
+  model.add_constraint(std::move(row), lp::RowSense::LessEqual, capacity);
+  return model;
+}
+
+TEST(Milp, TruncatedSearchExpandsExactlyTheNodeBudget) {
+  MilpOptions opts;
+  opts.time_limit_seconds = 0.0;  // only the node budget ends this search
+  opts.max_nodes = 40;
+  opts.enable_rounding_heuristic = false;  // keep the tree from closing early
+  const auto sol = solve_milp(make_branchy_knapsack(24, 21.0), opts);
+  EXPECT_EQ(sol.milp_nodes, 40);
+  EXPECT_NE(sol.status, MilpStatus::Optimal);
+}
+
+TEST(Milp, ChildNodesReSolveWarmFromTheParentBasis) {
+  MilpOptions opts;
+  opts.time_limit_seconds = 0.0;
+  const auto sol = solve_milp(make_branchy_knapsack(16, 13.0), opts);
+  ASSERT_EQ(sol.status, MilpStatus::Optimal);
+  EXPECT_GT(sol.milp_nodes, 1);
+  EXPECT_GT(sol.lp_warm_solves, 0);
+}
+
+TEST(Milp, MoreThanOneThreadIsRejected) {
+  MilpOptions opts;
+  opts.threads = 4;
+  EXPECT_THROW((void)solve_milp(make_branchy_knapsack(4, 3.0), opts), PreconditionError);
 }
 
 TEST(Milp, BigMDisjunctionPicksASide) {

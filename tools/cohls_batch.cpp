@@ -3,10 +3,6 @@
 //   cohls_batch <manifest> [options]
 //
 //   --jobs N               worker threads (default 1)
-//   --milp-threads N       workers inside each layer MILP solve; 0 = auto,
-//                          sharing the machine with --jobs so that
-//                          jobs x milp-threads never oversubscribes
-//                          (default 1 = sequential, bit-deterministic)
 //   --max-devices N        |D|, the device budget per assay (default 25)
 //   --threshold N          layer threshold t (default 10)
 //   --transport N          initial transport constant, minutes (default 5)
@@ -69,9 +65,10 @@
 //                          diagnostics arrays, instead of the table)
 //
 // The manifest lists one assay file per line ('#' comments allowed);
-// relative paths resolve against the manifest's directory. Exit status is 0
-// when every job succeeded, 1 when any failed, 2 on usage errors, 130 on
-// SIGINT.
+// relative paths resolve against the manifest's directory. Numeric arguments
+// must be whole tokens within range ("12x" or an int overflow is a usage
+// error). Exit status is 0 when every job succeeded, 1 when any failed, 2 on
+// usage errors, 130 on SIGINT.
 //
 // All file outputs (--save-results, --results-json, --metrics-json) are
 // written atomically: content goes to a temp file that is renamed into
@@ -80,13 +77,9 @@
 // results document (interrupted jobs report "cancelled"), and the exit
 // status is 130.
 //
-// Results are bit-identical for any --jobs value at the default
-// --milp-threads 1: the engine replaces wall-clock MILP budgets with node
-// budgets, and the shared layer cache only returns solutions the solver
-// would have produced itself. With --milp-threads != 1 the parallel exact
-// search still returns the same objectives, but incumbent ties can resolve
-// differently, so results are objective-identical rather than
-// bit-identical.
+// Results are bit-identical for any --jobs value: the engine replaces
+// wall-clock MILP budgets with node budgets, and the shared layer cache only
+// returns solutions the solver would have produced itself.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -101,6 +94,8 @@
 #include "diag/diagnostic.hpp"
 #include "engine/batch.hpp"
 #include "util/table.hpp"
+
+#include "cli_number.hpp"
 
 namespace {
 
@@ -136,7 +131,7 @@ void handle_sigint(int) { g_interrupted = 1; }
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <manifest> [--jobs N] [--milp-threads N] [--max-devices N]"
+            << " <manifest> [--jobs N] [--max-devices N]"
                " [--threshold N]"
                " [--transport N] [--conventional] [--deadline S]"
                " [--cache-capacity N] [--cache-shards N] [--no-cache]"
@@ -151,13 +146,6 @@ void handle_sigint(int) { g_interrupted = 1; }
   std::exit(2);
 }
 
-long numeric_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    usage(argv[0]);
-  }
-  return std::stol(argv[++i]);
-}
-
 std::string string_arg(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
     usage(argv[0]);
@@ -165,30 +153,47 @@ std::string string_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+int numeric_arg(int argc, char** argv, int& i) {
+  const std::string token = string_arg(argc, argv, i);
+  const std::optional<int> value = cli::parse_int(token);
+  if (!value.has_value()) {
+    std::cerr << "not an integer: " << token << "\n";
+    usage(argv[0]);
+  }
+  return *value;
+}
+
+double seconds_arg(int argc, char** argv, int& i) {
+  const std::string token = string_arg(argc, argv, i);
+  const std::optional<double> value = cli::parse_double(token);
+  if (!value.has_value()) {
+    std::cerr << "not a number: " << token << "\n";
+    usage(argv[0]);
+  }
+  return *value;
+}
+
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs") {
-      cli.batch.jobs = static_cast<int>(numeric_arg(argc, argv, i));
-    } else if (arg == "--milp-threads") {
-      cli.batch.milp_threads = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.batch.jobs = numeric_arg(argc, argv, i);
     } else if (arg == "--max-devices") {
-      cli.synthesis.max_devices = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.synthesis.max_devices = numeric_arg(argc, argv, i);
     } else if (arg == "--threshold") {
-      cli.synthesis.layering.indeterminate_threshold =
-          static_cast<int>(numeric_arg(argc, argv, i));
+      cli.synthesis.layering.indeterminate_threshold = numeric_arg(argc, argv, i);
     } else if (arg == "--transport") {
       cli.synthesis.initial_transport = Minutes{numeric_arg(argc, argv, i)};
     } else if (arg == "--conventional") {
       cli.conventional = true;
     } else if (arg == "--deadline") {
-      cli.deadline_seconds = std::stod(string_arg(argc, argv, i));
+      cli.deadline_seconds = seconds_arg(argc, argv, i);
     } else if (arg == "--cache-capacity") {
       cli.batch.cache_capacity =
           static_cast<std::size_t>(numeric_arg(argc, argv, i));
     } else if (arg == "--cache-shards") {
-      cli.batch.cache_shards = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.batch.cache_shards = numeric_arg(argc, argv, i);
     } else if (arg == "--stable-json") {
       cli.stable_json = true;
     } else if (arg == "--no-cache") {
@@ -196,17 +201,17 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--verify-cache") {
       cli.batch.verify_cache_hits = true;
     } else if (arg == "--repeat") {
-      cli.repeat = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.repeat = numeric_arg(argc, argv, i);
     } else if (arg == "--retries") {
-      cli.batch.max_retries = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.batch.max_retries = numeric_arg(argc, argv, i);
     } else if (arg == "--stall") {
-      cli.batch.stall_seconds = std::stod(string_arg(argc, argv, i));
+      cli.batch.stall_seconds = seconds_arg(argc, argv, i);
     } else if (arg == "--inject-faults") {
       cli.fault_plan_path = string_arg(argc, argv, i);
     } else if (arg == "--simulate-seed") {
       cli.simulate_seed = static_cast<std::uint64_t>(numeric_arg(argc, argv, i));
     } else if (arg == "--fleet") {
-      cli.fleet_runs = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.fleet_runs = numeric_arg(argc, argv, i);
     } else if (arg == "--hazard") {
       cli.hazard_spec = string_arg(argc, argv, i);
     } else if (arg == "--fleet-seed") {
@@ -214,9 +219,9 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--fleet-recover") {
       cli.fleet_recover = true;
     } else if (arg == "--recover-rounds") {
-      cli.recover_rounds = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.recover_rounds = numeric_arg(argc, argv, i);
     } else if (arg == "--recover-budget") {
-      cli.recover_budget_seconds = std::stod(string_arg(argc, argv, i));
+      cli.recover_budget_seconds = seconds_arg(argc, argv, i);
     } else if (arg == "--save-results") {
       cli.save_results_dir = string_arg(argc, argv, i);
     } else if (arg == "--results-json") {

@@ -23,9 +23,6 @@
 //                          only continuation instead of failing (default 0
 //                          = unbudgeted)
 //   --deadline S           abort the synthesis after S seconds
-//   --milp-threads N       workers inside each layer MILP solve; 0 = auto,
-//                          one per hardware thread (default 1 = one worker,
-//                          the library's bit-deterministic path)
 //   --lint                 run the static linter first; lint errors abort
 //                          before any solver runs (exit 7)
 //   --lint-only            lint and exit (0 clean, 7 findings); never solves
@@ -35,6 +32,9 @@
 //
 // The assay file uses the format of src/io/assay_text.hpp; see
 // examples/protocols/*.assay for samples.
+//
+// Numeric arguments must be whole tokens within range ("12x" or an int
+// overflow is a usage error).
 //
 // Exit codes distinguish failure classes for scripting:
 //   0 success        1 cannot open/write a file   2 usage error
@@ -52,7 +52,6 @@
 #include "baseline/conventional.hpp"
 #include "core/progressive_resynthesis.hpp"
 #include "core/recovery.hpp"
-#include "engine/batch.hpp"
 #include "io/assay_text.hpp"
 #include "io/export.hpp"
 #include "io/result_text.hpp"
@@ -60,6 +59,8 @@
 #include "schedule/validate.hpp"
 #include "sim/runtime.hpp"
 #include "util/cancellation.hpp"
+
+#include "cli_number.hpp"
 
 namespace {
 
@@ -80,9 +81,6 @@ struct CliOptions {
   double recover_budget_seconds = 0.0;
   std::string save_result_path;
   double deadline_seconds = 0.0;
-  /// MilpOptions::threads for the layer solves; 0 = auto (whole machine —
-  /// cohls_synth runs one job, so its budget share is every hardware thread).
-  int milp_threads = 1;
   bool lint = false;
   bool lint_only = false;
   bool warnings_as_errors = false;
@@ -108,16 +106,32 @@ enum ExitCode : int {
                " [--gantt] [--csv] [--dot] [--placement] [--simulate SEED]"
                " [--inject-faults FILE] [--recover-rounds N] [--recover-budget S]"
                " [--save-result FILE] [--deadline S]"
-               " [--milp-threads N]"
                " [--lint] [--lint-only] [--Werror] [--diag-format=text|json]\n";
   std::exit(kExitUsage);
 }
 
-long numeric_arg(int argc, char** argv, int& i) {
+int numeric_arg(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
     usage(argv[0]);
   }
-  return std::stol(argv[++i]);
+  const std::optional<int> value = cli::parse_int(argv[++i]);
+  if (!value.has_value()) {
+    std::cerr << "not an integer: " << argv[i] << "\n";
+    usage(argv[0]);
+  }
+  return *value;
+}
+
+double seconds_arg(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    usage(argv[0]);
+  }
+  const std::optional<double> value = cli::parse_double(argv[++i]);
+  if (!value.has_value()) {
+    std::cerr << "not a number: " << argv[i] << "\n";
+    usage(argv[0]);
+  }
+  return *value;
 }
 
 CliOptions parse_cli(int argc, char** argv) {
@@ -125,10 +139,9 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--max-devices") {
-      cli.synthesis.max_devices = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.synthesis.max_devices = numeric_arg(argc, argv, i);
     } else if (arg == "--threshold") {
-      cli.synthesis.layering.indeterminate_threshold =
-          static_cast<int>(numeric_arg(argc, argv, i));
+      cli.synthesis.layering.indeterminate_threshold = numeric_arg(argc, argv, i);
     } else if (arg == "--transport") {
       cli.synthesis.initial_transport = Minutes{numeric_arg(argc, argv, i)};
     } else if (arg == "--conventional") {
@@ -154,24 +167,16 @@ CliOptions parse_cli(int argc, char** argv) {
       }
       cli.fault_plan_path = argv[++i];
     } else if (arg == "--recover-rounds") {
-      cli.recover_rounds = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.recover_rounds = numeric_arg(argc, argv, i);
     } else if (arg == "--recover-budget") {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-      }
-      cli.recover_budget_seconds = std::stod(argv[++i]);
+      cli.recover_budget_seconds = seconds_arg(argc, argv, i);
     } else if (arg == "--save-result") {
       if (i + 1 >= argc) {
         usage(argv[0]);
       }
       cli.save_result_path = argv[++i];
     } else if (arg == "--deadline") {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-      }
-      cli.deadline_seconds = std::stod(argv[++i]);
-    } else if (arg == "--milp-threads") {
-      cli.milp_threads = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.deadline_seconds = seconds_arg(argc, argv, i);
     } else if (arg == "--lint") {
       cli.lint = true;
     } else if (arg == "--lint-only") {
@@ -252,10 +257,6 @@ int main(int argc, char** argv) {
     if (cli.deadline_seconds > 0.0) {
       synthesis.cancel = deadline_source.token_with_deadline(cli.deadline_seconds);
     }
-    // A single-job run's share of the machine is every hardware thread, so
-    // --milp-threads 0 asks for one worker per hardware thread.
-    synthesis.engine.milp.threads =
-        engine::arbitrated_milp_threads(cli.milp_threads, /*jobs=*/1);
 
     const core::SynthesisReport report =
         cli.conventional ? baseline::synthesize_conventional(assay, synthesis)
