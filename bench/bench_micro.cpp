@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrate algorithms: the
 // revised simplex (cold solve and warm child re-solve), branch-and-bound,
 // the layer-model build and its presolve, max-flow, layering, one
-// list-scheduled layer, and a full synthesis pass.
+// list-scheduled layer, a full synthesis pass, and the flow's bookkeeping
+// (transport refinement and certification of a synthesized result).
 // These track the cost of the pieces the paper's runtime column depends on.
 #include <benchmark/benchmark.h>
 
@@ -13,11 +14,13 @@
 #include "core/ilp_layer_model.hpp"
 #include "core/layering.hpp"
 #include "core/progressive_resynthesis.hpp"
+#include "core/transport_estimator.hpp"
 #include "graph/max_flow.hpp"
 #include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "schedule/validate.hpp"
 #include "support/layer_capture.hpp"
 #include "util/rng.hpp"
 
@@ -197,5 +200,31 @@ void BM_FullSynthesisCase2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSynthesisCase2);
+
+/// One refine_transport call on the synthesized case-2 result: the Sec. 4.1
+/// usage ranking every re-synthesis iteration starts from.
+void BM_RefineTransportCase2(benchmark::State& state) {
+  const model::Assay assay = assays::gene_expression_assay();
+  core::SynthesisOptions options;
+  options.max_devices = 25;
+  const core::SynthesisReport report = core::synthesize(assay, options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::refine_transport(report.result, assay, options.progression,
+                                                    options.initial_transport));
+  }
+}
+BENCHMARK(BM_RefineTransportCase2);
+
+/// One certify_result call on the synthesized case-3 result (120 ops).
+void BM_CertifyCase3(benchmark::State& state) {
+  const model::Assay assay = assays::rt_qpcr_assay();
+  core::SynthesisOptions options;
+  options.max_devices = 25;
+  const core::SynthesisReport report = core::synthesize(assay, options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schedule::certify_result(report.result, assay, report.transport));
+  }
+}
+BENCHMARK(BM_CertifyCase3);
 
 }  // namespace

@@ -77,6 +77,8 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
     result.devices.instantiate(config, LayerId{});
   }
 
+  // The binding and paths of the layers solved so far. They move into each
+  // layer's request and back out after the solve, so no layer copies them.
   std::map<OperationId, DeviceId> prior_binding;
   std::set<schedule::DevicePath> existing_paths;
   std::vector<bool> hint_consumed(known_devices.size(), false);
@@ -86,7 +88,7 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
     schedule::LayerRequest request;
     request.layer = LayerId{li};
     request.ops = plan.layer(li);
-    request.prior_binding = prior_binding;
+    request.prior_binding = std::move(prior_binding);
     for (const model::Device& device : result.devices.devices()) {
       request.usable_devices.push_back(device.id);
     }
@@ -98,7 +100,7 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
             schedule::DeviceHint{known_devices[k].config, static_cast<int>(k)});
       }
     }
-    request.existing_paths = existing_paths;
+    request.existing_paths = std::move(existing_paths);
     for (const OperationId op : request.ops) {
       const auto pin = policy.pinned.find(op);
       if (pin != policy.pinned.end()) {
@@ -112,6 +114,8 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
 
     LayerOutcome outcome =
         solve_with_hooks(request, assay, transport, options, result.devices);
+    prior_binding = std::move(request.prior_binding);
+    existing_paths = std::move(request.existing_paths);
     result.devices = std::move(outcome.inventory);
     for (const int key : outcome.result.consumed_hints) {
       hint_consumed[static_cast<std::size_t>(key)] = true;

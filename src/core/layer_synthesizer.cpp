@@ -1,6 +1,8 @@
 #include "core/layer_synthesizer.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "model/compatibility.hpp"
 
@@ -37,25 +39,36 @@ double layer_score(const schedule::LayerResult& result,
                  model::device_processing(device.config, costs, assay.registry());
   }
 
-  // Newly created inter-device paths.
-  std::set<schedule::DevicePath> paths = request.existing_paths;
-  std::map<OperationId, DeviceId> binding = request.prior_binding;
+  // Newly created inter-device paths. A parent is bound by this layer's
+  // schedule first, by an earlier layer otherwise.
+  std::vector<std::optional<DeviceId>> layer_binding(
+      static_cast<std::size_t>(assay.operation_count()));
   for (const auto& item : result.schedule.items) {
-    binding[item.op] = item.device;
+    COHLS_EXPECT(item.op.valid() && item.op.value() < assay.operation_count(),
+                 "unknown operation id");
+    layer_binding[item.op.index()] = item.device;
   }
-  int new_paths = 0;
+  std::vector<schedule::DevicePath> created;
   for (const auto& item : result.schedule.items) {
     for (const OperationId parent : assay.operation(item.op).parents()) {
-      const auto it = binding.find(parent);
-      if (it == binding.end() || it->second == item.device) {
+      std::optional<DeviceId> parent_device = layer_binding[parent.index()];
+      if (!parent_device) {
+        const auto prior = request.prior_binding.find(parent);
+        if (prior != request.prior_binding.end()) {
+          parent_device = prior->second;
+        }
+      }
+      if (!parent_device || *parent_device == item.device) {
         continue;
       }
-      if (paths.insert(schedule::make_path(it->second, item.device)).second) {
-        ++new_paths;
+      const schedule::DevicePath path = schedule::make_path(*parent_device, item.device);
+      if (request.existing_paths.count(path) == 0 &&
+          std::find(created.begin(), created.end(), path) == created.end()) {
+        created.push_back(path);
       }
     }
   }
-  score += costs.weight_paths() * new_paths;
+  score += costs.weight_paths() * static_cast<int>(created.size());
   return score;
 }
 

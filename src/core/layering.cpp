@@ -1,7 +1,6 @@
 #include "core/layering.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "graph/max_flow.hpp"
 #include "graph/traversal.hpp"
@@ -67,13 +66,14 @@ EvictionCost eviction_cost(const model::Assay& assay,
   // Flow network: node 0 = virtual source o_jv (lives in L_{i-1}); nodes
   // 1..k = cone vertices; node k+1 = op (the sink).
   graph::FlowNetwork net(cone.size() + 2);
-  std::map<OperationId, std::size_t> index;
+  // Network node of each operation, indexed by operation id (0 = none).
+  std::vector<std::size_t> index(static_cast<std::size_t>(assay.operation_count()), 0);
   for (std::size_t i = 0; i < cone.size(); ++i) {
-    index[cone[i]] = i + 1;
+    index[cone[i].index()] = i + 1;
   }
   const std::size_t source = 0;
   const std::size_t sink = cone.size() + 1;
-  index[op] = sink;
+  index[op.index()] = sink;
 
   for (const OperationId o : cone) {
     // Reagents entering the cone from outside the layer (earlier layers or
@@ -89,7 +89,7 @@ EvictionCost eviction_cost(const model::Assay& assay,
       external = 1;
     }
     if (external > 0) {
-      net.add_arc(source, index.at(o), external);
+      net.add_arc(source, index[o.index()], external);
     }
   }
   // Direct external parents of `op` itself.
@@ -111,10 +111,8 @@ EvictionCost eviction_cost(const model::Assay& assay,
   // intermediate).
   for (const OperationId o : cone) {
     for (const auto succ : g.successors(o.index())) {
-      const OperationId child{static_cast<std::int32_t>(succ)};
-      const auto it = index.find(child);
-      if (it != index.end()) {
-        net.add_arc(index.at(o), it->second, 1);
+      if (index[succ] != 0) {
+        net.add_arc(index[o.index()], index[succ], 1);
       }
     }
   }
@@ -124,7 +122,7 @@ EvictionCost eviction_cost(const model::Assay& assay,
   cost.storage = cut.value;
   // Fewest vertices on the sink side: take the sink-closest minimum cut.
   for (const OperationId o : cone) {
-    if (cut.sink_side[index.at(o)]) {
+    if (cut.sink_side[index[o.index()]]) {
       cost.moved.push_back(o);
     }
   }
@@ -171,24 +169,21 @@ class LayeringRun {
     Mask active = remaining;  // the working graph 𝓛
     std::vector<OperationId> chosen_indeterminate;
 
+    std::vector<char> below_indeterminate(active.size());
     while (true) {
       // Indeterminate ops in the working graph with no indeterminate
-      // ancestor in the working graph.
+      // ancestor in the working graph. Ids are topological (parents first),
+      // so one forward sweep marks every op below an active indeterminate
+      // one; ancestry runs through the whole assay, inactive ops included.
       std::vector<OperationId> eligible;
       for (const model::Operation& op : assay_.operations()) {
-        if (!active[op.id().index()] || !op.indeterminate()) {
-          continue;
+        bool below = false;
+        for (const OperationId parent : op.parents()) {
+          below = below || below_indeterminate[parent.index()] != 0 ||
+                  (active[parent.index()] != 0 && assay_.operation(parent).indeterminate());
         }
-        const auto anc = graph::ancestor_mask(g, op.id().index());
-        bool has_ind_ancestor = false;
-        for (const model::Operation& other : assay_.operations()) {
-          if (other.indeterminate() && active[other.id().index()] &&
-              anc[other.id().index()]) {
-            has_ind_ancestor = true;
-            break;
-          }
-        }
-        if (!has_ind_ancestor) {
+        below_indeterminate[op.id().index()] = below ? 1 : 0;
+        if (active[op.id().index()] && op.indeterminate() && !below) {
           eligible.push_back(op.id());
         }
       }

@@ -11,10 +11,10 @@ namespace {
 IterationRecord record_of(const schedule::SynthesisResult& result,
                           const model::Assay& assay, const model::CostModel& costs) {
   IterationRecord record;
+  record.objective = schedule::evaluate_objective(result, assay, costs);
   record.execution_time = result.total_time(assay);
   record.device_count = result.used_device_count();
-  record.path_count = result.path_count(assay);
-  record.objective = schedule::evaluate_objective(result, assay, costs);
+  record.path_count = static_cast<int>(record.objective.path_count);
   return record;
 }
 
@@ -37,18 +37,17 @@ SynthesisReport synthesize_single(const model::Assay& assay,
   SynthesisReport report;
   report.plan = layer_assay(assay, options.layering);
 
-  schedule::TransportPlan transport(options.initial_transport);
+  report.transport = schedule::TransportPlan(options.initial_transport);
   schedule::SynthesisResult current =
-      run_pass(assay, report.plan, transport, options, {}, policy);
+      run_pass(assay, report.plan, report.transport, options, {}, policy);
   report.iterations.push_back(record_of(current, assay, options.costs));
 
   report.result = current;
-  report.transport = transport;
   double best_objective = report.iterations.back().objective.weighted_total;
 
   for (int iteration = 1; iteration <= options.max_resynthesis_iterations; ++iteration) {
     options.cancel.check("progressive re-synthesis");
-    const schedule::TransportPlan refined =
+    schedule::TransportPlan refined =
         options.transport_refinement == TransportRefinement::Layout
             ? layout::transport_from_layout(
                   layout::place_devices(current, assay, options.placement), current,
@@ -69,10 +68,9 @@ SynthesisReport synthesize_single(const model::Assay& assay,
     if (record.objective.weighted_total < best_objective - 1e-9) {
       best_objective = record.objective.weighted_total;
       report.result = next;
-      report.transport = refined;
+      report.transport = std::move(refined);
     }
     current = std::move(next);
-    transport = refined;
 
     if (improvement <= options.resynthesis_improvement_threshold) {
       break;  // "no further significant improvement"
@@ -87,6 +85,9 @@ SynthesisReport synthesize(const model::Assay& assay, const SynthesisOptions& op
                            const PassPolicy& policy) {
   COHLS_EXPECT(options.restarts >= 1, "need at least one synthesis run");
   SynthesisReport best = synthesize_single(assay, options, policy);
+  if (options.restarts == 1) {
+    return best;
+  }
   double best_objective =
       schedule::evaluate_objective(best.result, assay, options.costs).weighted_total;
   for (int restart = 1; restart < options.restarts; ++restart) {

@@ -14,7 +14,8 @@ namespace cohls::core {
 /// Builds the refined plan from the latest binding solution. Edges whose
 /// endpoints were co-located get 0; inter-device edges get the progression
 /// term of their path's usage rank (most-used path -> minimum term). Edges
-/// not bound in `result` keep the fallback constant.
+/// not bound in `result` keep the fallback constant. Throws
+/// PreconditionError when an item's operation lies outside the assay.
 [[nodiscard]] schedule::TransportPlan refine_transport(
     const schedule::SynthesisResult& result, const model::Assay& assay,
     const schedule::TransportProgression& progression, Minutes fallback);

@@ -1,6 +1,8 @@
 #include "io/result_text.hpp"
 
 #include <charconv>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -25,6 +27,17 @@ long field_value(const std::string& token, const std::string& key, int line) {
     fail(line, "malformed number in '" + token + "'");
   }
   return value;
+}
+
+/// field_value for a field stored in 32 bits (ids and the device limit):
+/// values outside int32 are rejected, not narrowed.
+std::int32_t id_field_value(const std::string& token, const std::string& key, int line) {
+  const long value = field_value(token, key, line);
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    fail(line, "value out of range in '" + token + "'");
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 std::vector<std::string> split_words(const std::string& text) {
@@ -109,11 +122,12 @@ schedule::SynthesisResult result_from_text(const std::string& text,
       if (words.size() != 2) {
         fail(line_number, "expected: result max_devices=<n>");
       }
-      const long max_devices = field_value(words[1], "max_devices", line_number);
+      const std::int32_t max_devices =
+          id_field_value(words[1], "max_devices", line_number);
       if (max_devices < 1) {
         fail(line_number, "max_devices must be positive");
       }
-      result.devices = model::DeviceInventory(static_cast<int>(max_devices));
+      result.devices = model::DeviceInventory(max_devices);
       saw_header = true;
     } else if (keyword == "device") {
       if (!saw_header) {
@@ -186,8 +200,7 @@ schedule::SynthesisResult result_from_text(const std::string& text,
             start = sep + 1;
           }
         } else if (token.rfind("created_in=", 0) == 0) {
-          created_in = LayerId{static_cast<std::int32_t>(
-              field_value(token, "created_in", line_number))};
+          created_in = LayerId{id_field_value(token, "created_in", line_number)};
         } else {
           fail(line_number, "unknown device field '" + token + "'");
         }
@@ -227,10 +240,8 @@ schedule::SynthesisResult result_from_text(const std::string& text,
         fail(line_number, "expected: schedule op= device= start= duration= transport=");
       }
       schedule::ScheduledOperation item;
-      item.op = OperationId{static_cast<std::int32_t>(
-          field_value(words[1], "op", line_number))};
-      item.device = DeviceId{static_cast<std::int32_t>(
-          field_value(words[2], "device", line_number))};
+      item.op = OperationId{id_field_value(words[1], "op", line_number)};
+      item.device = DeviceId{id_field_value(words[2], "device", line_number)};
       item.start = Minutes{field_value(words[3], "start", line_number)};
       item.duration = Minutes{field_value(words[4], "duration", line_number)};
       item.transport = Minutes{field_value(words[5], "transport", line_number)};

@@ -1,6 +1,8 @@
 #include "schedule/objective.hpp"
 
-#include <set>
+#include <vector>
+
+#include "util/check.hpp"
 
 namespace cohls::schedule {
 
@@ -10,14 +12,21 @@ ObjectiveBreakdown evaluate_objective(const SynthesisResult& result,
   ObjectiveBreakdown out;
   out.time_minutes = static_cast<double>(result.total_time(assay).fixed().count());
 
-  std::set<DeviceId> used;
+  // Mark used devices, then sum in ascending id order so the totals are
+  // bit-identical whatever order the layers list their items in.
+  std::vector<char> used(static_cast<std::size_t>(result.devices.size()), 0);
   for (const LayerSchedule& layer : result.layers) {
     for (const ScheduledOperation& item : layer.items) {
-      used.insert(item.device);
+      COHLS_EXPECT(item.device.valid() && item.device.value() < result.devices.size(),
+                   "unknown device id");
+      used[item.device.index()] = 1;
     }
   }
-  for (const DeviceId id : used) {
-    const model::Device& device = result.devices.device(id);
+  for (std::size_t id = 0; id < used.size(); ++id) {
+    if (used[id] == 0) {
+      continue;
+    }
+    const model::Device& device = result.devices.devices()[id];
     out.area += model::device_area(device.config, costs);
     out.processing += model::device_processing(device.config, costs, assay.registry());
   }

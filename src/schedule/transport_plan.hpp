@@ -6,7 +6,6 @@
 // transfers always cost zero.
 #pragma once
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -43,8 +42,11 @@ class TransportPlan {
   [[nodiscard]] Minutes uniform_time() const { return uniform_; }
 
  private:
+  using Edge = std::pair<OperationId, OperationId>;
+
   Minutes uniform_;
-  std::map<std::pair<OperationId, OperationId>, Minutes> edges_;
+  /// Refined edges, sorted by (parent, child).
+  std::vector<std::pair<Edge, Minutes>> edges_;
 };
 
 }  // namespace cohls::schedule

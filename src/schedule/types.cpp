@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace cohls::schedule {
 
 Minutes LayerSchedule::makespan() const {
@@ -41,28 +43,64 @@ std::map<OperationId, DeviceId> SynthesisResult::binding() const {
   return map;
 }
 
-std::set<DevicePath> SynthesisResult::paths(const model::Assay& assay) const {
-  const auto bound = binding();
-  std::set<DevicePath> result;
-  for (const auto& [op, device] : bound) {
-    for (const OperationId child : assay.children(op)) {
-      const auto it = bound.find(child);
-      if (it != bound.end() && it->second != device) {
-        result.insert(make_path(device, it->second));
+std::vector<std::optional<DeviceId>> SynthesisResult::dense_binding(
+    const model::Assay& assay) const {
+  std::vector<std::optional<DeviceId>> device_of(
+      static_cast<std::size_t>(assay.operation_count()));
+  for (const LayerSchedule& layer : layers) {
+    for (const ScheduledOperation& item : layer.items) {
+      COHLS_EXPECT(item.op.valid() && item.op.value() < assay.operation_count(),
+                   "unknown operation id");
+      device_of[item.op.index()] = item.device;
+    }
+  }
+  return device_of;
+}
+
+namespace {
+
+/// The distinct paths of `result`, sorted ascending.
+std::vector<DevicePath> sorted_paths(const SynthesisResult& result,
+                                     const model::Assay& assay) {
+  const std::vector<std::optional<DeviceId>> device_of = result.dense_binding(assay);
+  std::vector<DevicePath> paths;
+  for (const model::Operation& op : assay.operations()) {
+    const std::optional<DeviceId> device = device_of[op.id().index()];
+    if (!device) {
+      continue;
+    }
+    for (const OperationId child : assay.children(op.id())) {
+      const std::optional<DeviceId> other = device_of[child.index()];
+      if (other && *other != *device) {
+        paths.push_back(make_path(*device, *other));
       }
     }
   }
-  return result;
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  return paths;
+}
+
+}  // namespace
+
+std::set<DevicePath> SynthesisResult::paths(const model::Assay& assay) const {
+  const std::vector<DevicePath> sorted = sorted_paths(*this, assay);
+  return {sorted.begin(), sorted.end()};
+}
+
+int SynthesisResult::path_count(const model::Assay& assay) const {
+  return static_cast<int>(sorted_paths(*this, assay).size());
 }
 
 int SynthesisResult::used_device_count() const {
-  std::set<DeviceId> used;
+  std::vector<DeviceId> used;
   for (const LayerSchedule& layer : layers) {
     for (const ScheduledOperation& item : layer.items) {
-      used.insert(item.device);
+      used.push_back(item.device);
     }
   }
-  return static_cast<int>(used.size());
+  std::sort(used.begin(), used.end());
+  return static_cast<int>(std::unique(used.begin(), used.end()) - used.begin());
 }
 
 SymbolicDuration SynthesisResult::total_time(const model::Assay& assay) const {

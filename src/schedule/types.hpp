@@ -57,12 +57,16 @@ struct SynthesisResult {
   /// Device executing each operation (union over layers).
   [[nodiscard]] std::map<OperationId, DeviceId> binding() const;
 
+  /// binding() as a flat array indexed by operation id, sized to the assay;
+  /// std::nullopt marks an operation no layer schedules. Throws
+  /// PreconditionError when an item's operation lies outside the assay.
+  [[nodiscard]] std::vector<std::optional<DeviceId>> dense_binding(
+      const model::Assay& assay) const;
+
   /// Distinct inter-device paths implied by parent->child transfers, both
   /// within and across layers (sum_p).
   [[nodiscard]] std::set<DevicePath> paths(const model::Assay& assay) const;
-  [[nodiscard]] int path_count(const model::Assay& assay) const {
-    return static_cast<int>(paths(assay).size());
-  }
+  [[nodiscard]] int path_count(const model::Assay& assay) const;
 
   /// Devices actually used by at least one operation.
   [[nodiscard]] int used_device_count() const;

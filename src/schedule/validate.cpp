@@ -1,7 +1,6 @@
 #include "schedule/validate.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -12,24 +11,20 @@ namespace cohls::schedule {
 namespace {
 
 struct Placement {
-  int layer_index;  // position in result.layers
-  const ScheduledOperation* item;
+  int layer_index = -1;  // position in result.layers
+  const ScheduledOperation* item = nullptr;
 };
 
 /// Occupation end of `item` on its device: completion plus the longest
 /// outgoing transport to a same-layer child on a different device.
 Minutes occupation_end(const ScheduledOperation& item, const model::Assay& assay,
                        const TransportPlan& transport,
-                       const std::map<OperationId, Placement>& placements) {
+                       const std::vector<Placement>& placements) {
   Minutes end = item.end();
-  const auto self = placements.at(item.op);
+  const Placement& self = placements[item.op.index()];
   for (const OperationId child : assay.children(item.op)) {
-    const auto it = placements.find(child);
-    if (it == placements.end()) {
-      continue;
-    }
-    if (it->second.layer_index == self.layer_index &&
-        it->second.item->device != item.device) {
+    const Placement& other = placements[child.index()];
+    if (other.layer_index == self.layer_index && other.item->device != item.device) {
       end = std::max(end, item.end() + transport.edge_time(item.op, child));
     }
   }
@@ -53,7 +48,8 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
   };
 
   // -- coverage: each operation exactly once ------------------------------
-  std::map<OperationId, Placement> placements;
+  // Indexed by operation id; an entry without an item is unscheduled.
+  std::vector<Placement> placements(static_cast<std::size_t>(assay.operation_count()));
   for (int li = 0; li < static_cast<int>(result.layers.size()); ++li) {
     for (const ScheduledOperation& item : result.layers[static_cast<std::size_t>(li)].items) {
       if (!item.op.valid() || item.op.value() >= assay.operation_count()) {
@@ -61,14 +57,17 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
                "schedule references an operation outside the assay");
         continue;
       }
-      if (!placements.emplace(item.op, Placement{li, &item}).second) {
+      Placement& placement = placements[item.op.index()];
+      if (placement.item != nullptr) {
         report(diag::codes::kDuplicateSchedule,
                op_name(item.op) + " is scheduled more than once");
+        continue;
       }
+      placement = Placement{li, &item};
     }
   }
   for (const model::Operation& op : assay.operations()) {
-    if (!placements.count(op.id())) {
+    if (placements[op.id().index()].item == nullptr) {
       report(diag::codes::kMissingOperation,
              op_name(op.id()) + " is missing from the schedule");
     }
@@ -78,9 +77,9 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
   }
 
   // -- per-item checks: start, duration, binding legality ------------------
-  for (const auto& [id, placement] : placements) {
-    const ScheduledOperation& item = *placement.item;
-    const model::Operation& op = assay.operation(id);
+  for (const model::Operation& op : assay.operations()) {
+    const OperationId id = op.id();
+    const ScheduledOperation& item = *placements[id.index()].item;
     if (item.start < Minutes{0}) {
       report(diag::codes::kNegativeStart,
              op_name(id) + " starts before the layer begins");
@@ -106,9 +105,9 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
 
   // -- dependency constraints ----------------------------------------------
   for (const model::Operation& op : assay.operations()) {
-    const Placement child = placements.at(op.id());
+    const Placement& child = placements[op.id().index()];
     for (const OperationId parent_id : op.parents()) {
-      const Placement parent = placements.at(parent_id);
+      const Placement& parent = placements[parent_id.index()];
       if (parent.layer_index > child.layer_index) {
         report(diag::codes::kParentLayerOrder,
                op_name(op.id()) + " is layered before its parent " + op_name(parent_id));
@@ -135,7 +134,12 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
   }
 
   // -- device-conflict prevention ------------------------------------------
+  std::vector<Minutes> occupied_until;
   for (const LayerSchedule& layer : result.layers) {
+    occupied_until.clear();
+    for (const ScheduledOperation& item : layer.items) {
+      occupied_until.push_back(occupation_end(item, assay, transport, placements));
+    }
     for (std::size_t a = 0; a < layer.items.size(); ++a) {
       for (std::size_t b = a + 1; b < layer.items.size(); ++b) {
         const ScheduledOperation& oa = layer.items[a];
@@ -143,9 +147,7 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
         if (oa.device != ob.device) {
           continue;
         }
-        const Minutes end_a = occupation_end(oa, assay, transport, placements);
-        const Minutes end_b = occupation_end(ob, assay, transport, placements);
-        if (oa.start < end_b && ob.start < end_a) {
+        if (oa.start < occupied_until[b] && ob.start < occupied_until[a]) {
           report(diag::codes::kDeviceOverlap,
                  op_name(oa.op) + " and " + op_name(ob.op) +
                      " overlap on device #" + std::to_string(oa.device.value()));
@@ -171,7 +173,7 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
         }
       }
       for (const OperationId child : assay.children(ind->op)) {
-        const Placement child_placement = placements.at(child);
+        const Placement& child_placement = placements[child.index()];
         if (&result.layers[static_cast<std::size_t>(child_placement.layer_index)] == &layer) {
           report(diag::codes::kIndeterminateSameLayerChild,
                  "indeterminate " + op_name(ind->op) + " has same-layer child " +

@@ -146,5 +146,70 @@ TEST(ResultText, ErrorsCarryLineNumbers) {
   }
 }
 
+/// The ParseError message of `text`, or "" when it loads.
+std::string parse_error(const std::string& text, const model::Assay& assay) {
+  try {
+    (void)result_from_text(text, assay);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+model::Assay one_operation_assay() {
+  model::Assay assay{"t"};
+  model::OperationSpec spec;
+  spec.name = "a";
+  spec.duration = 10_min;
+  (void)assay.add_operation(spec);
+  return assay;
+}
+
+// 32-bit fields must be rejected when their value does not fit, not
+// narrowed: 4294967299 would wrap to 3 and 4294967296 to 0.
+TEST(ResultText, RejectsMaxDevicesOutsideInt32) {
+  const model::Assay assay = one_operation_assay();
+  const std::string error = parse_error("\nresult max_devices=4294967299\n", assay);
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+}
+
+TEST(ResultText, RejectsScheduleIdsOutsideInt32) {
+  const model::Assay assay = one_operation_assay();
+  const std::string header =
+      "result max_devices=3\n"
+      "device 0 container=chamber capacity=tiny created_in=0\n"
+      "layer 0\n";
+  for (const char* line :
+       {"schedule op=4294967296 device=4294967296 start=0 duration=10 transport=0\n",
+        "schedule op=4294967296 device=0 start=0 duration=10 transport=0\n",
+        "schedule op=0 device=4294967296 start=0 duration=10 transport=0\n",
+        "schedule op=0 device=-4294967296 start=0 duration=10 transport=0\n"}) {
+    const std::string error = parse_error(header + line, assay);
+    EXPECT_NE(error.find("line 4"), std::string::npos) << line << error;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << line << error;
+  }
+}
+
+TEST(ResultText, RejectsCreatedInOutsideInt32) {
+  const model::Assay assay = one_operation_assay();
+  const std::string error = parse_error(
+      "result max_devices=3\n"
+      "device 0 container=chamber capacity=tiny created_in=4294967296\n",
+      assay);
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+}
+
+TEST(ResultText, AcceptsInt32Extremes) {
+  const model::Assay assay = one_operation_assay();
+  const auto result = result_from_text(
+      "result max_devices=2147483647\n"
+      "device 0 container=chamber capacity=tiny created_in=-2147483648\n",
+      assay);
+  EXPECT_EQ(result.devices.max_devices(), 2147483647);
+  EXPECT_EQ(result.devices.device(DeviceId{0}).created_in.value(), -2147483647 - 1);
+}
+
 }  // namespace
 }  // namespace cohls::io

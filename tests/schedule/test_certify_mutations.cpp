@@ -3,7 +3,9 @@
 // assert that exactly the intended COHLS-Exxx code fires. Each mutation is
 // constructed so its side effects cannot trip neighbouring checks (moves
 // only shrink occupation windows, relocations only touch operations whose
-// neighbours sit on other devices, and so on).
+// neighbours sit on other devices, and so on). Every certification also runs
+// the map-based reference certifier and requires the identical diagnostic
+// sequence, code and message, in order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include "core/progressive_resynthesis.hpp"
 #include "model/compatibility.hpp"
 #include "schedule/validate.hpp"
+#include "support/flow_reference.hpp"
 
 namespace cohls::schedule {
 namespace {
@@ -49,6 +52,20 @@ const Bench& gene_bench() {
     return Bench{std::move(assay), std::move(report)};
   }();
   return bench;
+}
+
+/// certify_result, checked against the reference certifier.
+std::vector<diag::Diagnostic> certify(const SynthesisResult& result, const model::Assay& assay,
+                                      const TransportPlan& transport) {
+  std::vector<diag::Diagnostic> diagnostics = certify_result(result, assay, transport);
+  const std::vector<diag::Diagnostic> reference =
+      oracles::certify_result_reference(result, assay, transport);
+  EXPECT_EQ(diagnostics.size(), reference.size());
+  for (std::size_t i = 0; i < std::min(diagnostics.size(), reference.size()); ++i) {
+    EXPECT_EQ(diagnostics[i].code, reference[i].code) << "diagnostic " << i;
+    EXPECT_EQ(diagnostics[i].message, reference[i].message) << "diagnostic " << i;
+  }
+  return diagnostics;
 }
 
 /// True when the report is non-empty and every diagnostic carries `code`.
@@ -159,13 +176,9 @@ bool relocatable(const SynthesisResult& result, const model::Assay& assay,
 
 TEST(CertifyMutations, SynthesizedSchedulesCertifyClean) {
   const Bench& kinase = kinase_bench();
-  EXPECT_TRUE(certify_result(kinase.report.result, kinase.assay,
-                             kinase.report.transport)
-                  .empty());
+  EXPECT_TRUE(certify(kinase.report.result, kinase.assay, kinase.report.transport).empty());
   const Bench& gene = gene_bench();
-  EXPECT_TRUE(
-      certify_result(gene.report.result, gene.assay, gene.report.transport)
-          .empty());
+  EXPECT_TRUE(certify(gene.report.result, gene.assay, gene.report.transport).empty());
 }
 
 TEST(CertifyMutations, DuplicatedEntryFiresExactlyE202) {
@@ -173,7 +186,7 @@ TEST(CertifyMutations, DuplicatedEntryFiresExactlyE202) {
   SynthesisResult mutated = bench.report.result;
   mutated.layers.back().items.push_back(mutated.layers.front().items.front());
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   EXPECT_TRUE(only_code(diagnostics, diag::codes::kDuplicateSchedule))
       << render(diagnostics);
 }
@@ -183,7 +196,7 @@ TEST(CertifyMutations, DroppedEntryFiresExactlyE203) {
   SynthesisResult mutated = bench.report.result;
   mutated.layers.back().items.pop_back();
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   EXPECT_TRUE(only_code(diagnostics, diag::codes::kMissingOperation))
       << render(diagnostics);
 }
@@ -194,7 +207,7 @@ TEST(CertifyMutations, ForeignOperationIdFiresE201) {
   mutated.layers.front().items.front().op =
       OperationId{bench.assay.operation_count()};
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   // The overwritten operation is also missing now; nothing else may fire.
   bool unknown = false;
   for (const diag::Diagnostic& d : diagnostics) {
@@ -234,7 +247,7 @@ TEST(CertifyMutations, NegativeStartFiresExactlyE204) {
   }
   ASSERT_TRUE(found);
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   EXPECT_TRUE(only_code(diagnostics, diag::codes::kNegativeStart))
       << render(diagnostics);
 }
@@ -260,7 +273,7 @@ TEST(CertifyMutations, ShrunkDurationFiresExactlyE205) {
   }
   ASSERT_TRUE(found);
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   EXPECT_TRUE(only_code(diagnostics, diag::codes::kWrongDuration))
       << render(diagnostics);
 }
@@ -276,7 +289,7 @@ TEST(CertifyMutations, OutOfInventoryDeviceFiresExactlyE206) {
       }
       at(mutated, where).device = DeviceId{mutated.devices.size()};
       const auto diagnostics =
-          certify_result(mutated, bench->assay, bench->report.transport);
+          certify(mutated, bench->assay, bench->report.transport);
       EXPECT_TRUE(only_code(diagnostics, diag::codes::kUnknownDevice))
           << render(diagnostics);
       return;
@@ -304,7 +317,7 @@ TEST(CertifyMutations, RebindingToIncompatibleDeviceFiresExactlyE207) {
       const DeviceId fresh = mutated.devices.instantiate(decoy, LayerId{0});
       at(mutated, where).device = fresh;
       const auto diagnostics =
-          certify_result(mutated, bench->assay, bench->report.transport);
+          certify(mutated, bench->assay, bench->report.transport);
       EXPECT_TRUE(only_code(diagnostics, diag::codes::kIncompatibleBinding))
           << render(diagnostics);
       return;
@@ -319,7 +332,7 @@ TEST(CertifyMutations, SwappedLayersFireExactlyE208) {
   ASSERT_GE(mutated.layers.size(), 2u);
   std::swap(mutated.layers[0], mutated.layers[1]);
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   // One violation per dependency edge crossing the swapped boundary; the
   // certifier skips the start checks of an edge it reports out of order, so
   // nothing else may fire.
@@ -361,7 +374,7 @@ TEST(CertifyMutations, OverlapOnSharedDeviceFiresExactlyE211) {
   }
   ASSERT_TRUE(found) << "no same-device pair admits a parent-safe overlap";
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   EXPECT_TRUE(only_code(diagnostics, diag::codes::kDeviceOverlap))
       << render(diagnostics);
 }
@@ -385,7 +398,7 @@ TEST(CertifyMutations, StartAfterIndeterminateEndFiresExactlyE212) {
   // unsound (constraint 14) and nothing else about it changed.
   captures.front().start = latest + Minutes{1};
   const auto diagnostics =
-      certify_result(mutated, bench.assay, bench.report.transport);
+      certify(mutated, bench.assay, bench.report.transport);
   EXPECT_TRUE(only_code(diagnostics, diag::codes::kStartAfterIndeterminate))
       << render(diagnostics);
 }

@@ -77,5 +77,17 @@ TEST(Objective, SharedDeviceCountedOnce) {
   EXPECT_DOUBLE_EQ(b.path_count, 0.0);
 }
 
+// Device ids index the used-device marks: an id outside the inventory must
+// be a precondition error, never an out-of-bounds access.
+TEST(Objective, RejectsDevicesOutsideTheInventory) {
+  for (const int foreign : {-1, 2, 1 << 30}) {
+    Fixture f;
+    f.result.layers[0].items[1].device = DeviceId{foreign};
+    EXPECT_THROW((void)evaluate_objective(f.result, f.assay, model::CostModel{}),
+                 PreconditionError)
+        << foreign;
+  }
+}
+
 }  // namespace
 }  // namespace cohls::schedule

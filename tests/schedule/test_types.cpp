@@ -78,6 +78,36 @@ TEST(SynthesisResult, SameDeviceEdgesCreateNoPath) {
   EXPECT_EQ(result.path_count(assay), 0);
 }
 
+// Operation ids index the flat binding: an id outside the assay must be a
+// precondition error, never an out-of-bounds access.
+TEST(SynthesisResult, PathsRejectOperationsOutsideTheAssay) {
+  const model::Assay assay = two_layer_assay();
+  for (const int foreign : {-1, 2, 1 << 30}) {
+    SynthesisResult result;
+    result.devices = model::DeviceInventory(2);
+    const model::DeviceConfig ring{model::ContainerKind::Ring, model::Capacity::Small, {}};
+    const auto d0 = result.devices.instantiate(ring, LayerId{0});
+    result.layers.push_back({LayerId{0}, {{OperationId{0}, d0, 0_min, 10_min, 0_min}}});
+    result.layers.push_back({LayerId{1}, {{OperationId{foreign}, d0, 0_min, 20_min, 0_min}}});
+    EXPECT_THROW((void)result.paths(assay), PreconditionError) << foreign;
+    EXPECT_THROW((void)result.path_count(assay), PreconditionError) << foreign;
+    EXPECT_THROW((void)result.dense_binding(assay), PreconditionError) << foreign;
+  }
+}
+
+TEST(SynthesisResult, DenseBindingIndexesByOperationId) {
+  const model::Assay assay = two_layer_assay();
+  SynthesisResult result;
+  result.devices = model::DeviceInventory(2);
+  const model::DeviceConfig ring{model::ContainerKind::Ring, model::Capacity::Small, {}};
+  const auto d0 = result.devices.instantiate(ring, LayerId{0});
+  result.layers.push_back({LayerId{0}, {{OperationId{1}, d0, 0_min, 20_min, 0_min}}});
+  const auto binding = result.dense_binding(assay);
+  ASSERT_EQ(binding.size(), 2u);
+  EXPECT_FALSE(binding[0].has_value());
+  EXPECT_EQ(binding[1], d0);
+}
+
 TEST(SynthesisResult, TotalTimeAddsSymbolPerIndeterminateLayer) {
   const model::Assay assay = two_layer_assay();
   SynthesisResult result;

@@ -87,6 +87,28 @@ TEST(Certify, DetectsOperationOutsideAssay) {
   EXPECT_TRUE(has_code(diagnostics, diag::codes::kUnknownOperation));
 }
 
+// Ids index the certifier's placement array: any id outside the assay or
+// the inventory must be reported, never dereferenced.
+TEST(Certify, ReportsEveryOutOfRangeOperationId) {
+  for (const int foreign : {-1, 3, 1 << 30}) {
+    Fixture f;
+    f.result.layers[0].items[1].op = OperationId{foreign};
+    const auto diagnostics = certify_result(f.result, f.assay, f.transport);
+    EXPECT_TRUE(has_code(diagnostics, diag::codes::kUnknownOperation)) << foreign;
+    EXPECT_TRUE(has_code(diagnostics, diag::codes::kMissingOperation)) << foreign;
+  }
+}
+
+TEST(Certify, ReportsEveryOutOfRangeDeviceId) {
+  for (const int foreign : {-1, 2, 1 << 30}) {
+    Fixture f;
+    f.result.layers[0].items[2].device = DeviceId{foreign};
+    const auto diagnostics = certify_result(f.result, f.assay, f.transport);
+    ASSERT_EQ(diagnostics.size(), 1u) << foreign;
+    EXPECT_EQ(diagnostics[0].code, diag::codes::kUnknownDevice) << foreign;
+  }
+}
+
 TEST(Certify, DetectsWrongDuration) {
   Fixture f;
   f.result.layers[0].items[0].duration = 99_min;

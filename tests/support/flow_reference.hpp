@@ -1,0 +1,48 @@
+// Test-only references for the synthesis flow's bookkeeping: the original
+// std::map / std::set implementations of the result's path set, the
+// objective, the transport refinement, the certifier and Algorithm 1's
+// layering. The library versions index flat arrays by the dense operation
+// ids instead; the differential tests hold them to identical paths,
+// bit-identical objectives, equal edge times, identical diagnostic
+// sequences and identical layer plans.
+#pragma once
+
+#include <set>
+#include <vector>
+
+#include "core/layering.hpp"
+#include "diag/diagnostic.hpp"
+#include "model/assay.hpp"
+#include "model/cost_model.hpp"
+#include "schedule/objective.hpp"
+#include "schedule/transport_plan.hpp"
+#include "schedule/types.hpp"
+
+namespace cohls::oracles {
+
+/// schedule::SynthesisResult::paths over a std::map binding.
+[[nodiscard]] std::set<schedule::DevicePath> paths_reference(
+    const schedule::SynthesisResult& result, const model::Assay& assay);
+
+/// schedule::evaluate_objective with a std::set of used devices.
+[[nodiscard]] schedule::ObjectiveBreakdown evaluate_objective_reference(
+    const schedule::SynthesisResult& result, const model::Assay& assay,
+    const model::CostModel& costs);
+
+/// core::refine_transport with std::map path usage and path times.
+[[nodiscard]] schedule::TransportPlan refine_transport_reference(
+    const schedule::SynthesisResult& result, const model::Assay& assay,
+    const schedule::TransportProgression& progression, Minutes fallback);
+
+/// schedule::certify_result with a std::map of placements and one
+/// occupation-end computation per same-device pair.
+[[nodiscard]] std::vector<diag::Diagnostic> certify_result_reference(
+    const schedule::SynthesisResult& result, const model::Assay& assay,
+    const schedule::TransportPlan& transport);
+
+/// core::layer_assay with one ancestor search per indeterminate operation
+/// in the dependency phase.
+[[nodiscard]] core::LayerPlan layer_assay_reference(const model::Assay& assay,
+                                                    const core::LayeringOptions& options);
+
+}  // namespace cohls::oracles
