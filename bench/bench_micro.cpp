@@ -155,14 +155,12 @@ void BM_Layering(benchmark::State& state) {
 }
 BENCHMARK(BM_Layering)->Arg(10)->Arg(20)->Arg(40);
 
-// One schedule_layer call on the largest layer Algorithm 1 gives for the
-// case-3 assay, on a fresh inventory each iteration: the per-stage cost of
-// the heuristic every paper-protocol layer goes through.
-void BM_ScheduleLayer(benchmark::State& state) {
-  const model::Assay assay = assays::rt_qpcr_assay();
-  core::LayeringOptions layering;
-  layering.indeterminate_threshold = 10;
-  const core::LayerPlan plan = core::layer_assay(assay, layering);
+// One schedule_layer call on the largest layer Algorithm 1 gives for an
+// assay, on a fresh inventory each iteration: the per-stage cost of the
+// heuristic every paper-protocol layer goes through.
+void schedule_largest_layer(benchmark::State& state, const model::Assay& assay) {
+  const core::SynthesisOptions defaults;
+  const core::LayerPlan plan = core::layer_assay(assay, defaults.layering);
   schedule::LayerRequest request;
   for (int li = 0; li < plan.layer_count(); ++li) {
     if (plan.layer(li).size() > request.ops.size()) {
@@ -170,16 +168,26 @@ void BM_ScheduleLayer(benchmark::State& state) {
       request.ops = plan.layer(li);
     }
   }
-  const schedule::TransportPlan transport{Minutes{5}};
-  const model::CostModel costs;
+  const schedule::TransportPlan transport{defaults.initial_transport};
   for (auto _ : state) {
-    model::DeviceInventory inventory(25);
+    model::DeviceInventory inventory(defaults.max_devices);
     benchmark::DoNotOptimize(
-        schedule::schedule_layer(request, assay, transport, costs, inventory));
+        schedule::schedule_layer(request, assay, transport, defaults.costs, inventory));
   }
   state.counters["ops"] = static_cast<double>(request.ops.size());
 }
+
+// Case 3's largest layer.
+void BM_ScheduleLayer(benchmark::State& state) {
+  schedule_largest_layer(state, assays::rt_qpcr_assay());
+}
 BENCHMARK(BM_ScheduleLayer);
+
+// Case 2's largest layer: the input that sets the paper flow's median.
+void BM_ScheduleLayerCase2(benchmark::State& state) {
+  schedule_largest_layer(state, assays::gene_expression_assay());
+}
+BENCHMARK(BM_ScheduleLayerCase2);
 
 void BM_FullSynthesisCase1(benchmark::State& state) {
   const model::Assay assay = assays::kinase_activity_assay();

@@ -81,6 +81,9 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
   // layer's request and back out after the solve, so no layer copies them.
   std::map<OperationId, DeviceId> prior_binding;
   std::set<schedule::DevicePath> existing_paths;
+  // prior_binding as a dense array over operation ids (invalid = unbound),
+  // for the path bookkeeping's per-neighbour lookups.
+  std::vector<DeviceId> bound(static_cast<std::size_t>(assay.operation_count()));
   std::vector<bool> hint_consumed(known_devices.size(), false);
 
   for (int li = 0; li < plan.layer_count(); ++li) {
@@ -122,6 +125,7 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
     }
     for (const auto& item : outcome.result.schedule.items) {
       prior_binding[item.op] = item.device;
+      bound[item.op.index()] = item.device;
     }
     // The paths this layer adds: every dependency edge with an endpoint in
     // the layer whose other endpoint is bound to a different device. Edges
@@ -131,9 +135,9 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
       for (const auto* neighbours : {&assay.operation(item.op).parents(),
                                      &assay.children(item.op)}) {
         for (const OperationId other : *neighbours) {
-          const auto bound = prior_binding.find(other);
-          if (bound != prior_binding.end() && bound->second != item.device) {
-            existing_paths.insert(schedule::make_path(item.device, bound->second));
+          const DeviceId device = bound[other.index()];
+          if (device.valid() && device != item.device) {
+            existing_paths.insert(schedule::make_path(item.device, device));
           }
         }
       }

@@ -1,6 +1,8 @@
 #include "io/assay_source.hpp"
 
 #include <charconv>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -125,6 +127,12 @@ model::Assay AssaySource::build() const {
     model::OperationSpec spec = op.spec;
     spec.parents.reserve(op.parents.size());
     for (const long parent : op.parents) {
+      // Ids are stored in 32 bits: a parent outside that range is rejected,
+      // not narrowed (4294967296 would wrap to operation 0).
+      if (parent < std::numeric_limits<std::int32_t>::min() ||
+          parent > std::numeric_limits<std::int32_t>::max()) {
+        fail(op.line, "parent id out of range: " + std::to_string(parent));
+      }
       spec.parents.push_back(OperationId{static_cast<std::int32_t>(parent)});
     }
     try {

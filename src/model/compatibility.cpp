@@ -4,19 +4,6 @@
 
 namespace cohls::model {
 
-bool is_compatible(const Operation& op, const DeviceConfig& config) {
-  if (!config.valid()) {
-    return false;
-  }
-  if (op.container().has_value() && *op.container() != config.container) {
-    return false;  // constraint (6)
-  }
-  if (op.capacity().has_value() && *op.capacity() != config.capacity) {
-    return false;  // constraint (8)
-  }
-  return op.accessories().is_subset_of(config.accessories);  // constraint (7)
-}
-
 bool requirements_subsume(const Operation& outer, const Operation& inner) {
   if (inner.container().has_value() &&
       (!outer.container().has_value() || *outer.container() != *inner.container())) {
@@ -50,22 +37,39 @@ std::vector<DeviceConfig> admissible_configs(const Operation& op) {
 
 DeviceConfig minimal_config(const Operation& op, const CostModel& costs,
                             const AccessoryRegistry& registry) {
-  const auto configs = admissible_configs(op);
-  if (configs.empty()) {
+  return minimal_config(op, costs, costs.accessory_set_processing(registry, op.accessories()))
+      .config;
+}
+
+PricedConfig minimal_config(const Operation& op, const CostModel& costs,
+                            double accessory_processing) {
+  // admissible_configs' order, without materializing the list.
+  PricedConfig best{DeviceConfig{}, std::numeric_limits<double>::infinity()};
+  bool found = false;
+  for (const ContainerKind kind : {ContainerKind::Ring, ContainerKind::Chamber}) {
+    if (op.container().has_value() && *op.container() != kind) {
+      continue;
+    }
+    for (const Capacity cap : kAllCapacities) {
+      if (!capacity_allowed(kind, cap) ||
+          (op.capacity().has_value() && *op.capacity() != cap)) {
+        continue;
+      }
+      const DeviceConfig config{kind, cap, op.accessories()};
+      const double cost = costs.weight_area() * device_area(config, costs) +
+                          costs.weight_processing() *
+                              (costs.container_processing(kind, cap) + accessory_processing);
+      if (cost < best.cost) {
+        best = PricedConfig{config, cost};
+        found = true;
+      }
+    }
+  }
+  if (!found) {
     throw InfeasibleError("no device configuration can execute operation '" + op.name() +
                           "'");
   }
-  const DeviceConfig* best = nullptr;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const DeviceConfig& config : configs) {
-    const double cost = costs.weight_area() * device_area(config, costs) +
-                        costs.weight_processing() * device_processing(config, costs, registry);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = &config;
-    }
-  }
-  return *best;
+  return best;
 }
 
 OperationSignature signature_of(const Operation& op) {

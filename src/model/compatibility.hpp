@@ -14,7 +14,18 @@
 namespace cohls::model {
 
 /// True when `op` may execute on a device configured as `config`.
-[[nodiscard]] bool is_compatible(const Operation& op, const DeviceConfig& config);
+[[nodiscard]] inline bool is_compatible(const Operation& op, const DeviceConfig& config) {
+  if (!config.valid()) {
+    return false;
+  }
+  if (op.container().has_value() && *op.container() != config.container) {
+    return false;  // constraint (6)
+  }
+  if (op.capacity().has_value() && *op.capacity() != config.capacity) {
+    return false;  // constraint (8)
+  }
+  return op.accessories().is_subset_of(config.accessories);  // constraint (7)
+}
 
 /// True when every requirement of `inner` is implied by the requirements of
 /// `outer` — i.e. any device suitable for `outer` also suits `inner`
@@ -26,11 +37,24 @@ namespace cohls::model {
 /// for). Used by exhaustive checks and the conventional baseline.
 [[nodiscard]] std::vector<DeviceConfig> admissible_configs(const Operation& op);
 
+/// A device configuration with its weighted integration cost:
+/// weight_area * device_area + weight_processing * device_processing.
+struct PricedConfig {
+  DeviceConfig config;
+  double cost = 0.0;
+};
+
 /// The cheapest configuration (by weighted area + processing) that can
-/// execute `op`. Throws InfeasibleError when no configuration fits (e.g. a
-/// chamber is demanded at large capacity).
+/// execute `op`, first in admissible_configs order among equal costs.
+/// Throws InfeasibleError when no configuration fits (e.g. a chamber is
+/// demanded at large capacity).
 [[nodiscard]] DeviceConfig minimal_config(const Operation& op, const CostModel& costs,
                                           const AccessoryRegistry& registry);
+/// minimal_config given the processing sum of `op`'s accessories, which
+/// every admissible configuration shares; also returns the cost. Allocates
+/// nothing and reads no registry.
+[[nodiscard]] PricedConfig minimal_config(const Operation& op, const CostModel& costs,
+                                          double accessory_processing);
 
 /// Exact component-requirement signature used by the *modified conventional*
 /// method of Sec. 5: operations are classified by requirements rather than

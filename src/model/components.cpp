@@ -1,5 +1,6 @@
 #include "model/components.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -21,16 +22,6 @@ std::string_view to_string(Capacity capacity) {
     case Capacity::Large: return "large";
   }
   return "?";
-}
-
-bool capacity_allowed(ContainerKind kind, Capacity capacity) {
-  switch (kind) {
-    case ContainerKind::Ring:
-      return capacity != Capacity::Tiny;
-    case ContainerKind::Chamber:
-      return capacity != Capacity::Large;
-  }
-  return false;
 }
 
 AccessoryRegistry::AccessoryRegistry() {
@@ -121,15 +112,36 @@ double AccessoryRegistry::processing_cost(AccessoryId id) const {
   return costs_[static_cast<std::size_t>(id)];
 }
 
-double AccessoryRegistry::total_processing_cost(AccessorySet set) const {
-  util::ReaderLock lock(mutex_);
+namespace {
+
+/// Sum of costs[id] over the ids in `set`, in ascending id order.
+double sum_costs(const double* costs, std::size_t count, AccessorySet set) {
   double total = 0.0;
   for (std::uint32_t bits = set.bits(); bits != 0; bits &= bits - 1) {
     const auto id = static_cast<std::size_t>(std::countr_zero(bits));
-    COHLS_EXPECT(id < costs_.size(), "unknown accessory id");
-    total += costs_[id];
+    COHLS_EXPECT(id < count, "unknown accessory id");
+    total += costs[id];
   }
   return total;
+}
+
+}  // namespace
+
+double AccessoryRegistry::total_processing_cost(AccessorySet set) const {
+  util::ReaderLock lock(mutex_);
+  return sum_costs(costs_.data(), costs_.size(), set);
+}
+
+AccessoryCostTable AccessoryRegistry::cost_table() const {
+  util::ReaderLock lock(mutex_);
+  AccessoryCostTable table;
+  std::copy(costs_.begin(), costs_.end(), table.costs_.begin());
+  table.count_ = costs_.size();
+  return table;
+}
+
+double AccessoryCostTable::total(AccessorySet set) const {
+  return sum_costs(costs_.data(), count_, set);
 }
 
 AccessoryId AccessoryRegistry::find(std::string_view name) const {

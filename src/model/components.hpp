@@ -42,7 +42,15 @@ constexpr std::array<Capacity, 4> kAllCapacities{Capacity::Tiny, Capacity::Small
 
 /// Constraint (3): a ring's capacity varies among large, medium and small.
 /// Constraint (4): a chamber's capacity varies among medium, small and tiny.
-[[nodiscard]] bool capacity_allowed(ContainerKind kind, Capacity capacity);
+[[nodiscard]] constexpr bool capacity_allowed(ContainerKind kind, Capacity capacity) {
+  switch (kind) {
+    case ContainerKind::Ring:
+      return capacity != Capacity::Tiny;
+    case ContainerKind::Chamber:
+      return capacity != Capacity::Large;
+  }
+  return false;
+}
 
 /// Index of a registered accessory kind within an AccessoryRegistry.
 using AccessoryId = int;
@@ -59,6 +67,7 @@ struct BuiltinAccessory {
 };
 
 class AccessorySet;
+class AccessoryCostTable;
 
 /// Open registry of accessory kinds: name + chip processing cost (the `Pr_z`
 /// constants of constraint (19)). The five built-ins are always present.
@@ -91,6 +100,9 @@ class AccessoryRegistry {
   /// Sum of processing_cost over the ids in `set`, added in ascending id
   /// order under a single lock.
   [[nodiscard]] double total_processing_cost(AccessorySet set) const;
+  /// Copy of every registered kind's processing cost, taken under one lock,
+  /// for loops that price many accessory sets without locking per set.
+  [[nodiscard]] AccessoryCostTable cost_table() const;
 
   /// Looks a kind up by name; returns -1 when unknown.
   [[nodiscard]] AccessoryId find(std::string_view name) const;
@@ -138,6 +150,22 @@ class AccessorySet {
 
  private:
   std::uint32_t bits_ = 0;
+};
+
+/// The processing costs of an AccessoryRegistry's kinds at one instant
+/// (AccessoryRegistry::cost_table). Kinds are never removed and their costs
+/// never change, so the copy stays exact while the registry only grows.
+class AccessoryCostTable {
+ public:
+  /// Same sum, bit for bit, as AccessoryRegistry::total_processing_cost;
+  /// takes no lock.
+  [[nodiscard]] double total(AccessorySet set) const;
+
+ private:
+  friend class AccessoryRegistry;
+
+  std::array<double, AccessoryRegistry::kMaxAccessories> costs_{};
+  std::size_t count_ = 0;
 };
 
 /// Renders "{pump, sieve valve}" for diagnostics.

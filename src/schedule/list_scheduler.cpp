@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <queue>
-#include <tuple>
 #include <utility>
 
 #include "util/check.hpp"
@@ -19,10 +18,23 @@ struct DeviceState {
   Minutes available{0};
   /// Claimed by an indeterminate operation of this layer.
   bool indeterminate = false;
+  /// Equals LayerScheduler::match_round_ while the matching of
+  /// unmatched_indeterminate() holds the device.
+  unsigned matched_round = 0;
+};
+
+/// One parent entry of a layer operation, resolved once per layer: an
+/// in-layer parent by position, an earlier-layer one by its prior device.
+/// Earlier-layer parents without a prior binding impose nothing and get no
+/// entry.
+struct ParentRef {
+  int local = -1;   // position in the layer, -1 for an earlier-layer parent
+  DeviceId prior;   // request.prior_binding of an earlier-layer parent
+  Minutes edge{0};  // transport edge time parent -> operation
 };
 
 /// Per-operation state of the layer, indexed by the operation's position in
-/// the sorted layer (see LayerScheduler::local).
+/// the sorted layer (see LayerScheduler::pos_).
 struct OpState {
   const model::Operation* op = nullptr;
   /// Longest downstream duration chain within the layer (critical-path
@@ -30,10 +42,20 @@ struct OpState {
   Minutes priority{0};
   /// In-layer parents not placed yet (counted once per parent entry).
   int waiting_parents = 0;
+  /// Requirement group: operations with the same container, capacity and
+  /// accessory needs share it (see LayerScheduler::group_open_).
+  int group = 0;
+  /// This operation's entries of LayerScheduler::parents_.
+  int parents_begin = 0;
+  int parents_end = 0;
+  /// request.pinned's device for the operation; invalid when unpinned.
+  DeviceId pin;
   /// Some device of devices_ binds the operation. Devices are only ever
   /// added, so the flag only ever turns on.
   bool bound_somewhere = false;
   bool placed = false;
+  /// Already in run()'s list of indeterminate operations.
+  bool listed = false;
   DeviceId device;  // when placed
   Minutes end{0};   // when placed
 };
@@ -57,13 +79,17 @@ class LayerScheduler {
         costs_(costs),
         inventory_(inventory),
         ops_(request.ops),
-        binds_(request.binds ? request.binds
-                             : [](const model::Operation& op,
-                                  const model::DeviceConfig& config) {
-                                 return model::is_compatible(op, config);
-                               }) {
+        custom_binds_(static_cast<bool>(request.binds)),
+        accessory_costs_(assay.registry().cost_table()) {
     std::sort(ops_.begin(), ops_.end());
     ops_.erase(std::unique(ops_.begin(), ops_.end()), ops_.end());
+    pos_.assign(static_cast<std::size_t>(assay_.operation_count()), -1);
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      pos_[ops_[i].index()] = static_cast<int>(i);
+    }
+    // Every operation may add a device, but ids never reach |D|.
+    devices_.reserve(request.usable_devices.size() +
+                     std::min(ops_.size(), static_cast<std::size_t>(inventory.max_devices())));
     for (const DeviceId id : request.usable_devices) {
       devices_.push_back(DeviceState{id, inventory.device(id).config, Minutes{0}});
     }
@@ -72,14 +98,35 @@ class LayerScheduler {
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       OpState& s = state_[i];
       s.op = &assay_.operation(ops_[i]);
+      s.parents_begin = static_cast<int>(parents_.size());
       for (const OperationId parent : s.op->parents()) {
-        if (local(parent) >= 0) {
+        const int p = local(parent);
+        if (p >= 0) {
           ++s.waiting_parents;
+          parents_.push_back(ParentRef{p, DeviceId{}, transport_.edge_time(parent, ops_[i])});
+          continue;
+        }
+        const auto prior = request_.prior_binding.find(parent);
+        if (prior != request_.prior_binding.end()) {
+          COHLS_EXPECT(prior->second.valid() && prior->second.value() < inventory.size(),
+                       "prior binding references a device outside the inventory");
+          parents_.push_back(
+              ParentRef{-1, prior->second, transport_.edge_time(parent, ops_[i])});
         }
       }
+      s.parents_end = static_cast<int>(parents_.size());
       s.bound_somewhere =
           std::any_of(devices_.begin(), devices_.end(),
-                      [&](const DeviceState& d) { return binds_(*s.op, d.config); });
+                      [&](const DeviceState& d) { return binds(*s.op, d.config); });
+      if (s.op->indeterminate()) {
+        indeterminate_.push_back(static_cast<int>(i));
+      }
+    }
+    for (const auto& [id, device] : request_.pinned) {
+      const int p = id.valid() && id.value() < assay_.operation_count() ? local(id) : -1;
+      if (p >= 0) {
+        state_[static_cast<std::size_t>(p)].pin = device;
+      }
     }
     // Children always carry larger ids than their parents, so a reverse
     // sweep over the sorted layer sees children before parents.
@@ -93,37 +140,38 @@ class LayerScheduler {
       }
       state_[i].priority = best + state_[i].op->duration();
     }
-    walk_mark_.assign(static_cast<std::size_t>(assay_.operation_count()), false);
+    group_requirements();
+    load_paths();
+    walk_mark_.assign(static_cast<std::size_t>(assay_.operation_count()), 0);
   }
 
   LayerResult run() {
     LayerResult result;
     result.schedule.layer = request_.layer;
+    result.schedule.items.reserve(ops_.size());
 
-    std::vector<OperationId> indeterminate;
+    // Request order, each operation once.
+    std::vector<int> indeterminate;
     for (const OperationId id : request_.ops) {
-      if (assay_.operation(id).indeterminate()) {
-        indeterminate.push_back(id);
+      OpState& s = state_[static_cast<std::size_t>(local(id))];
+      if (s.op->indeterminate() && !s.listed) {
+        s.listed = true;
+        indeterminate.push_back(local(id));
       }
     }
 
     place_determinate(result);
-    place_indeterminate(indeterminate, result);
+    place_indeterminate(std::move(indeterminate), result);
     fill_transport_fields(result.schedule);
     return result;
   }
 
  private:
   /// Position of `id` in the sorted layer, or -1 when it is not in the layer.
-  int local(OperationId id) const {
-    const auto it = std::lower_bound(ops_.begin(), ops_.end(), id);
-    return it != ops_.end() && *it == id ? static_cast<int>(it - ops_.begin()) : -1;
-  }
+  int local(OperationId id) const { return pos_[id.index()]; }
 
-  OpState& state(OperationId id) {
-    const int i = local(id);
-    COHLS_ASSERT(i >= 0, "operation is not in the layer");
-    return state_[static_cast<std::size_t>(i)];
+  bool binds(const model::Operation& op, const model::DeviceConfig& config) const {
+    return custom_binds_ ? request_.binds(op, config) : model::is_compatible(op, config);
   }
 
   /// Rounds a start time up to the next slot boundary when fixed-time-slot
@@ -136,34 +184,61 @@ class LayerScheduler {
     return Minutes{(start.count() + slot - 1) / slot * slot};
   }
 
-  // ---- the operation being placed ------------------------------------------
-  /// Loads parent_links_ and parent_devices_ (sorted, distinct) for `id`
-  /// under the current partial binding: placed parents of this layer and
-  /// parents bound by earlier layers.
-  void load_parents(OperationId id) {
-    parent_links_.clear();
-    parent_devices_.clear();
-    for (const OperationId parent : assay_.operation(id).parents()) {
-      const int p = local(parent);
-      if (p >= 0 && state_[static_cast<std::size_t>(p)].placed) {
-        const OpState& placed = state_[static_cast<std::size_t>(p)];
-        parent_links_.push_back(ParentLink{placed.device, placed.end,
-                                           placed.end + transport_.edge_time(parent, id)});
-        parent_devices_.push_back(placed.device);
-        continue;
-      }
-      const auto prior = request_.prior_binding.find(parent);
-      if (prior != request_.prior_binding.end()) {
-        // Reagent inherited across the layer boundary must be moved first
-        // unless the operation stays on its device.
-        parent_links_.push_back(
-            ParentLink{prior->second, Minutes{0}, transport_.edge_time(parent, id)});
-        parent_devices_.push_back(prior->second);
+  // ---- paths ----------------------------------------------------------------
+  /// Loads request_.existing_paths into the bit matrix. Every device the
+  /// layer can see has an id below the inventory size plus one new device
+  /// per operation; paths with a larger id can never be asked about.
+  void load_paths() {
+    path_dim_ = std::min(static_cast<std::size_t>(inventory_.max_devices()),
+                         static_cast<std::size_t>(inventory_.size()) + ops_.size());
+    path_words_ = (path_dim_ + 63) / 64;
+    path_bits_.assign(path_dim_ * path_words_, 0);
+    for (const DevicePath& path : request_.existing_paths) {
+      if (path.first.valid() && path.second.valid() && path.first.index() < path_dim_ &&
+          path.second.index() < path_dim_) {
+        add_path(path.first, path.second);
       }
     }
-    std::sort(parent_devices_.begin(), parent_devices_.end());
-    parent_devices_.erase(std::unique(parent_devices_.begin(), parent_devices_.end()),
-                          parent_devices_.end());
+  }
+
+  bool has_path(DeviceId a, DeviceId b) const {
+    return (path_bits_[a.index() * path_words_ + b.index() / 64] >> (b.index() % 64) & 1) != 0;
+  }
+
+  void add_path(DeviceId a, DeviceId b) {
+    path_bits_[a.index() * path_words_ + b.index() / 64] |= std::uint64_t{1} << (b.index() % 64);
+    path_bits_[b.index() * path_words_ + a.index() / 64] |= std::uint64_t{1} << (a.index() % 64);
+  }
+
+  // ---- the operation being placed ------------------------------------------
+  /// Loads parent_links_ and parent_devices_ (distinct) for the operation at
+  /// `index` under the current partial binding: placed parents of this
+  /// layer and parents bound by earlier layers.
+  void load_parents(int index) {
+    parent_links_.clear();
+    parent_devices_.clear();
+    const OpState& s = state_[static_cast<std::size_t>(index)];
+    for (int r = s.parents_begin; r < s.parents_end; ++r) {
+      const ParentRef& ref = parents_[static_cast<std::size_t>(r)];
+      if (ref.local < 0) {
+        // Reagent inherited across the layer boundary must be moved first
+        // unless the operation stays on its device.
+        add_parent(ParentLink{ref.prior, Minutes{0}, ref.edge});
+        continue;
+      }
+      const OpState& parent = state_[static_cast<std::size_t>(ref.local)];
+      if (parent.placed) {
+        add_parent(ParentLink{parent.device, parent.end, parent.end + ref.edge});
+      }
+    }
+  }
+
+  void add_parent(const ParentLink& link) {
+    parent_links_.push_back(link);
+    if (std::find(parent_devices_.begin(), parent_devices_.end(), link.device) ==
+        parent_devices_.end()) {
+      parent_devices_.push_back(link.device);
+    }
   }
 
   /// Loads descendants_: every descendant of `id`, in this layer or later
@@ -182,7 +257,7 @@ class LayerScheduler {
         if (walk_mark_[child.index()]) {
           continue;
         }
-        walk_mark_[child.index()] = true;
+        walk_mark_[child.index()] = 1;
         frontier.push_back(child);
         const int c = local(child);
         COHLS_ASSERT(c < 0 || !state_[static_cast<std::size_t>(c)].placed,
@@ -191,7 +266,7 @@ class LayerScheduler {
       }
     }
     for (const model::Operation* op : descendants_) {
-      walk_mark_[op->id().index()] = false;
+      walk_mark_[op->id().index()] = 0;
     }
   }
 
@@ -207,11 +282,6 @@ class LayerScheduler {
     return quantize(start);
   }
 
-  bool has_path(const DevicePath& path) const {
-    return request_.existing_paths.count(path) > 0 ||
-           std::find(new_paths_.begin(), new_paths_.end(), path) != new_paths_.end();
-  }
-
   /// Paths the loaded operation adds on a device; a fresh device (invalid
   /// id) needs one per distinct parent device.
   int new_paths_on(DeviceId device) const {
@@ -220,7 +290,7 @@ class LayerScheduler {
     }
     int count = 0;
     for (const DeviceId parent_device : parent_devices_) {
-      if (parent_device != device && !has_path(make_path(parent_device, device))) {
+      if (parent_device != device && !has_path(parent_device, device)) {
         ++count;
       }
     }
@@ -241,58 +311,98 @@ class LayerScheduler {
   }
 
   // ---- capability reservation ---------------------------------------------
+  /// Numbers the distinct requirement signatures (container, capacity,
+  /// accessories) of the layer and opens the groups of the operations the
+  /// reservation counts.
+  void group_requirements() {
+    // (signature, position); a signature packs the accessory bits with
+    // the container and capacity, each offset by one so "any" is zero.
+    std::vector<std::pair<std::uint64_t, int>> keys;
+    keys.reserve(ops_.size());
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const model::Operation& op = *state_[i].op;
+      const std::uint64_t container = op.container() ? 1 + static_cast<int>(*op.container()) : 0;
+      const std::uint64_t capacity = op.capacity() ? 1 + static_cast<int>(*op.capacity()) : 0;
+      keys.emplace_back(container << 40 | capacity << 32 | op.accessories().bits(),
+                        static_cast<int>(i));
+    }
+    std::sort(keys.begin(), keys.end());
+    int groups = 0;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      if (k > 0 && keys[k].first != keys[k - 1].first) {
+        ++groups;
+      }
+      state_[static_cast<std::size_t>(keys[k].second)].group = groups;
+    }
+    group_open_.assign(keys.size(), 0);
+    group_minimal_.resize(keys.size());
+    for (const OpState& s : state_) {
+      if (counted(s) && group_open_[static_cast<std::size_t>(s.group)]++ == 0) {
+        ++open_groups_;
+      }
+    }
+  }
+
+  /// The reservation counts an operation while it is determinate, unplaced
+  /// and bound by no device.
+  static bool counted(const OpState& s) {
+    return !s.placed && !s.bound_somewhere && !s.op->indeterminate();
+  }
+
+  /// Call before `s` stops being counted (it is placed or gets bound).
+  void uncount(const OpState& s) {
+    if (counted(s) && --group_open_[static_cast<std::size_t>(s.group)] == 0) {
+      --open_groups_;
+    }
+  }
+
   /// Conservative count of inventory slots that must stay free for the
   /// *other* unplaced operations of this layer: one per distinct
   /// requirement signature no current device satisfies, plus one per
   /// indeterminate operation that cannot be matched to a distinct existing
   /// device. Spawning a device for parallelism is only allowed when it
   /// leaves at least this many slots.
-  int slots_reserved_for_others(OperationId current) {
-    std::vector<std::tuple<int, int, std::uint32_t>> unsatisfied_groups;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      const OpState& s = state_[i];
-      if (s.placed || s.bound_somewhere || s.op->indeterminate() || ops_[i] == current) {
-        continue;
-      }
-      const model::Operation& op = *s.op;
-      unsatisfied_groups.emplace_back(op.container() ? static_cast<int>(*op.container()) : -1,
-                                      op.capacity() ? static_cast<int>(*op.capacity()) : -1,
-                                      op.accessories().bits());
+  int slots_reserved_for_others(int current) {
+    const OpState& s = state_[static_cast<std::size_t>(current)];
+    int groups = open_groups_;
+    if (counted(s) && group_open_[static_cast<std::size_t>(s.group)] == 1) {
+      --groups;
     }
-    std::sort(unsatisfied_groups.begin(), unsatisfied_groups.end());
-    const auto groups = std::unique(unsatisfied_groups.begin(), unsatisfied_groups.end()) -
-                        unsatisfied_groups.begin();
     // While the determinate operations are placed, the unplaced
     // indeterminate ones and the devices' claims stay fixed, so the
     // matching only changes when a device is added.
-    if (assay_.operation(current).indeterminate()) {
-      return static_cast<int>(groups) + unmatched_indeterminate(current);
+    if (s.op->indeterminate()) {
+      return groups + unmatched_indeterminate(current);
     }
     if (unmatched_indeterminate_ < 0) {
       unmatched_indeterminate_ = unmatched_indeterminate(current);
     }
-    return static_cast<int>(groups) + unmatched_indeterminate_;
+    return groups + unmatched_indeterminate_;
   }
 
   /// Unplaced indeterminate operations other than `current` left without a
   /// device by a greedy matching in id order: each needs its own device,
   /// distinct from those already claimed by other indeterminate operations.
-  int unmatched_indeterminate(OperationId current) const {
-    std::vector<DeviceId> matched;
+  int unmatched_indeterminate(int current) {
+    ++match_round_;
     int unmatched = 0;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      const OpState& s = state_[i];
-      if (s.placed || !s.op->indeterminate() || ops_[i] == current) {
+    for (const int i : indeterminate_) {
+      const OpState& s = state_[static_cast<std::size_t>(i)];
+      if (s.placed || i == current) {
         continue;
       }
       const auto free_match =
           std::find_if(devices_.begin(), devices_.end(), [&](const DeviceState& d) {
-            return !d.indeterminate &&
-                   std::find(matched.begin(), matched.end(), d.id) == matched.end() &&
-                   binds_(*s.op, d.config);
+            return !d.indeterminate && d.matched_round != match_round_ &&
+                   binds(*s.op, d.config);
           });
       if (free_match != devices_.end()) {
-        matched.push_back(free_match->id);
+        // Equal ids share the claim, as duplicated usable devices do.
+        for (DeviceState& d : devices_) {
+          if (d.id == free_match->id) {
+            d.matched_round = match_round_;
+          }
+        }
       } else {
         ++unmatched;
       }
@@ -305,11 +415,10 @@ class LayerScheduler {
   /// container/capacity requirements it can also honor, so one slot can
   /// unblock several requirement groups. Only applies to the
   /// component-oriented rule (custom new_config callers keep exact classes).
-  model::DeviceConfig enrich_config(model::DeviceConfig config,
-                                    OperationId current) const {
+  model::DeviceConfig enrich_config(model::DeviceConfig config, int current) const {
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       const OpState& s = state_[i];
-      if (s.placed || s.bound_somewhere || ops_[i] == current) {
+      if (s.placed || s.bound_somewhere || static_cast<int>(i) == current) {
         continue;
       }
       const model::Operation& op = *s.op;
@@ -342,7 +451,7 @@ class LayerScheduler {
   int hostable_descendants(const model::DeviceConfig& config) const {
     return static_cast<int>(std::count_if(
         descendants_.begin(), descendants_.end(),
-        [&](const model::Operation* descendant) { return binds_(*descendant, config); }));
+        [&](const model::Operation* descendant) { return binds(*descendant, config); }));
   }
 
   double base_score(OperationId id, DeviceId device, const model::DeviceConfig& config,
@@ -351,6 +460,18 @@ class LayerScheduler {
     return costs_.weight_time() * static_cast<double>(completion.count()) +
            costs_.weight_paths() * new_paths_on(device) -
            0.5 * costs_.weight_paths() * hostable_descendants(config);
+  }
+
+  /// model::minimal_config of the operation's requirement group, chosen
+  /// once per group per solve.
+  const model::DeviceConfig& group_minimal(const OpState& s) {
+    std::optional<model::DeviceConfig>& minimal =
+        group_minimal_[static_cast<std::size_t>(s.group)];
+    if (!minimal) {
+      minimal = model::minimal_config(*s.op, costs_, accessory_costs_.total(s.op->accessories()))
+                    .config;
+    }
+    return *minimal;
   }
 
   /// The component-oriented alternative to a minimal device: enrich the
@@ -373,21 +494,22 @@ class LayerScheduler {
     return config;
   }
 
-  std::optional<Choice> best_choice(OperationId id, bool exclude_indeterminate_devices) {
-    const model::Operation& op = assay_.operation(id);
-    load_parents(id);
+  std::optional<Choice> best_choice(int index, bool exclude_indeterminate_devices) {
+    const OpState& s = state_[static_cast<std::size_t>(index)];
+    const model::Operation& op = *s.op;
+    const OperationId id = op.id();
+    load_parents(index);
     load_descendants(id);
     // A pinned operation (recovery: it is physically mid-flight on that
     // device) considers no alternative binding — the pin overrides scoring
     // and the indeterminate-device exclusion alike.
-    const auto pin = request_.pinned.find(id);
-    if (pin != request_.pinned.end()) {
+    if (s.pin.valid()) {
       for (std::size_t i = 0; i < devices_.size(); ++i) {
         const DeviceState& d = devices_[i];
-        if (d.id != pin->second) {
+        if (d.id != s.pin) {
           continue;
         }
-        if (!binds_(op, d.config)) {
+        if (!binds(op, d.config)) {
           throw InfeasibleError("operation '" + op.name() +
                                 "' is pinned to a device that cannot execute it");
         }
@@ -411,7 +533,7 @@ class LayerScheduler {
     bool reusable_exists = false;
     for (std::size_t i = 0; i < devices_.size(); ++i) {
       const DeviceState& d = devices_[i];
-      if (!binds_(op, d.config)) {
+      if (!binds(op, d.config)) {
         continue;
       }
       if (exclude_indeterminate_devices && d.indeterminate) {
@@ -429,7 +551,7 @@ class LayerScheduler {
     // Capability reservation: a fresh device for mere parallelism must not
     // consume a slot that a still-unsatisfied requirement group will need.
     const int slots_left = inventory_.max_devices() - inventory_.size();
-    const bool slots_scarce = slots_left <= slots_reserved_for_others(id);
+    const bool slots_scarce = slots_left <= slots_reserved_for_others(index);
     const bool allow_fresh = request_.allow_new_devices && slots_left > 0 &&
                              (!reusable_exists || !slots_scarce);
 
@@ -442,7 +564,7 @@ class LayerScheduler {
           continue;
         }
         const DeviceHint& hint = request_.hints[h];
-        if (!binds_(op, hint.config)) {
+        if (!binds(op, hint.config)) {
           continue;
         }
         Choice c;
@@ -454,28 +576,11 @@ class LayerScheduler {
         c.score = base_score(id, DeviceId{}, hint.config, c.start);
         offer(c);
       }
-      // Brand-new devices, at full integration cost. The component-oriented
-      // rule offers both a minimal configuration and a pipeline-enriched one
-      // (plus requirement-group enrichment under slot scarcity); custom
-      // new_config callers (the conventional baseline) get exactly their
-      // class configuration.
-      std::vector<model::DeviceConfig> candidates;
-      if (request_.new_config) {
-        candidates.push_back(request_.new_config(op));
-      } else {
-        model::DeviceConfig minimal = model::minimal_config(op, costs_, assay_.registry());
-        if (slots_scarce) {
-          minimal = enrich_config(minimal, id);
-        }
-        candidates.push_back(minimal);
-        const model::DeviceConfig piped = pipeline_config(candidates.front());
-        if (!(piped == candidates.front())) {
-          candidates.push_back(piped);
-        }
-      }
-      for (const model::DeviceConfig& config : candidates) {
-        if (!binds_(op, config)) {
-          continue;
+      // Brand-new devices, at full integration cost (priced from the
+      // per-solve accessory cost table, so no registry lock is taken).
+      const auto offer_new = [&](const model::DeviceConfig& config) {
+        if (!binds(op, config)) {
+          return;
         }
         Choice c;
         c.fresh = true;
@@ -484,8 +589,26 @@ class LayerScheduler {
         c.score = base_score(id, DeviceId{}, config, c.start) +
                   costs_.weight_area() * model::device_area(config, costs_) +
                   costs_.weight_processing() *
-                      model::device_processing(config, costs_, assay_.registry());
+                      (costs_.container_processing(config.container, config.capacity) +
+                       accessory_costs_.total(config.accessories));
         offer(c);
+      };
+      // The component-oriented rule offers a minimal configuration (enriched
+      // for the requirement groups under slot scarcity) and a
+      // pipeline-enriched one; custom new_config callers (the conventional
+      // baseline) get exactly their class configuration.
+      if (request_.new_config) {
+        offer_new(request_.new_config(op));
+      } else {
+        model::DeviceConfig minimal = group_minimal(s);
+        if (slots_scarce) {
+          minimal = enrich_config(minimal, index);
+        }
+        offer_new(minimal);
+        const model::DeviceConfig piped = pipeline_config(minimal);
+        if (!(piped == minimal)) {
+          offer_new(piped);
+        }
       }
     }
     return best;
@@ -500,7 +623,8 @@ class LayerScheduler {
     devices_.push_back(DeviceState{id, choice.fresh_config, Minutes{0}});
     unmatched_indeterminate_ = -1;
     for (OpState& s : state_) {
-      if (!s.placed && !s.bound_somewhere && binds_(*s.op, choice.fresh_config)) {
+      if (!s.placed && !s.bound_somewhere && binds(*s.op, choice.fresh_config)) {
+        uncount(s);
         s.bound_somewhere = true;
       }
     }
@@ -511,25 +635,19 @@ class LayerScheduler {
     return devices_.size() - 1;
   }
 
-  void commit(OperationId id, const Choice& choice, std::size_t device_index,
+  void commit(int index, const Choice& choice, std::size_t device_index,
               LayerResult& result) {
     DeviceState& d = devices_[device_index];
-    const model::Operation& op = assay_.operation(id);
+    OpState& s = state_[static_cast<std::size_t>(index)];
+    const model::Operation& op = *s.op;
     const Minutes end = choice.start + op.duration();
-    d.available = end + outgoing_reserve(id);
-    load_parents(id);
-    OpState& s = state(id);
+    d.available = end + outgoing_reserve(op.id());
+    uncount(s);
     s.placed = true;
     s.device = d.id;
     s.end = end;
-    for (const DeviceId parent_device : parent_devices_) {
-      const DevicePath path = make_path(parent_device, d.id);
-      if (parent_device != d.id && !has_path(path)) {
-        new_paths_.push_back(path);
-      }
-    }
     result.schedule.items.push_back(
-        ScheduledOperation{id, d.id, choice.start, op.duration(), Minutes{0}});
+        ScheduledOperation{op.id(), d.id, choice.start, op.duration(), Minutes{0}});
   }
 
   /// Places the determinate operations in list order: the ready one (all
@@ -537,7 +655,9 @@ class LayerScheduler {
   /// the lowest id among ties.
   void place_determinate(LayerResult& result) {
     // Max-heap on (priority, -position): positions ascend with ids.
-    std::priority_queue<std::pair<Minutes, int>> ready;
+    std::vector<std::pair<Minutes, int>> heap;
+    heap.reserve(ops_.size());
+    std::priority_queue<std::pair<Minutes, int>> ready({}, std::move(heap));
     std::size_t pending = 0;
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       if (state_[i].op->indeterminate()) {
@@ -550,17 +670,25 @@ class LayerScheduler {
     }
     for (; pending > 0; --pending) {
       COHLS_ASSERT(!ready.empty(), "no ready operation: layer dependencies are cyclic");
-      const OperationId pick = ops_[static_cast<std::size_t>(-ready.top().second)];
+      const int pick = -ready.top().second;
       ready.pop();
       const auto choice = best_choice(pick, /*exclude_indeterminate_devices=*/false);
       if (!choice) {
         throw InfeasibleError("no device can execute operation '" +
-                              assay_.operation(pick).name() +
+                              state_[static_cast<std::size_t>(pick)].op->name() +
                               "' and the inventory is exhausted");
       }
-      const std::size_t index = materialize(*choice, result);
-      commit(pick, *choice, index, result);
-      for (const OperationId child : assay_.children(pick)) {
+      const std::size_t device_index = materialize(*choice, result);
+      commit(pick, *choice, device_index, result);
+      // The paths to the parents best_choice loaded. Only later placements
+      // read them, so the indeterminate operations, placed last, add none.
+      const DeviceId device = devices_[device_index].id;
+      for (const DeviceId parent_device : parent_devices_) {
+        if (parent_device != device) {
+          add_path(parent_device, device);
+        }
+      }
+      for (const OperationId child : assay_.children(ops_[static_cast<std::size_t>(pick)])) {
         const int c = local(child);
         if (c < 0) {
           continue;
@@ -573,7 +701,9 @@ class LayerScheduler {
     }
   }
 
-  void place_indeterminate(const std::vector<OperationId>& ops, LayerResult& result) {
+  /// `ops`: positions of the layer's indeterminate operations, in request
+  /// order.
+  void place_indeterminate(std::vector<int> ops, LayerResult& result) {
     if (ops.empty()) {
       return;
     }
@@ -581,32 +711,32 @@ class LayerScheduler {
     // parallel), then align all starts to a common time T so constraint
     // (14) holds pairwise and against every determinate start.
     struct Tentative {
-      OperationId id;
+      int index;
       Choice choice;
       std::size_t device_index;
     };
     std::vector<Tentative> tentative;
+    tentative.reserve(ops.size());
     // Pinned operations claim their devices first, so an unpinned
     // indeterminate operation can never grab a device some pin needs.
-    std::vector<OperationId> ordered = ops;
-    std::stable_partition(ordered.begin(), ordered.end(), [this](OperationId id) {
-      return request_.pinned.count(id) > 0;
+    std::stable_partition(ops.begin(), ops.end(), [this](int index) {
+      return state_[static_cast<std::size_t>(index)].pin.valid();
     });
-    for (const OperationId id : ordered) {
-      const auto choice = best_choice(id, /*exclude_indeterminate_devices=*/true);
+    for (const int index : ops) {
+      const auto choice = best_choice(index, /*exclude_indeterminate_devices=*/true);
       if (!choice) {
-        throw InfeasibleError(
-            "cannot give indeterminate operation '" + assay_.operation(id).name() +
-            "' a dedicated device; increase |D| or lower the layer threshold");
+        throw InfeasibleError("cannot give indeterminate operation '" +
+                              state_[static_cast<std::size_t>(index)].op->name() +
+                              "' a dedicated device; increase |D| or lower the layer threshold");
       }
-      const std::size_t index = materialize(*choice, result);
+      const std::size_t device_index = materialize(*choice, result);
       for (DeviceState& d : devices_) {
-        if (d.id == devices_[index].id) {
+        if (d.id == devices_[device_index].id) {
           d.indeterminate = true;
         }
       }
       unmatched_indeterminate_ = -1;
-      tentative.push_back(Tentative{id, *choice, index});
+      tentative.push_back(Tentative{index, *choice, device_index});
     }
     Minutes common_start{0};
     for (const Tentative& t : tentative) {
@@ -617,7 +747,7 @@ class LayerScheduler {
     }
     for (Tentative& t : tentative) {
       t.choice.start = common_start;
-      commit(t.id, t.choice, t.device_index, result);
+      commit(t.index, t.choice, t.device_index, result);
     }
   }
 
@@ -644,20 +774,38 @@ class LayerScheduler {
   model::DeviceInventory& inventory_;
   /// The layer's operations, ascending; OpState i belongs to ops_[i].
   std::vector<OperationId> ops_;
+  /// Position in ops_ of every assay operation, -1 outside the layer.
+  std::vector<int> pos_;
   std::vector<OpState> state_;
-  std::function<bool(const model::Operation&, const model::DeviceConfig&)> binds_;
+  /// Parent entries of all layer operations (OpState::parents_begin/end).
+  std::vector<ParentRef> parents_;
+  /// Positions of the indeterminate operations, ascending.
+  std::vector<int> indeterminate_;
+  /// request_.binds is set; otherwise binding is model::is_compatible.
+  bool custom_binds_;
+  model::AccessoryCostTable accessory_costs_;
   std::vector<DeviceState> devices_;
   std::vector<bool> hint_consumed_;
+  /// Counted operations (see counted()) per requirement group, and the
+  /// number of groups with any.
+  std::vector<int> group_open_;
+  int open_groups_ = 0;
+  /// group_minimal() per requirement group, once asked for.
+  std::vector<std::optional<model::DeviceConfig>> group_minimal_;
   /// unmatched_indeterminate() for a determinate caller; -1 = recompute.
   int unmatched_indeterminate_ = -1;
-  /// Paths this layer created (request_.existing_paths holds the rest).
-  std::vector<DevicePath> new_paths_;
+  unsigned match_round_ = 0;
+  /// Paths, request_.existing_paths plus this layer's: a symmetric bit
+  /// matrix of path_dim_ rows of path_words_ words over device ids.
+  std::size_t path_dim_ = 0;
+  std::size_t path_words_ = 0;
+  std::vector<std::uint64_t> path_bits_;
   // The operation being placed (load_parents / load_descendants).
   std::vector<ParentLink> parent_links_;
   std::vector<DeviceId> parent_devices_;
   std::vector<const model::Operation*> descendants_;
   std::vector<OperationId> walk_frontier_;
-  std::vector<bool> walk_mark_;
+  std::vector<std::uint8_t> walk_mark_;
 };
 
 }  // namespace

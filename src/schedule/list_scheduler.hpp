@@ -31,7 +31,8 @@ struct DeviceHint {
 /// Everything the scheduler needs to place one layer's operations.
 struct LayerRequest {
   LayerId layer;
-  /// Operations allocated to this layer.
+  /// Operations allocated to this layer. One listed more than once is
+  /// placed once; indeterminate ones are placed in first-listed order.
   std::vector<OperationId> ops;
   /// Binding of operations in earlier layers (for transport and paths).
   std::map<OperationId, DeviceId> prior_binding;

@@ -119,6 +119,22 @@ operation 1 "y" duration=5
                ParseError);
 }
 
+// Parent ids are stored in 32 bits: 4294967296 must be rejected at its
+// line, not narrowed to operation 0 (the linter reports E102 for it).
+TEST(AssayText, RejectsParentIdsOutsideInt32) {
+  for (const char* parent : {"4294967296", "-4294967296", "2147483648"}) {
+    try {
+      (void)assay_from_text(std::string("assay \"a\"\noperation 0 \"x\" duration=5\n"
+                                        "operation 1 \"y\" duration=5 parents=") +
+                            parent + "\n");
+      FAIL() << parent;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << parent;
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(AssayText, RejectsMalformedNumbers) {
   EXPECT_THROW((void)assay_from_text(R"(
 assay "a"

@@ -138,6 +138,39 @@ TEST(ListScheduler, IndeterminateOpsGetDistinctDevicesAndEndTheLayer) {
   EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
 }
 
+// A request listing operations more than once places each once, in the
+// order of first occurrence: duplicates change nothing.
+TEST(ListScheduler, DuplicatedOperationsArePlacedOnce) {
+  model::Assay assay{"t"};
+  const auto det = add_op(assay, "det", 20_min);
+  const auto i1 = add_op(assay, "i1", 5_min, {}, {}, true);
+  const auto i2 = add_op(assay, "i2", 5_min, {}, {BuiltinAccessory::kPump}, true);
+  const TransportPlan transport{1_min};
+  const model::CostModel costs;
+  const auto schedule = [&](std::vector<OperationId> ops) {
+    model::DeviceInventory inventory(5);
+    LayerRequest request;
+    request.layer = LayerId{0};
+    request.ops = std::move(ops);
+    LayerResult result = schedule_layer(request, assay, transport, costs, inventory);
+    EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
+    return std::pair{std::move(result.schedule), inventory.size()};
+  };
+  const auto [once, devices] = schedule({i2, det, i1});
+  ASSERT_EQ(once.items.size(), 3u);
+  for (const auto& ops : std::vector<std::vector<OperationId>>{
+           {i2, det, i1, i1}, {i2, i2, det, i1, det}, {i2, det, i1, i2, i1}}) {
+    const auto [twice, twice_devices] = schedule(ops);
+    ASSERT_EQ(twice.items.size(), once.items.size());
+    for (std::size_t k = 0; k < once.items.size(); ++k) {
+      EXPECT_EQ(twice.items[k].op, once.items[k].op);
+      EXPECT_EQ(twice.items[k].device, once.items[k].device);
+      EXPECT_EQ(twice.items[k].start, once.items[k].start);
+    }
+    EXPECT_EQ(twice_devices, devices);
+  }
+}
+
 TEST(ListScheduler, ThrowsWhenInventoryCannotFit) {
   model::Assay assay{"t"};
   // Two ops with disjoint hard requirements but room for only one device.
@@ -182,6 +215,28 @@ TEST(ListScheduler, CapabilityReservationKeepsSlotsForPickyOps) {
   costs.set_weights(10.0, 0.1, 0.1, 0.1);  // tempt it to parallelize
   const auto result = schedule_layer(request, assay, transport, costs, inventory);
   EXPECT_LE(inventory.size(), 2);
+  EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
+}
+
+// The reservation holds slots for the *other* unsatisfied requirement
+// groups: the operation being placed does not reserve a slot for itself.
+// With two slots and two groups, the first device is not scarce, so it is
+// not enriched with the other group's accessory.
+TEST(ListScheduler, CapabilityReservationExcludesTheOperationBeingPlaced) {
+  model::Assay assay{"t"};
+  const auto pumped = add_op(assay, "pumped", 20_min, {}, {BuiltinAccessory::kPump});
+  const auto heated = add_op(assay, "heated", 10_min, {}, {BuiltinAccessory::kHeatingPad});
+  model::DeviceInventory inventory(2);
+  LayerRequest request;
+  request.layer = LayerId{0};
+  request.ops = {pumped, heated};
+  const TransportPlan transport{1_min};
+  const model::CostModel costs;
+  const auto result = schedule_layer(request, assay, transport, costs, inventory);
+  const auto* item = result.schedule.find(pumped);
+  ASSERT_NE(item, nullptr);
+  EXPECT_EQ(inventory.device(item->device).config.accessories,
+            model::AccessorySet{BuiltinAccessory::kPump});
   EXPECT_TRUE(certify_result(wrap(assay, result, inventory), assay, transport).empty());
 }
 
@@ -253,6 +308,23 @@ TEST(ListScheduler, CrossLayerParentChargesIncomingTransport) {
   } else {
     EXPECT_GE(item.start, 4_min);  // moved: wait for the transfer
   }
+}
+
+// Earlier layers bind their operations to devices of the inventory the
+// layer extends; a prior device outside it is an inconsistent request.
+TEST(ListScheduler, RejectsPriorBindingOutsideTheInventory) {
+  model::Assay assay{"t"};
+  const auto parent = add_op(assay, "p", 10_min);
+  const auto child = add_op(assay, "c", 10_min, {parent});
+  model::DeviceInventory inventory(3);
+  LayerRequest request;
+  request.layer = LayerId{1};
+  request.ops = {child};
+  request.prior_binding = {{parent, DeviceId{2}}};
+  const TransportPlan transport{4_min};
+  const model::CostModel costs;
+  EXPECT_THROW((void)schedule_layer(request, assay, transport, costs, inventory),
+               PreconditionError);
 }
 
 TEST(ListScheduler, SlotQuantizationRoundsStartsUp) {
