@@ -34,13 +34,15 @@ enum class TransportRefinement {
 struct EngineOptions {
   bool enable_ilp = true;
   /// Exact MILP only for layers with at most this many operations...
-  /// The defaults are sized to the 2 s layer budget, measured on random
-  /// layer models with the revised simplex: at 8 ops / 7 devices it
-  /// explores ~28 B&B nodes within budget (p95 wall 2.9 s — the deadline
-  /// plus one node re-solve), more node-work than the dense tableau
-  /// managed at the previous 7/6 gate (5 nodes, p95 2.5 s). One device
-  /// more (8/8) was measured overshooting the budget up to 9x on single
-  /// node solves, so the device gate stays at 7.
+  /// The gate bounds the model a layer solve builds; the pivot budget of
+  /// `milp` bounds the work spent on it. Measured in those units on random
+  /// 16-op assays (t = 3, |D| = 10): at 8 ops / 7 devices a layer solve
+  /// spends a median 5.8k pivots and p95 6.9k (the budget plus the one LP
+  /// solve it may run past it) in ~80 nodes, at 300 us per pivot (p95
+  /// 740 us, 4-core Xeon, Release) — under 6 s per layer. A pivot costs
+  /// more as the model grows (the basis inverse is dense): with all 7
+  /// devices offered as free slots instead of 3, it costs 2.3 ms and the
+  /// root LP alone outruns the budget.
   int ilp_max_ops = 8;
   /// ...and at most this many devices visible to the layer model
   /// (inherited + new slots).
@@ -49,13 +51,17 @@ struct EngineOptions {
   int ilp_new_slots = 3;
   /// Budget per layer solve. The MILP runs once per layer per re-synthesis
   /// iteration with the heuristic result as a safety net, so the default
-  /// budget is deliberately small; raise it to chase exactness.
+  /// budget is deliberately small; raise it to chase exactness. The default
+  /// counts work (nodes and simplex pivots), not wall time, so a layer keeps
+  /// the same result on every host and under any load. 6000 pivots is what
+  /// the former 2 s wall budget reached on the kinase |D| = 10 fixture on an
+  /// idle host (EXPERIMENTS.md).
   milp::MilpOptions milp = default_layer_milp_options();
 
   [[nodiscard]] static milp::MilpOptions default_layer_milp_options() {
     milp::MilpOptions options;
     options.max_nodes = 20000;
-    options.time_limit_seconds = 2.0;
+    options.max_pivots = 6000;
     return options;
   }
 };

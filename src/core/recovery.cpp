@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/degrade.hpp"
 #include "model/compatibility.hpp"
 #include "schedule/validate.hpp"
 #include "util/check.hpp"
@@ -299,7 +300,6 @@ MissionOutcome run_mission(const model::Assay& assay,
   std::set<OperationId> consumed_exhausts;  // root ids of exhaustions absorbed
   Minutes clock_offset{0};
   RecoveryCarry carry;
-  const CancellationToken caller = mission.synthesis.cancel;
 
   // Mirrors the fleet's sampling-horizon rule: scripted degradations or
   // transport delays make the realized end unbounded, so hazard clipping is
@@ -320,9 +320,7 @@ MissionOutcome run_mission(const model::Assay& assay,
   int next_layer = 0;
 
   for (;;) {
-    if (caller.stop_requested()) {
-      throw CancelledError{"recovery mission cancelled"};
-    }
+    mission.synthesis.cancel.check("recovery mission");
     const sim::CompiledSchedule compiled =
         sim::compile_schedule(current_result, current_assay);
 
@@ -518,27 +516,15 @@ MissionOutcome run_mission(const model::Assay& assay,
       return outcome;
     }
 
-    // Recover a certified continuation under the round budget. A deadline
-    // expiry without an explicit stop degrades to the heuristic-only ladder
-    // (ILP off, deadline stripped) instead of cancelling the mission.
-    SynthesisOptions round_options = mission.synthesis;
-    round_options.cancel = caller.with_earlier_deadline(mission.round_budget_seconds);
-    RecoveryOutcome rec;
-    try {
-      rec = recover(current_assay, current_result, trace, round_options, carry,
-                    also_failed);
-    } catch (const CancelledError&) {
-      if (!mission.degrade_on_deadline || caller.stop_requested()) {
-        throw;
-      }
-      SynthesisOptions degraded_options = mission.synthesis;
-      degraded_options.engine.enable_ilp = false;
-      degraded_options.cancel = caller.without_deadline();
-      rec = recover(current_assay, current_result, trace, degraded_options, carry,
-                    also_failed);
-      entry.degraded = true;
-      outcome.degraded = true;
-    }
+    // Recover a certified continuation under the round budget. A round that
+    // outlives it re-runs heuristic-only and is flagged degraded; the
+    // caller's own token cancels the mission.
+    RecoveryOutcome rec = run_or_degrade(
+        mission.synthesis, mission.round_budget_seconds, entry.degraded,
+        [&](const SynthesisOptions& step) {
+          return recover(current_assay, current_result, trace, step, carry, also_failed);
+        });
+    outcome.degraded = outcome.degraded || entry.degraded;
     entry.recovered = rec.recovered;
     entry.pinned_ops = static_cast<int>(rec.residual.pinned.size());
 

@@ -112,23 +112,20 @@ struct RecoveryOutcome {
 
 struct MissionOptions {
   /// Synthesis configuration for every recovery round. `synthesis.cancel`
-  /// is the caller's (job) token: an explicit stop always propagates as
-  /// CancelledError; a *deadline* expiry can instead degrade (below).
+  /// is the caller's (job) token: an explicit stop or its deadline always
+  /// propagates as CancelledError.
   SynthesisOptions synthesis{};
   /// Recovery rounds allowed before the mission freezes with E305 — i.e.
   /// the number of faults the mission may survive. 1 reproduces the
   /// single-fault behaviour of recover().
   int max_rounds = 3;
-  /// Per-round wall budget in seconds (0 = none), applied on top of the
-  /// caller token via CancellationToken::with_earlier_deadline. All mission
-  /// timing flows through this deadline plumbing; the loop itself never
-  /// reads a clock, keeping stitched outputs byte-deterministic.
+  /// Per-round wall budget in seconds (0 = none), laid over the caller
+  /// token by core::run_or_degrade: a round that outlives it re-runs
+  /// heuristic-only (ILP off) and marks the mission `degraded` instead of
+  /// failing it. All mission timing flows through this deadline plumbing;
+  /// the loop itself never reads a clock, keeping stitched outputs
+  /// byte-deterministic.
   double round_budget_seconds = 0.0;
-  /// When a round's re-synthesis blows its deadline (round budget or the
-  /// caller's own) without an explicit stop, retry the round heuristic-only
-  /// (ILP off, deadline stripped) and mark the mission `degraded` instead
-  /// of failing the job.
-  bool degrade_on_deadline = true;
   /// Optional hazard model re-sampled each round against the ROOT inventory
   /// with the same (seed, run) counter streams — identical draws, extended
   /// horizon `clock_offset + continuation worst_case_end` — so continuation
@@ -145,7 +142,7 @@ struct MissionRound {
   DeviceId failed_device;  ///< root id; invalid for attempt exhaustion
   int pinned_ops = 0;      ///< in-flight ops carried into the continuation
   Minutes credit{0};       ///< elapsed-time credit granted this round
-  bool degraded = false;   ///< heuristic-only ladder used
+  bool degraded = false;   ///< outlived the round budget; re-run heuristic-only
   bool recovered = false;  ///< the round produced a certified continuation
 };
 
@@ -155,7 +152,7 @@ struct MissionOutcome {
   /// recovery round along the way was certified ("recovered after k
   /// faults", k = rounds).
   bool recovered = false;
-  bool degraded = false;  ///< any round used the heuristic-only ladder
+  bool degraded = false;  ///< any round was degraded
   int rounds = 0;         ///< recovery rounds performed (faults survived)
   Minutes completed_at{0};    ///< mission-clock end when recovered
   Minutes credit_carried{0};  ///< cumulative elapsed-time credit (monotone)
@@ -177,8 +174,8 @@ struct MissionOutcome {
 /// re-sampling), and on each break recover a certified continuation —
 /// threading surviving inventory, elapsed-time credit and carried pins —
 /// until the replay completes, recovery fails (frozen E3xx), or
-/// `max_rounds` is exhausted (E305). Throws CancelledError only on an
-/// explicit caller stop.
+/// `max_rounds` is exhausted (E305). Throws CancelledError when the caller's
+/// token fires (an explicit stop or its deadline).
 [[nodiscard]] MissionOutcome run_mission(const model::Assay& assay,
                                          const schedule::SynthesisResult& original,
                                          const sim::RuntimeOptions& runtime,

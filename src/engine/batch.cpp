@@ -11,6 +11,7 @@
 
 #include "analysis/linter.hpp"
 #include "baseline/conventional.hpp"
+#include "core/degrade.hpp"
 #include "core/recovery.hpp"
 #include "engine/thread_pool.hpp"
 #include "io/assay_text.hpp"
@@ -87,15 +88,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return buffer.str();
-}
-
-/// Token-aware retry backoff: never sleeps through a stop request.
-void backoff_sleep(double seconds, const CancellationToken& token) {
-  token.check("retry backoff");
-  if (seconds > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
-  token.check("retry backoff");
 }
 
 }  // namespace
@@ -186,63 +178,18 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
     if (options_.cache_capacity > 0) {
       options.layer_cache = &cache_;
     }
-    if (options_.deterministic_budgets) {
-      // Wall-clock budgets make the layer solver load-dependent, which
-      // breaks both the cache and --jobs determinism; fall back to a node
-      // budget when the caller left the MILP unbounded.
-      options.engine.milp.time_limit_seconds = 0.0;
-      if (options.engine.milp.max_nodes <= 0) {
-        options.engine.milp.max_nodes = 20000;
-      }
-    }
-
-    // Resilience ladder. Rung 1: transient-failure retry with exponential
-    // backoff — only the generic Error class re-runs; parse errors, lint
-    // failures, infeasibility and cancellation are deterministic verdicts
-    // and final. Rung 2: the stall watchdog cancels a synthesis that
-    // outlives stall_seconds and re-runs it with the MILP disabled; the
-    // downgrade is flagged on the row, never applied silently.
+    // The stall watchdog: a synthesis that outlives stall_seconds re-runs
+    // with the MILP disabled, flagged on the row, never applied silently.
+    // The job's own deadline or stop() cancels the job instead.
     core::SynthesisReport report;
-    int retries_left = std::max(0, options_.max_retries);
-    double backoff = options_.retry_backoff_seconds;
-    for (;;) {
-      try {
-        if (job.conventional) {
-          report = baseline::synthesize_conventional(assay, options);
-        } else if (options_.stall_seconds > 0.0) {
-          core::SynthesisOptions guarded = options;
-          guarded.cancel = token.with_earlier_deadline(options_.stall_seconds);
-          try {
-            report = core::synthesize(assay, guarded);
-          } catch (const CancelledError&) {
-            if (token.cancelled()) {
-              throw;  // the job deadline or stop(), not the watchdog
-            }
-            row.degraded = true;
-            metrics_.counter("fallbacks_taken").increment();
-            core::SynthesisOptions heuristic = options;
-            heuristic.engine.enable_ilp = false;
-            report = core::synthesize(assay, heuristic);
-          }
-        } else {
-          report = core::synthesize(assay, options);
-        }
-        break;
-      } catch (const io::ParseError&) {
-        throw;
-      } catch (const CancelledError&) {
-        throw;
-      } catch (const InfeasibleError&) {
-        throw;
-      } catch (const std::exception&) {
-        if (retries_left == 0) {
-          throw;
-        }
-        --retries_left;
-        ++row.retries;
-        metrics_.counter("job_retries").increment();
-        backoff_sleep(backoff, token);
-        backoff *= 2.0;
+    if (job.conventional) {
+      report = baseline::synthesize_conventional(assay, options);
+    } else {
+      report = core::run_or_degrade(
+          options, options_.stall_seconds, row.degraded,
+          [&assay](const core::SynthesisOptions& step) { return core::synthesize(assay, step); });
+      if (row.degraded) {
+        metrics_.counter("fallbacks_taken").increment();
       }
     }
 
@@ -274,8 +221,9 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
     // across rounds. A recovered mission keeps the job Ok (every
     // continuation is certified); an unrecoverable one reports RunFailed
     // with the E3xx evidence and the fault chain — never a fabricated
-    // success. Deadline pressure degrades a round to the heuristic-only
-    // ladder (row.degraded) instead of cancelling the job.
+    // success. A round that outlives job.recover_budget_seconds degrades to
+    // a heuristic-only continuation (row.degraded); the job deadline
+    // cancels the job.
     if (row.status == JobStatus::Ok && job.fault_plan.has_value()) {
       sim::RuntimeOptions runtime;
       runtime.seed = job.simulate_seed;
@@ -535,7 +483,7 @@ std::string results_json(const std::vector<BatchResult>& rows, bool stable) {
         << ", \"resynthesis_iterations\": " << row.summary.resynthesis_iterations
         << ", \"objective\": " << row.summary.objective
         << "}, \"degraded\": " << (row.degraded ? "true" : "false")
-        << ", \"retries\": " << row.retries << ", \"run_outcome\": \""
+        << ", \"run_outcome\": \""
         << diag::escape_json(row.run_outcome) << "\", \"recovery_attempted\": "
         << (row.recovery_attempted ? "true" : "false")
         << ", \"recovered\": " << (row.recovered ? "true" : "false")

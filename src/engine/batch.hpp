@@ -2,8 +2,8 @@
 // across a thread pool, sharing one layer-solution cache and one metrics
 // registry among the workers. Results are reported in manifest order
 // regardless of completion order, and — because the cache key is a complete
-// canonical signature and the per-layer solver budgets are deterministic —
-// the synthesized results are bit-identical for any job count.
+// canonical signature and the default per-layer solver budgets count work,
+// not time — the synthesized results are bit-identical for any job count.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,9 @@ struct BatchJob {
   /// before freezing with COHLS-E305. 1 reproduces single-fault recovery.
   int recover_rounds = 1;
   /// Per-round recovery wall budget in seconds (--recover-budget, 0 = none).
-  /// A round that blows it — or the job deadline — degrades to a
-  /// heuristic-only continuation (BatchResult::degraded) instead of failing
-  /// the job.
+  /// A round that blows it degrades to a heuristic-only continuation
+  /// (BatchResult::degraded) instead of failing the job. The job deadline
+  /// is not a round budget: it cancels the job.
   double recover_budget_seconds = 0.0;
 };
 
@@ -103,12 +103,10 @@ struct BatchResult {
   /// this is the artifact the determinism guarantee is stated over.
   std::string result_text;
   double wall_seconds = 0.0;
-  /// The stalled MILP was downgraded to the list-scheduling heuristic
-  /// (BatchOptions::stall_seconds). Never silent: reported here and in
-  /// results_json.
+  /// The stalled synthesis (BatchOptions::stall_seconds) or a recovery round
+  /// was downgraded to the list-scheduling heuristic. Never silent: reported
+  /// here and in results_json.
   bool degraded = false;
-  /// Transient-error re-runs this job consumed (BatchOptions::max_retries).
-  int retries = 0;
   /// Fault-injection replay outcome ("completed" / "attempts-exhausted" /
   /// "device-failed"); empty when the job carried no fault plan.
   std::string run_outcome;
@@ -118,8 +116,8 @@ struct BatchResult {
   bool recovered = false;
   /// Recovery rounds the fault-injection mission performed (faults survived).
   int recovery_rounds = 0;
-  /// A recovery round fell back to the heuristic-only ladder under deadline
-  /// pressure (also sets `degraded`).
+  /// A recovery round outlived BatchJob::recover_budget_seconds and fell back
+  /// to a heuristic-only continuation (also sets `degraded`).
   bool recovery_degraded = false;
   /// Cumulative elapsed-time credit the mission carried across rounds.
   Minutes recovery_credit{0};
@@ -137,11 +135,6 @@ struct BatchOptions {
   /// behaviour, reported stats and results are identical for any value
   /// (tests sweep this to prove it).
   int cache_shards = 16;
-  /// Replace wall-clock MILP budgets with node budgets, so a layer solve
-  /// returns the same result regardless of machine load. Required for the
-  /// cache to be sound and for --jobs N determinism; disable only for
-  /// latency experiments.
-  bool deterministic_budgets = true;
   /// Default per-job deadline applied when a job does not set its own.
   double default_deadline_seconds = 0.0;
   /// Debug: verify every cache hit against a fresh solve (see
@@ -154,15 +147,10 @@ struct BatchOptions {
   bool warnings_as_errors = false;
   /// Only lint: no job runs the solver; clean jobs report Ok.
   bool lint_only = false;
-  /// Transient-failure re-runs per job (JobStatus::Error class only — parse
-  /// errors, lint failures, infeasibility and cancellation are final).
-  int max_retries = 1;
-  /// Sleep before the first re-run; doubles per further re-run.
-  double retry_backoff_seconds = 0.05;
   /// Watchdog: when a synthesis runs longer than this (seconds), it is
   /// cancelled and re-run with the MILP disabled (pure list-scheduling
-  /// heuristic). The downgrade is reported as BatchResult::degraded, never
-  /// applied silently. 0 disables the watchdog.
+  /// heuristic; see core::run_or_degrade). The downgrade is reported as
+  /// BatchResult::degraded, never applied silently. 0 disables the watchdog.
   double stall_seconds = 0.0;
 };
 

@@ -7,8 +7,8 @@
 // collision degrades to a miss, never to a wrong answer.
 //
 // Caching is only sound when the per-layer solver is deterministic for a
-// given context; wall-clock MILP budgets violate that, so the batch engine
-// replaces them with node budgets (see BatchOptions::deterministic_budgets).
+// given context. The default layer budget counts nodes and pivots, so it
+// is; a wall-clock MILP budget is not, and cacheable() refuses it.
 #pragma once
 
 #include <cstdint>

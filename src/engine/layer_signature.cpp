@@ -65,10 +65,13 @@ std::uint64_t fnv1a(const std::string& text) {
 bool cacheable(const core::LayerSolveContext& context) {
   // std::function policies have no canonical form, and a warm start changes
   // what the MILP returns; both must bypass the cache. Recovery pins force
-  // bindings the signature does not encode, so they bypass it too.
+  // bindings the signature does not encode, so they bypass it too. A
+  // wall-limited MILP returns whatever the host's load let it reach, so only
+  // work-budgeted solves are cached.
   return !context.request.binds && !context.request.new_config &&
          context.request.pinned.empty() &&
-         !context.engine.milp.warm_start.has_value();
+         !context.engine.milp.warm_start.has_value() &&
+         !(context.engine.milp.time_limit_seconds > 0.0);
 }
 
 LayerSignature layer_signature(const core::LayerSolveContext& context) {
@@ -103,15 +106,14 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
   }
 
   std::ostringstream out;
-  out << "cohls-layer-sig v2\n";
+  out << "cohls-layer-sig v3\n";
 
   // Engine budgets — a different budget may legitimately change the result.
   const core::EngineOptions& engine = context.engine;
   out << "engine ilp=" << engine.enable_ilp << " ops=" << engine.ilp_max_ops
       << " dev=" << engine.ilp_max_devices << " slots=" << engine.ilp_new_slots
-      << " nodes=" << engine.milp.max_nodes << " tl=";
-  put_double(out, engine.milp.time_limit_seconds);
-  out << " tol=";
+      << " nodes=" << engine.milp.max_nodes << " pivots=" << engine.milp.max_pivots
+      << " tol=";
   put_double(out, engine.milp.integrality_tolerance);
   out << " gap=";
   put_double(out, engine.milp.absolute_gap);

@@ -36,7 +36,8 @@ struct LayerSignature {
 };
 
 /// False for contexts the cache must not serve: custom binding policies
-/// (std::function hooks have no canonical form) and MILP warm starts.
+/// (std::function hooks have no canonical form), recovery pins, MILP warm
+/// starts and wall-limited MILP budgets (load-dependent results).
 [[nodiscard]] bool cacheable(const core::LayerSolveContext& context);
 
 /// Builds the canonical signature; requires cacheable(context).

@@ -99,7 +99,7 @@ class Solver {
     MilpSolution out;
     static_cast<MilpStats&>(out) = stats_;
     const lp::SolveStats& lp = revised_->total_stats();
-    out.lp_pivots = lp.primal_pivots + lp.dual_pivots;
+    out.lp_pivots = pivots();
     out.lp_warm_solves = lp.warm_solves;
     out.lp_cold_solves = lp.cold_solves;
     out.lp_refactorizations = lp.refactorizations;
@@ -114,19 +114,26 @@ class Solver {
   }
 
   /// The budget check every search phase polls — between nodes and before
-  /// every root-dive re-solve: a fired cancellation token or the wall-clock
-  /// deadline halts the search.
+  /// every root-dive re-solve: a fired cancellation token, the wall-clock
+  /// deadline or the spent pivot budget halts the search.
   bool out_of_budget() {
     if (options_.cancel.can_cancel() && options_.cancel.cancelled()) {
       stats_.milp_cancelled = true;
       halt();
       return true;
     }
-    if (deadline_set_ && Clock::now() >= deadline_) {
+    const bool out_of_time = deadline_set_ && Clock::now() >= deadline_;
+    if (out_of_time || (options_.max_pivots > 0 && pivots() >= options_.max_pivots)) {
       halt();
       return true;
     }
     return false;
+  }
+
+  /// Simplex pivots spent so far, over every LP solve of this search.
+  long pivots() const {
+    const lp::SolveStats& lp = revised_->total_stats();
+    return lp.primal_pivots + lp.dual_pivots;
   }
 
   /// True when the incumbent already meets `bound`.

@@ -22,7 +22,7 @@ namespace cohls::sim {
 struct MissionReport {
   bool recovered = false;  ///< the mission replayed to completion
   int rounds = 0;          ///< recovery rounds performed (faults survived)
-  bool degraded = false;   ///< a round used the heuristic-only ladder
+  bool degraded = false;   ///< a round outlived its budget and re-ran heuristic-only
   Minutes credit{0};       ///< cumulative elapsed-time credit carried
   Minutes completed_at{0};  ///< mission-clock end when recovered
 };

@@ -42,13 +42,6 @@ class CancellationToken {
   /// inert default token). Lets hot loops skip the clock read entirely.
   [[nodiscard]] bool can_cancel() const { return flag_ != nullptr || has_deadline_; }
 
-  /// True when an explicit stop was requested, regardless of any deadline.
-  /// Lets deadline-pressure ladders tell "the budget ran out" (degrade and
-  /// keep going) apart from "the user cancelled" (stop for real).
-  [[nodiscard]] bool stop_requested() const {
-    return flag_ && flag_->load(std::memory_order_relaxed);
-  }
-
   /// Throws CancelledError("<what> cancelled") when cancelled.
   void check(const std::string& what) const;
 
@@ -70,17 +63,6 @@ class CancellationToken {
       t.deadline_ = candidate;
       t.has_deadline_ = true;
     }
-    return t;
-  }
-
-  /// A copy of this token observing only the stop flag, with any deadline
-  /// removed. The recovery degradation ladder uses this: once a budgeted
-  /// round blows its deadline, the heuristic-only continuation still honours
-  /// explicit cancellation but is no longer bound by the expired budget.
-  [[nodiscard]] CancellationToken without_deadline() const {
-    CancellationToken t = *this;
-    t.has_deadline_ = false;
-    t.deadline_ = {};
     return t;
   }
 

@@ -118,8 +118,8 @@ TEST_P(FullFlowProperty, EndToEndResultAlwaysValidates) {
   options.layering.indeterminate_threshold = threshold;
   options.layering.seed = static_cast<std::uint64_t>(seed);
   // Keep the property sweep fast; exactness is covered by the dedicated
-  // ILP suites.
-  options.engine.milp.time_limit_seconds = 0.2;
+  // ILP suites. A work budget, so the sweep is the same on any host.
+  options.engine.milp.max_pivots = 300;
   options.engine.milp.max_nodes = 2000;
   try {
     const SynthesisReport report = synthesize(assay, options);

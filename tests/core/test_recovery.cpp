@@ -393,8 +393,8 @@ TEST(Mission, TightRoundBudgetDegradesInsteadOfFailing) {
   mission.synthesis = f.options;
   mission.max_rounds = 3;
   // A budget that expires before the first synthesis pass even starts: the
-  // round blows its deadline, and instead of cancelling, the mission retries
-  // heuristic-only and flags the degradation.
+  // round blows its budget, and instead of cancelling, the mission re-runs
+  // it heuristic-only and flags the degradation.
   mission.round_budget_seconds = 1e-9;
 
   sim::RuntimeOptions runtime;
@@ -412,10 +412,12 @@ TEST(Mission, TightRoundBudgetDegradesInsteadOfFailing) {
   EXPECT_TRUE(out.round_log.front().degraded);
   EXPECT_TRUE(out.round_log.front().recovered);
 
-  // With degradation disabled the same budget must cancel instead.
-  MissionOptions strict = mission;
-  strict.degrade_on_deadline = false;
-  EXPECT_THROW((void)run_mission(f.assay, f.report.result, runtime, strict),
+  // The caller's own deadline is not a round budget: it cancels the
+  // mission, and no degraded re-run outlives it.
+  const CancellationSource source;
+  MissionOptions deadlined = mission;
+  deadlined.synthesis.cancel = source.token_with_deadline(1e-9);
+  EXPECT_THROW((void)run_mission(f.assay, f.report.result, runtime, deadlined),
                CancelledError);
 }
 

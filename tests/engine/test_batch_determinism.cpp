@@ -28,6 +28,14 @@ std::vector<BatchJob> benchmark_jobs() {
           text_job("case3", assays::rt_qpcr_assay())};
 }
 
+/// Runs the benchmark jobs on `engine` and asserts every row certified, so
+/// a batch whose jobs all fail cannot pass a determinism check vacuously.
+void run_all_ok(BatchEngine& engine) {
+  for (const BatchResult& row : engine.run(benchmark_jobs())) {
+    EXPECT_EQ(row.status, JobStatus::Ok) << row.name << ": " << row.detail;
+  }
+}
+
 std::string stable_json_for(BatchOptions options) {
   BatchEngine engine(options);
   return results_json(engine.run(benchmark_jobs()), /*stable=*/true);
@@ -96,7 +104,7 @@ std::vector<std::string> object_keys(const std::string& json) {
 
 TEST(BatchDeterminism, MetricsEmissionIsKeyOrdered) {
   BatchEngine engine{BatchOptions{}};
-  engine.run(benchmark_jobs());
+  run_all_ok(engine);
   const std::string json = engine.metrics_json();
 
   // Counter keys (between "counters" and "histograms") and the spliced
@@ -134,8 +142,8 @@ TEST(BatchDeterminism, CacheStatsAreShardLayoutInvariant) {
   wide.cache_shards = 64;
   BatchEngine a(narrow);
   BatchEngine b(wide);
-  a.run(benchmark_jobs());
-  b.run(benchmark_jobs());
+  run_all_ok(a);
+  run_all_ok(b);
   const CacheStats sa = a.cache().stats();
   const CacheStats sb = b.cache().stats();
   EXPECT_EQ(sa.hits, sb.hits);

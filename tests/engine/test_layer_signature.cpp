@@ -173,8 +173,7 @@ TEST(LayerSignature, EngineBudgetChangesTheSignature) {
       {"ilp_max_devices", [](core::EngineOptions& e) { e.ilp_max_devices += 1; }},
       {"ilp_new_slots", [](core::EngineOptions& e) { e.ilp_new_slots += 1; }},
       {"milp.max_nodes", [](core::EngineOptions& e) { e.milp.max_nodes += 1; }},
-      {"milp.time_limit_seconds",
-       [](core::EngineOptions& e) { e.milp.time_limit_seconds += 0.5; }},
+      {"milp.max_pivots", [](core::EngineOptions& e) { e.milp.max_pivots += 1; }},
       {"milp.integrality_tolerance",
        [](core::EngineOptions& e) { e.milp.integrality_tolerance *= 10.0; }},
       {"milp.absolute_gap", [](core::EngineOptions& e) { e.milp.absolute_gap *= 10.0; }},
@@ -218,6 +217,12 @@ TEST(LayerSignature, CacheableRejectsCustomPoliciesAndWarmStarts) {
   warm.request.ops = {OperationId{0}};
   warm.engine.milp.warm_start = std::vector<double>{1.0};
   EXPECT_FALSE(cacheable(warm.context()));
+
+  // A wall-limited MILP returns whatever the host's load let it reach.
+  Fixture timed = replicated_fixture();
+  timed.request.ops = {OperationId{0}};
+  timed.engine.milp.time_limit_seconds = 2.0;
+  EXPECT_FALSE(cacheable(timed.context()));
 }
 
 TEST(Fnv1a, IsDeterministicAndDiscriminates) {

@@ -182,6 +182,34 @@ TEST(Milp, TruncatedSearchExpandsExactlyTheNodeBudget) {
   EXPECT_NE(sol.status, MilpStatus::Optimal);
 }
 
+TEST(Milp, PivotBudgetStopsTheSearchWithinOneLpSolve) {
+  const MilpModel model = make_branchy_knapsack(24, 21.0);
+  // The root relaxation alone: the cold solve, the largest single LP solve
+  // of this search (every later one re-solves warm after one bound change).
+  MilpOptions root_only;
+  root_only.max_nodes = 1;
+  root_only.dive = false;
+  const long root_pivots = solve_milp(model, root_only).lp_pivots;
+  ASSERT_GT(root_pivots, 0);
+
+  MilpOptions opts;
+  opts.max_nodes = 0;  // unlimited: only the pivot budget ends this search
+  opts.max_pivots = 3 * root_pivots;
+  opts.enable_rounding_heuristic = false;  // keep the tree from closing early
+  const auto sol = solve_milp(model, opts);
+  EXPECT_TRUE(sol.status == MilpStatus::Feasible || sol.status == MilpStatus::NoSolution)
+      << to_string(sol.status);
+  EXPECT_GE(sol.lp_pivots, opts.max_pivots);
+  EXPECT_LE(sol.lp_pivots, opts.max_pivots + root_pivots);
+
+  // A work budget stops at the same point on every run.
+  const auto again = solve_milp(model, opts);
+  EXPECT_EQ(again.status, sol.status);
+  EXPECT_EQ(again.milp_nodes, sol.milp_nodes);
+  EXPECT_EQ(again.lp_pivots, sol.lp_pivots);
+  EXPECT_EQ(again.values, sol.values);
+}
+
 TEST(Milp, ChildNodesReSolveWarmFromTheParentBasis) {
   MilpOptions opts;
   opts.time_limit_seconds = 0.0;

@@ -53,6 +53,8 @@ TEST(Hazard, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_hazard_spec("gamma:1,2", registry), HazardSpecError);
   EXPECT_THROW(parse_hazard_spec("warp-drive=exp:10", registry), HazardSpecError);
   EXPECT_THROW(parse_hazard_spec("exp:10x", registry), HazardSpecError);
+  EXPECT_THROW(parse_hazard_spec("exp:inf", registry), HazardSpecError);
+  EXPECT_THROW(parse_hazard_spec("weibull:100,inf", registry), HazardSpecError);
 }
 
 TEST(Hazard, EmptySpecYieldsEmptyModel) {

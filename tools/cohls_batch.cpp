@@ -19,7 +19,6 @@
 //                          repeat runs, shard layouts and --jobs values
 //   --verify-cache         check every cache hit against a fresh solve
 //   --repeat N             run the whole manifest N times (cache warm-up demo)
-//   --retries N            transient-failure re-runs per job (default 1)
 //   --stall S              watchdog: downgrade a synthesis stalled past S
 //                          seconds to the heuristic (flagged "degraded")
 //   --inject-faults FILE   replay every certified schedule against this
@@ -50,7 +49,8 @@
 //   --recover-budget S     per-round recovery wall budget in seconds; a
 //                          round that blows it degrades to a heuristic-only
 //                          continuation (flagged "degraded") instead of
-//                          failing the job (default 0 = no budget)
+//                          failing the job (default 0 = no budget); the
+//                          --deadline still cancels the job
 //   --save-results DIR     write each result as DIR/<name>.result
 //   --results-json FILE    write the per-job results document (same content
 //                          as --diag-format=json) to FILE
@@ -77,9 +77,9 @@
 // results document (interrupted jobs report "cancelled"), and the exit
 // status is 130.
 //
-// Results are bit-identical for any --jobs value: the engine replaces
-// wall-clock MILP budgets with node budgets, and the shared layer cache only
-// returns solutions the solver would have produced itself.
+// Results are bit-identical for any --jobs value: each layer MILP is
+// budgeted in nodes and simplex pivots, not wall time, and the shared layer
+// cache only returns solutions the solver would have produced itself.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -136,7 +136,7 @@ void handle_sigint(int) { g_interrupted = 1; }
                " [--transport N] [--conventional] [--deadline S]"
                " [--cache-capacity N] [--cache-shards N] [--no-cache]"
                " [--verify-cache] [--stable-json]"
-               " [--repeat N] [--retries N] [--stall S] [--inject-faults FILE]"
+               " [--repeat N] [--stall S] [--inject-faults FILE]"
                " [--simulate-seed N] [--fleet N] [--hazard SPEC]"
                " [--fleet-seed N] [--fleet-recover]"
                " [--recover-rounds N] [--recover-budget S]"
@@ -202,8 +202,6 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.batch.verify_cache_hits = true;
     } else if (arg == "--repeat") {
       cli.repeat = numeric_arg(argc, argv, i);
-    } else if (arg == "--retries") {
-      cli.batch.max_retries = numeric_arg(argc, argv, i);
     } else if (arg == "--stall") {
       cli.batch.stall_seconds = seconds_arg(argc, argv, i);
     } else if (arg == "--inject-faults") {
