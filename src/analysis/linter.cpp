@@ -576,27 +576,21 @@ LintReport lint_assay(const io::AssaySource& source,
   return PassManager::default_passes().run(source, options);
 }
 
+Diagnostic parse_error_diagnostic(const io::ParseError& error) {
+  Diagnostic d;
+  d.code = diag::codes::kParseError;
+  d.span = Span{error.line(), 0};
+  d.message = error.message();
+  return d;
+}
+
 LintReport lint_assay_text(const std::string& text,
                            const AnalysisOptions& options) {
   try {
-    const io::AssaySource source = io::parse_assay_source(text);
-    return lint_assay(source, options);
+    return lint_assay(io::parse_assay_source(text), options);
   } catch (const io::ParseError& e) {
     LintReport report;
-    Diagnostic d;
-    d.code = diag::codes::kParseError;
-    d.span = Span{e.line(), 0};
-    std::string message = e.what();
-    // ParseError(line, msg) prefixes "line N: "; the span already carries
-    // the line, so strip the prefix from the structured message.
-    if (e.line() > 0) {
-      const std::string prefix = "line " + std::to_string(e.line()) + ": ";
-      if (message.rfind(prefix, 0) == 0) {
-        message = message.substr(prefix.size());
-      }
-    }
-    d.message = std::move(message);
-    report.diagnostics.push_back(std::move(d));
+    report.diagnostics.push_back(parse_error_diagnostic(e));
     return report;
   }
 }

@@ -107,6 +107,9 @@ class PassManager {
 [[nodiscard]] LintReport lint_assay(const io::AssaySource& source,
                                     const AnalysisOptions& options = {});
 
+/// The COHLS-E100 diagnostic of a ParseError: its bare message at its line.
+[[nodiscard]] diag::Diagnostic parse_error_diagnostic(const io::ParseError& error);
+
 /// Convenience: parse + lint. A lexical ParseError becomes a single
 /// COHLS-E100 diagnostic instead of an exception.
 [[nodiscard]] LintReport lint_assay_text(const std::string& text,

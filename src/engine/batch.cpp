@@ -14,12 +14,12 @@
 #include "core/degrade.hpp"
 #include "core/recovery.hpp"
 #include "engine/thread_pool.hpp"
-#include "io/assay_text.hpp"
 #include "io/result_text.hpp"
 #include "schedule/objective.hpp"
 #include "schedule/validate.hpp"
 #include "sim/runtime.hpp"
 #include "util/check.hpp"
+#include "util/lexer.hpp"
 
 namespace cohls::engine {
 
@@ -135,11 +135,19 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
   try {
     const std::string text = job.text.has_value() ? *job.text : read_file(job.path);
 
+    // One lex feeds both the linter and build().
+    io::AssaySource source;
     bool run_solver = true;
     if (options_.lint || options_.lint_only) {
       const analysis::AnalysisOptions lint_options{
           job.options.max_devices, job.options.layering.indeterminate_threshold};
-      analysis::LintReport lint = analysis::lint_assay_text(text, lint_options);
+      analysis::LintReport lint;
+      try {
+        source = io::parse_assay_source(text);
+        lint = analysis::lint_assay(source, lint_options);
+      } catch (const io::ParseError& e) {
+        lint.diagnostics.push_back(analysis::parse_error_diagnostic(e));
+      }
       const bool passed = lint.clean(options_.warnings_as_errors);
       row.diagnostics = std::move(lint.diagnostics);
       metrics_.counter(passed ? "lint_passed" : "lint_failed").increment();
@@ -155,6 +163,8 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
         row.status = JobStatus::Ok;
         run_solver = false;
       }
+    } else {
+      source = io::parse_assay_source(text);
     }
     if (!run_solver) {
       row.wall_seconds =
@@ -167,7 +177,7 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
       return row;
     }
 
-    const model::Assay assay = io::assay_from_text(text);
+    const model::Assay assay = source.build();
     if (row.name.empty()) {
       row.name = assay.name();
     }
@@ -544,15 +554,9 @@ std::vector<BatchJob> jobs_from_manifest(const std::string& manifest_text,
                                          const std::string& base_dir,
                                          const core::SynthesisOptions& options) {
   std::vector<BatchJob> jobs;
-  std::istringstream in(manifest_text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos || line[begin] == '#') {
-      continue;
-    }
-    const std::size_t end = line.find_last_not_of(" \t\r");
-    const std::string path = line.substr(begin, end - begin + 1);
+  lex::Lines lines(manifest_text);
+  while (lines.next()) {
+    const std::string path(lex::trim(lines.text()));
     BatchJob job;
     job.name = path;
     job.path = (!base_dir.empty() && path.front() != '/') ? base_dir + "/" + path

@@ -20,16 +20,22 @@ namespace cohls::io {
 /// (and, when known, in line()).
 class ParseError : public std::runtime_error {
  public:
-  using std::runtime_error::runtime_error;
+  /// A document-level error, such as a missing header.
+  explicit ParseError(const std::string& message)
+      : std::runtime_error(message), message_(message) {}
   ParseError(int line, const std::string& message)
       : std::runtime_error("line " + std::to_string(line) + ": " + message),
-        line_(line) {}
+        line_(line),
+        message_(message) {}
 
   /// 1-based source line of the error; 0 when unknown (document-level).
   [[nodiscard]] int line() const { return line_; }
+  /// The message without its "line N: " tag.
+  [[nodiscard]] const std::string& message() const { return message_; }
 
  private:
   int line_ = 0;
+  std::string message_;
 };
 
 /// A custom accessory directive with its source line.
@@ -70,8 +76,9 @@ struct AssaySource {
 };
 
 /// Lexes the text format. Throws ParseError only on lexical problems
-/// (unknown directive or field, malformed number, unterminated string,
-/// unknown accessory name, missing or duplicate 'assay' header).
+/// (unknown directive or field, malformed or out-of-range number, empty or
+/// unterminated string, unknown accessory name, missing or duplicate
+/// 'assay' header).
 [[nodiscard]] AssaySource parse_assay_source(const std::string& text);
 
 }  // namespace cohls::io

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "io/text_fields.hpp"
 #include "util/check.hpp"
+#include "util/lexer.hpp"
 
 namespace cohls::io {
 
@@ -23,7 +25,7 @@ std::string to_text(const model::Assay& assay) {
   for (model::AccessoryId id = model::BuiltinAccessory::kCount; id < registry.count();
        ++id) {
     out << "accessory " << quoted(registry.name(id))
-        << " cost=" << registry.processing_cost(id) << '\n';
+        << " cost=" << lex::format_double(registry.processing_cost(id)) << '\n';
   }
   for (const model::Operation& op : assay.operations()) {
     out << "operation " << op.id().value() << ' ' << quoted(op.name())
@@ -34,15 +36,7 @@ std::string to_text(const model::Assay& assay) {
     if (op.capacity().has_value()) {
       out << " capacity=" << model::to_string(*op.capacity());
     }
-    if (!op.accessories().empty()) {
-      out << " accessories={";
-      bool first = true;
-      for (const model::AccessoryId id : op.accessories().to_list()) {
-        out << (first ? "" : "; ") << registry.name(id);
-        first = false;
-      }
-      out << '}';
-    }
+    write_accessories(out, op.accessories(), registry);
     if (!op.parents().empty()) {
       out << " parents=";
       bool first = true;

@@ -1,5 +1,6 @@
 // A line-oriented text format for assays, so protocols can be described in
-// files rather than C++. Round-trips exactly:
+// files rather than C++. Round-trips exactly (costs are written in their
+// shortest exact form):
 //
 //   assay "single-cell RT-qPCR"
 //   accessory "droplet sorter" cost=3.5           # custom kinds only
@@ -8,7 +9,8 @@
 //   operation 1 "lysis" duration=10 accessories={heating pad} parents=0
 //
 // Operation ids must be dense and ascending (parents-first, mirroring the
-// Assay builder contract). '#' starts a comment; blank lines are ignored.
+// Assay builder contract). Lines, comments, whitespace and numbers follow
+// util/lexer.hpp; durations are int32 and costs finite.
 //
 // assay_from_text is the strict one-shot entry point (parse + build, first
 // error throws). For linting with line-accurate spans and multi-error

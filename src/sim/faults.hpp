@@ -16,6 +16,9 @@
 //   transport-delay <minutes> [from <minute>]  # every outgoing transfer is
 //                                              # slowed by <minutes>
 //
+// Lines, comments and numbers follow util/lexer.hpp: ids are int32, minutes
+// int64 and factors finite reals.
+//
 // The same plan replayed against the same schedule and seed produces a
 // bit-identical RunTrace — fault experiments are reproducible by
 // construction.
@@ -94,7 +97,8 @@ struct FaultPlan {
 /// FaultPlanError on malformed directives.
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& text);
 
-/// Renders a plan back to the text format (parse round-trips).
+/// Renders a plan back to the text format; parsing it gives back the same
+/// events, factors bit for bit.
 [[nodiscard]] std::string to_text(const FaultPlan& plan);
 
 }  // namespace cohls::sim

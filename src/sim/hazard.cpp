@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/lexer.hpp"
 #include "util/rng.hpp"
 
 namespace cohls::sim {
@@ -95,33 +96,16 @@ void HazardModel::sample_into(FaultPlan& plan, const model::DeviceInventory& dev
 
 namespace {
 
-std::string trimmed(const std::string& s) {
-  const std::size_t first = s.find_first_not_of(" \t");
-  if (first == std::string::npos) {
-    return {};
-  }
-  const std::size_t last = s.find_last_not_of(" \t");
-  return s.substr(first, last - first + 1);
-}
-
-double parse_positive(const std::string& token, const char* what) {
+double parse_positive(std::string_view token, const char* what) {
   double value = 0.0;
   try {
-    std::size_t used = 0;
-    value = std::stod(token, &used);
-    if (used != token.size()) {
-      throw HazardSpecError(std::string("trailing characters after ") + what + ": '" +
-                            token + "'");
-    }
-  } catch (const HazardSpecError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw HazardSpecError(std::string("expected a number for ") + what + ", got '" +
-                          token + "'");
+    value = lex::to_double(token);
+  } catch (const lex::Error& e) {
+    throw HazardSpecError(std::string(what) + ": " + e.what());
   }
-  if (!(value > 0.0 && std::isfinite(value))) {
-    throw HazardSpecError(std::string(what) + " must be positive and finite, got '" + token +
-                          "'");
+  if (!(value > 0.0)) {
+    throw HazardSpecError(std::string(what) + " must be positive, got '" +
+                          std::string(token) + "'");
   }
   return value;
 }
@@ -131,21 +115,20 @@ double parse_positive(const std::string& token, const char* what) {
 HazardModel parse_hazard_spec(const std::string& spec,
                               const model::AccessoryRegistry& registry) {
   HazardModel model;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t next = spec.find(';', pos);
-    std::string clause = trimmed(
-        spec.substr(pos, next == std::string::npos ? std::string::npos : next - pos));
-    pos = next == std::string::npos ? spec.size() + 1 : next + 1;
+  std::string_view rest = spec;
+  while (!rest.empty()) {
+    const std::size_t next = rest.find(';');
+    const std::string_view clause = lex::trim(rest.substr(0, next));
+    rest = next == std::string_view::npos ? std::string_view{} : rest.substr(next + 1);
     if (clause.empty()) {
       continue;
     }
 
     HazardRule rule;
-    std::string dist = clause;
-    if (const std::size_t eq = clause.find('='); eq != std::string::npos) {
-      std::string target = trimmed(clause.substr(0, eq));
-      dist = trimmed(clause.substr(eq + 1));
+    std::string_view dist = clause;
+    if (const std::size_t eq = clause.find('='); eq != std::string_view::npos) {
+      std::string target(lex::trim(clause.substr(0, eq)));
+      dist = lex::trim(clause.substr(eq + 1));
       if (target != "default") {
         // CLI-friendly accessory names use '-' where registry names have
         // spaces: heating-pad -> "heating pad".
@@ -158,25 +141,26 @@ HazardModel parse_hazard_spec(const std::string& spec,
     }
 
     const std::size_t colon = dist.find(':');
-    if (colon == std::string::npos) {
-      throw HazardSpecError("expected <dist>:<params> in hazard clause '" + clause + "'");
+    if (colon == std::string_view::npos) {
+      throw HazardSpecError("expected <dist>:<params> in hazard clause '" +
+                            std::string(clause) + "'");
     }
-    const std::string family = trimmed(dist.substr(0, colon));
-    const std::string params = trimmed(dist.substr(colon + 1));
+    const std::string_view family = lex::trim(dist.substr(0, colon));
+    const std::string_view params = lex::trim(dist.substr(colon + 1));
     if (family == "exp" || family == "exponential") {
       rule.dist.family = HazardFamily::Exponential;
       rule.dist.scale = parse_positive(params, "exponential scale");
     } else if (family == "weibull") {
       rule.dist.family = HazardFamily::Weibull;
       const std::size_t comma = params.find(',');
-      if (comma == std::string::npos) {
-        throw HazardSpecError("weibull needs <scale>,<shape>, got '" + params + "'");
+      if (comma == std::string_view::npos) {
+        throw HazardSpecError("weibull needs <scale>,<shape>, got '" + std::string(params) +
+                              "'");
       }
-      rule.dist.scale = parse_positive(trimmed(params.substr(0, comma)), "weibull scale");
-      rule.dist.shape =
-          parse_positive(trimmed(params.substr(comma + 1)), "weibull shape");
+      rule.dist.scale = parse_positive(lex::trim(params.substr(0, comma)), "weibull scale");
+      rule.dist.shape = parse_positive(lex::trim(params.substr(comma + 1)), "weibull shape");
     } else {
-      throw HazardSpecError("unknown hazard distribution '" + family + "'");
+      throw HazardSpecError("unknown hazard distribution '" + std::string(family) + "'");
     }
     model.add_rule(rule);
   }

@@ -19,6 +19,7 @@
 //   dist     := ('exp' | 'exponential') ':' scale
 //             | 'weibull' ':' scale ',' shape
 //
+// `scale` and `shape` are positive finite reals (util/lexer.hpp grammar).
 // `scale` is the characteristic life in minutes (the mean for exponential);
 // `shape` is the Weibull shape k (k > 1 models wear-out). A clause without
 // a target applies to every device; an accessory-targeted clause applies to

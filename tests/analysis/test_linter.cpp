@@ -56,6 +56,24 @@ TEST(Linter, LexicalFailureBecomesE100WithLine) {
   EXPECT_TRUE(report.has_errors());
 }
 
+// Values the builder or the scheduler cannot hold are lexical errors, so
+// --lint-only stops them instead of the flow failing later: a non-finite
+// cost used to end as "infeasible", a duration past int32 as an abort.
+TEST(Linter, UnrepresentableNumbersAreE100AtTheirLine) {
+  for (const char* line : {"accessory \"laser\" cost=inf", "accessory \"laser\" cost=nan",
+                           "accessory \"laser\" cost=1e309",
+                           "operation 0 \"a\" duration=9223372036854775807",
+                           "operation 0 \"a\" duration=2147483648"}) {
+    const LintReport report =
+        lint_assay_text(std::string("assay \"x\"\n") + line + "\n");
+    ASSERT_EQ(report.diagnostics.size(), 1u) << line;
+    EXPECT_EQ(report.diagnostics[0].code, diag::codes::kParseError) << line;
+    EXPECT_EQ(report.diagnostics[0].span.line, 2) << line;
+    EXPECT_EQ(report.diagnostics[0].message.find("line "), std::string::npos)
+        << report.diagnostics[0].message;
+  }
+}
+
 TEST(Linter, DuplicateIdIsE101WithNoteAtFirstDefinition) {
   const LintReport report = lint_assay_text(
       "assay \"x\"\n"

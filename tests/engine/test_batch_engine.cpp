@@ -116,7 +116,11 @@ TEST(BatchEngine, ClassifiesParseErrors) {
   const std::vector<BatchResult> rows = engine.run({bad});
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows.front().status, JobStatus::ParseError);
-  EXPECT_FALSE(rows.front().detail.empty());
+  ASSERT_EQ(rows.front().diagnostics.size(), 1u);
+  EXPECT_EQ(rows.front().diagnostics.front().code, diag::codes::kParseError);
+  EXPECT_EQ(rows.front().diagnostics.front().span.line, 1);
+  EXPECT_EQ(rows.front().detail, diag::summary_line(rows.front().diagnostics.front()));
+  EXPECT_EQ(engine.metrics().counter("lint_failed").value(), 1);
 }
 
 TEST(BatchEngine, ClassifiesLintFailures) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "assays/benchmarks.hpp"
 #include "assays/random_assay.hpp"
+#include "core/progressive_resynthesis.hpp"
+#include "schedule/validate.hpp"
+#include "sim/runtime.hpp"
 
 namespace cohls::io {
 namespace {
@@ -145,6 +152,101 @@ operation 0 "x" duration=abc
 
 TEST(AssayText, RejectsUnterminatedString) {
   EXPECT_THROW((void)assay_from_text("assay \"oops\n"), ParseError);
+}
+
+/// The line of the ParseError `text` raises, or -1 when it loads.
+int error_line(const std::string& text) {
+  try {
+    (void)assay_from_text(text);
+  } catch (const ParseError& e) {
+    return e.line();
+  }
+  return -1;
+}
+
+// A non-finite cost used to lint clean and then fail synthesis as
+// "infeasible"; '+' and hex were read by one number rule and not another.
+TEST(AssayText, RejectsCostsOutsideTheFiniteDecimalGrammar) {
+  for (const char* cost : {"inf", "-inf", "nan", "1e309", "+2.5", "0x1p3", "2.5x"}) {
+    EXPECT_EQ(error_line(std::string("assay \"a\"\naccessory \"laser\" cost=") + cost +
+                         "\noperation 0 \"x\" duration=5 accessories={laser}\n"),
+              2)
+        << cost;
+  }
+}
+
+// A duration past int32 used to overflow the scheduler's time windows.
+TEST(AssayText, RejectsDurationsOutsideInt32) {
+  for (const char* duration : {"9223372036854775807", "2147483648", "-2147483649"}) {
+    try {
+      (void)assay_from_text(std::string("assay \"a\"\noperation 0 \"x\" duration=") +
+                            duration + "\noperation 1 \"y\" duration=5 parents=0\n");
+      FAIL() << duration;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2) << duration;
+      EXPECT_NE(e.message().find("out of range"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(error_line("assay \"a\"\noperation 0 \"x\" duration=+5\n"), 2);
+}
+
+// The largest durations the format admits still run through the flow.
+TEST(AssayText, Int32MaxDurationsSynthesizeValidateAndSimulate) {
+  std::string text = "assay \"long\"\n";
+  for (int op = 0; op < 4; ++op) {
+    text += "operation " + std::to_string(op) + " \"s" + std::to_string(op) +
+            "\" duration=2147483647" +
+            (op > 0 ? " parents=" + std::to_string(op - 1) : std::string()) + "\n";
+  }
+  const model::Assay assay = assay_from_text(text);
+  const core::SynthesisReport report = core::synthesize(assay, core::SynthesisOptions{});
+  EXPECT_TRUE(schedule::certify_result(report.result, assay, report.transport).empty());
+  const sim::RunTrace trace = sim::simulate_run(report.result, assay, sim::RuntimeOptions{});
+  EXPECT_TRUE(trace.ok());
+}
+
+TEST(AssayText, RejectsEmptyNames) {
+  EXPECT_EQ(error_line("assay \"\"\n"), 1);
+  EXPECT_EQ(error_line("assay \"a\"\noperation 0 \"\" duration=5\n"), 2);
+  EXPECT_EQ(error_line("assay \"a\"\naccessory \"\" cost=1\n"), 2);
+}
+
+// Accessory names are written back inside {a; b} lists.
+TEST(AssayText, RejectsAccessoryNamesAListCannotHold) {
+  for (const char* name : {" laser", "laser ", "a;b", "a}b"}) {
+    EXPECT_EQ(error_line(std::string("assay \"a\"\naccessory \"") + name + "\" cost=1\n"), 2)
+        << name;
+  }
+}
+
+TEST(AssayText, AcceptsCrlfLineEnds) {
+  const model::Assay assay = assay_from_text(
+      "assay \"crlf\"\r\n"
+      "accessory \"laser\" cost=2\r\n"
+      "operation 0 \"a\" duration=5 accessories={laser}\r\n"
+      "operation 1 \"b\" duration=6 parents=0 indeterminate\r\n");
+  ASSERT_EQ(assay.operation_count(), 2);
+  EXPECT_EQ(assay.operation(OperationId{1}).duration(), 6_min);
+  EXPECT_TRUE(assay.operation(OperationId{1}).indeterminate());
+}
+
+TEST(AssayText, CostsRoundTripBitForBit) {
+  model::AccessoryRegistry registry;
+  const double costs[] = {0.1234567, 1.0 / 3.0, 1e-7, 123456789.125};
+  for (const double cost : costs) {
+    (void)registry.register_accessory("kind " + std::to_string(registry.count()), cost);
+  }
+  model::Assay original("costs", registry);
+  model::OperationSpec spec;
+  spec.name = "a";
+  spec.duration = 5_min;
+  (void)original.add_operation(spec);
+  const model::Assay parsed = assay_from_text(to_text(original));
+  for (model::AccessoryId id = 0; id < registry.count(); ++id) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.registry().processing_cost(id)),
+              std::bit_cast<std::uint64_t>(registry.processing_cost(id)))
+        << registry.name(id);
+  }
 }
 
 class AssayTextRoundTrip : public ::testing::TestWithParam<int> {};

@@ -201,6 +201,20 @@ TEST(ResultText, RejectsCreatedInOutsideInt32) {
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
 
+TEST(ResultText, AcceptsCrlfLineEnds) {
+  const model::Assay assay = one_operation_assay();
+  const std::string text =
+      "result max_devices=3\n"
+      "device 0 container=chamber capacity=tiny accessories={pump} created_in=0\n"
+      "layer 0\n"
+      "schedule op=0 device=0 start=0 duration=10 transport=0\n";
+  std::string crlf;
+  for (const char c : text) {
+    crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  }
+  EXPECT_EQ(to_text(result_from_text(crlf, assay), assay), text);
+}
+
 TEST(ResultText, AcceptsInt32Extremes) {
   const model::Assay assay = one_operation_assay();
   const auto result = result_from_text(

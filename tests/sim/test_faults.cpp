@@ -74,6 +74,21 @@ TEST(FaultPlan, RejectsMalformedDirectivesWithLineNumbers) {
   EXPECT_EQ(line_of("degrade 0 by inf\n"), 1);
   EXPECT_EQ(line_of("\ndevice-fail 4294967296 at 5\n"), 2);  // id above INT32_MAX
   EXPECT_EQ(line_of("exhaust 4294967297\n"), 1);
+  EXPECT_EQ(line_of("degrade 0 by +1.5\n"), 1);       // no '+' sign
+  EXPECT_EQ(line_of("degrade 0 by 0x1p1\n"), 1);      // no hex
+  EXPECT_EQ(line_of("transport-delay 0x10\n"), 1);
+  EXPECT_EQ(line_of("device-fail +1 at 5\n"), 1);
+}
+
+TEST(FaultPlan, FactorsRoundTripBitForBit) {
+  const FaultPlan plan = parse_fault_plan(
+      "degrade 0 by 1.2345678\n"
+      "degrade 1 by 1.0000000000000002 from 3\r\n");
+  const FaultPlan again = parse_fault_plan(to_text(plan));
+  ASSERT_EQ(again.events.size(), 2u);
+  EXPECT_EQ(again.events[0].factor, 1.2345678);
+  EXPECT_EQ(again.events[1].factor, 1.0000000000000002);
+  EXPECT_EQ(plan.events, again.events);
 }
 
 TEST(FaultPlan, HelpersAggregateActiveEvents) {

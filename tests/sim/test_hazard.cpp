@@ -55,6 +55,9 @@ TEST(Hazard, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_hazard_spec("exp:10x", registry), HazardSpecError);
   EXPECT_THROW(parse_hazard_spec("exp:inf", registry), HazardSpecError);
   EXPECT_THROW(parse_hazard_spec("weibull:100,inf", registry), HazardSpecError);
+  EXPECT_THROW(parse_hazard_spec("exp:+100", registry), HazardSpecError);
+  EXPECT_THROW(parse_hazard_spec("exp:0x10", registry), HazardSpecError);
+  EXPECT_THROW(parse_hazard_spec("weibull:100,nan", registry), HazardSpecError);
 }
 
 TEST(Hazard, EmptySpecYieldsEmptyModel) {

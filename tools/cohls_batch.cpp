@@ -93,9 +93,8 @@
 
 #include "diag/diagnostic.hpp"
 #include "engine/batch.hpp"
+#include "util/lexer.hpp"
 #include "util/table.hpp"
-
-#include "cli_number.hpp"
 
 namespace {
 
@@ -154,23 +153,21 @@ std::string string_arg(int argc, char** argv, int& i) {
 }
 
 int numeric_arg(int argc, char** argv, int& i) {
-  const std::string token = string_arg(argc, argv, i);
-  const std::optional<int> value = cli::parse_int(token);
-  if (!value.has_value()) {
-    std::cerr << "not an integer: " << token << "\n";
+  try {
+    return lex::to_int<std::int32_t>(string_arg(argc, argv, i));
+  } catch (const lex::Error& e) {
+    std::cerr << e.what() << "\n";
     usage(argv[0]);
   }
-  return *value;
 }
 
 double seconds_arg(int argc, char** argv, int& i) {
-  const std::string token = string_arg(argc, argv, i);
-  const std::optional<double> value = cli::parse_double(token);
-  if (!value.has_value()) {
-    std::cerr << "not a number: " << token << "\n";
+  try {
+    return lex::to_double(string_arg(argc, argv, i));
+  } catch (const lex::Error& e) {
+    std::cerr << e.what() << "\n";
     usage(argv[0]);
   }
-  return *value;
 }
 
 CliOptions parse_cli(int argc, char** argv) {

@@ -59,8 +59,7 @@
 #include "schedule/validate.hpp"
 #include "sim/runtime.hpp"
 #include "util/cancellation.hpp"
-
-#include "cli_number.hpp"
+#include "util/lexer.hpp"
 
 namespace {
 
@@ -114,24 +113,24 @@ int numeric_arg(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
     usage(argv[0]);
   }
-  const std::optional<int> value = cli::parse_int(argv[++i]);
-  if (!value.has_value()) {
-    std::cerr << "not an integer: " << argv[i] << "\n";
+  try {
+    return lex::to_int<std::int32_t>(argv[++i]);
+  } catch (const lex::Error& e) {
+    std::cerr << e.what() << "\n";
     usage(argv[0]);
   }
-  return *value;
 }
 
 double seconds_arg(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
     usage(argv[0]);
   }
-  const std::optional<double> value = cli::parse_double(argv[++i]);
-  if (!value.has_value()) {
-    std::cerr << "not a number: " << argv[i] << "\n";
+  try {
+    return lex::to_double(argv[++i]);
+  } catch (const lex::Error& e) {
+    std::cerr << e.what() << "\n";
     usage(argv[0]);
   }
-  return *value;
 }
 
 CliOptions parse_cli(int argc, char** argv) {
@@ -380,11 +379,8 @@ int main(int argc, char** argv) {
     if (cli.lint || cli.lint_only) {
       // Surface lexical failures through the diagnostics pipeline so JSON
       // consumers always get a document.
-      diag::Diagnostic d;
-      d.code = diag::codes::kParseError;
-      d.message = e.what();
-      d.span = diag::Span{e.line(), 0};
-      std::cout << diag::render({d}, cli.diag_format, cli.assay_path);
+      std::cout << diag::render({analysis::parse_error_diagnostic(e)}, cli.diag_format,
+                                cli.assay_path);
       return kExitLint;
     }
     std::cerr << "parse error: " << e.what() << "\n";
