@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the substrate algorithms: the
 // revised simplex (cold solve and warm child re-solve), branch-and-bound,
 // the layer-model build and its presolve, max-flow, layering, one
-// list-scheduled layer, a full synthesis pass, and the flow's bookkeeping
-// (transport refinement and certification of a synthesized result).
+// list-scheduled layer, a full synthesis pass, the flow's bookkeeping
+// (transport refinement and certification of a synthesized result) and the
+// text front end (lex, build and lint of a protocol).
 // These track the cost of the pieces the paper's runtime column depends on.
 #include <benchmark/benchmark.h>
 
@@ -10,12 +11,15 @@
 #include <cmath>
 
 #include "assays/benchmarks.hpp"
+#include "analysis/linter.hpp"
 #include "assays/random_assay.hpp"
 #include "core/ilp_layer_model.hpp"
 #include "core/layering.hpp"
 #include "core/progressive_resynthesis.hpp"
 #include "core/transport_estimator.hpp"
 #include "graph/max_flow.hpp"
+#include "io/assay_source.hpp"
+#include "io/assay_text.hpp"
 #include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/branch_and_bound.hpp"
@@ -234,5 +238,48 @@ void BM_CertifyCase3(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CertifyCase3);
+
+/// The text of paper case 1 (kinase activity, 16 ops), 2 (gene expression,
+/// 70) or 3 (RT-qPCR, 120): examples/protocols/*.assay byte for byte.
+const std::string& protocol_text(int paper_case) {
+  static const std::string texts[] = {io::to_text(assays::kinase_activity_assay()),
+                                      io::to_text(assays::gene_expression_assay()),
+                                      io::to_text(assays::rt_qpcr_assay())};
+  return texts[paper_case - 1];
+}
+
+/// The lexical parse of a protocol text (io::parse_assay_source).
+void BM_ParseAssay(benchmark::State& state) {
+  const std::string& text = protocol_text(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::parse_assay_source(text));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseAssay)->DenseRange(1, 3);
+
+/// AssaySource::build() on a parsed protocol; the copy it consumes is made
+/// outside the timed region.
+void BM_BuildAssay(benchmark::State& state) {
+  const io::AssaySource source =
+      io::parse_assay_source(protocol_text(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    state.PauseTiming();
+    io::AssaySource copy = source;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(std::move(copy).build());
+  }
+}
+BENCHMARK(BM_BuildAssay)->DenseRange(1, 3);
+
+/// The default lint pipeline on a parsed protocol (analysis::lint_assay).
+void BM_LintAssay(benchmark::State& state) {
+  const io::AssaySource source =
+      io::parse_assay_source(protocol_text(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::lint_assay(source));
+  }
+}
+BENCHMARK(BM_LintAssay)->DenseRange(1, 3);
 
 }  // namespace

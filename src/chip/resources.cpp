@@ -36,7 +36,7 @@ ChipResources estimate_resources(const schedule::SynthesisResult& result,
     out.flow_valves += config.container == model::ContainerKind::Ring
                            ? valves.valves_per_ring
                            : valves.valves_per_chamber;
-    for (const model::AccessoryId acc : config.accessories.to_list()) {
+    for (const model::AccessoryId acc : config.accessories) {
       switch (acc) {
         case model::BuiltinAccessory::kPump:
           out.flow_valves += valves.valves_per_pump;

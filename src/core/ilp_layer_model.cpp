@@ -255,7 +255,7 @@ void IlpLayerModel::add_device_configuration() {
   // raise cost, so new slots never need them.
   std::set<model::AccessoryId> relevant;
   for (const OperationId id : inputs_.ops) {
-    for (const model::AccessoryId acc : assay_.operation(id).accessories().to_list()) {
+    for (const model::AccessoryId acc : assay_.operation(id).accessories()) {
       relevant.insert(acc);
     }
   }
@@ -367,7 +367,7 @@ void IlpLayerModel::add_binding_consistency() {
             lp::RowSense::GreaterEqual, 0.0);
       }
       // (7): accessory requirements.
-      for (const model::AccessoryId acc : op.accessories().to_list()) {
+      for (const model::AccessoryId acc : op.accessories()) {
         model_.add_constraint({{vars.accessories.at(acc), 1.0}, {od, -1.0}},
                               lp::RowSense::GreaterEqual, 0.0);
       }

@@ -177,7 +177,7 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
       return row;
     }
 
-    const model::Assay assay = source.build();
+    const model::Assay assay = std::move(source).build();
     if (row.name.empty()) {
       row.name = assay.name();
     }

@@ -22,7 +22,7 @@ void put_config(std::ostringstream& out, const model::DeviceConfig& config) {
   out << (config.container == model::ContainerKind::Ring ? 'R' : 'C')
       << static_cast<int>(config.capacity) << "a{";
   bool first = true;
-  for (const model::AccessoryId id : config.accessories.to_list()) {
+  for (const model::AccessoryId id : config.accessories) {
     out << (first ? "" : ",") << id;
     first = false;
   }
@@ -44,7 +44,7 @@ void put_op_attributes(std::ostringstream& out, const model::Operation& op) {
   }
   out << " a{";
   bool first = true;
-  for (const model::AccessoryId id : op.accessories().to_list()) {
+  for (const model::AccessoryId id : op.accessories()) {
     out << (first ? "" : ",") << id;
     first = false;
   }

@@ -22,6 +22,12 @@ class Digraph {
   [[nodiscard]] std::size_t node_count() const { return successors_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
 
+  /// Makes room for `nodes` nodes without moving their edge lists later.
+  void reserve(std::size_t nodes) {
+    successors_.reserve(nodes);
+    predecessors_.reserve(nodes);
+  }
+
   /// Appends a fresh node and returns its index.
   NodeIndex add_node();
 

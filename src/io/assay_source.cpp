@@ -1,5 +1,7 @@
 #include "io/assay_source.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -11,19 +13,139 @@ namespace cohls::io {
 
 namespace {
 
-[[noreturn]] void fail(int line, const std::string& message) {
-  throw ParseError(line, message);
+[[noreturn]] void fail(int line, const std::string& message, int column = 0) {
+  throw ParseError(line, message, column);
 }
 
 /// A quoted name. An empty one is a lexical error, so the linter reports
 /// what the builder would otherwise reject.
-std::string read_name(lex::Cursor& cursor) {
+std::string_view read_name(lex::Cursor& cursor) {
+  const int column = cursor.column();
   const std::string_view name = cursor.quoted();
   if (name.empty()) {
-    throw lex::Error("names must be non-empty");
+    throw lex::Error("names must be non-empty", column);
   }
-  return std::string(name);
+  return name;
 }
+
+/// One parse: the source it fills and the accessory names it can resolve.
+class SourceReader {
+ public:
+  explicit SourceReader(AssaySource& source) : source_(source) {
+    std::copy(model::kBuiltinAccessoryNames.begin(), model::kBuiltinAccessoryNames.end(),
+              accessory_names_.begin());
+  }
+
+  /// Reads one directive line.
+  void read(int line, lex::Cursor& cursor) {
+    const int keyword_column = cursor.column();
+    const std::string_view keyword = cursor.word();
+    if (keyword == "operation") {
+      if (!saw_assay_) {
+        fail(line, "'operation' before 'assay'", keyword_column);
+      }
+      read_operation(line, keyword_column, cursor);
+    } else if (keyword == "accessory") {
+      if (!saw_assay_) {
+        fail(line, "'accessory' before 'assay'", keyword_column);
+      }
+      read_accessory(line, cursor);
+    } else if (keyword == "assay") {
+      if (saw_assay_) {
+        fail(line, "duplicate 'assay' header", keyword_column);
+      }
+      source_.name = read_name(cursor);
+      source_.name_line = line;
+      saw_assay_ = true;
+    } else {
+      fail(line, "unknown directive '" + std::string(keyword) + "'", keyword_column);
+    }
+  }
+
+  [[nodiscard]] bool saw_assay() const { return saw_assay_; }
+
+ private:
+  void read_accessory(int line, lex::Cursor& cursor) {
+    const int name_column = cursor.column();
+    const std::string_view name = read_name(cursor);
+    // The name must read back from an accessories={...} list.
+    if (lex::trim(name) != name || name.find_first_of(";}") != std::string_view::npos) {
+      fail(line, "accessory name '" + std::string(name) + "' has edge whitespace, ';' or '}'",
+           name_column);
+    }
+    const int key_column = cursor.column();
+    if (cursor.word() != "cost") {
+      fail(line, "expected cost=<number>", key_column);
+    }
+    cursor.expect('=');
+    SourceAccessory accessory{std::string(name), cursor.real(), line};
+    try {
+      const model::AccessoryId id =
+          source_.registry.register_accessory(accessory.name, accessory.cost);
+      COHLS_ASSERT(static_cast<std::size_t>(id) == accessory_count_,
+                   "a parse's registry numbers its kinds in file order");
+    } catch (const PreconditionError& e) {
+      fail(line, e.what(), name_column);
+    }
+    // A view into the text, which outlives the parse.
+    accessory_names_[accessory_count_++] = name;
+    source_.accessories.push_back(std::move(accessory));
+  }
+
+  void read_operation(int line, int keyword_column, lex::Cursor& cursor) {
+    SourceOperation& op = source_.operations.emplace_back();
+    op.line = line;
+    op.column = keyword_column;
+    op.first_parent = static_cast<std::uint32_t>(source_.parent_ids.size());
+    op.id = cursor.integer<std::int64_t>();
+    op.spec.name = read_name(cursor);
+    while (!cursor.at_end()) {
+      const int key_column = cursor.column();
+      const std::string_view key = cursor.word();
+      if (key == "indeterminate") {
+        op.spec.indeterminate = true;
+        continue;
+      }
+      cursor.expect('=');
+      if (key == "duration") {
+        op.spec.duration = Minutes{cursor.integer<std::int32_t>()};
+      } else if (key == "accessories") {
+        op.spec.accessories = read_accessories(
+            cursor,
+            std::span<const std::string_view>(accessory_names_.data(), accessory_count_));
+      } else if (key == "parents") {
+        read_parents(cursor);
+      } else if (key == "container") {
+        op.spec.container = read_container(cursor);
+      } else if (key == "capacity") {
+        op.spec.capacity = read_capacity(cursor);
+      } else {
+        fail(line, "unknown field '" + std::string(key) + "'", key_column);
+      }
+    }
+    op.parent_count = static_cast<std::uint32_t>(source_.parent_ids.size()) - op.first_parent;
+  }
+
+  /// `parents=` takes a comma-separated run of ids, read as one word.
+  void read_parents(lex::Cursor& cursor) {
+    std::string_view list = cursor.word();
+    while (true) {
+      const std::string_view id = list.substr(0, list.find(','));
+      source_.parent_ids.push_back(lex::to_int<std::int64_t>(id, cursor.column_of(id)));
+      if (id.size() == list.size()) {
+        return;
+      }
+      list.remove_prefix(id.size() + 1);
+    }
+  }
+
+  AssaySource& source_;
+  bool saw_assay_ = false;
+  // The built-ins, then each custom kind in file order. Looking names up
+  // here instead of in the registry takes no lock per name.
+  std::array<std::string_view, model::AccessoryRegistry::kMaxAccessories> accessory_names_{};
+  std::size_t accessory_count_ = model::kBuiltinAccessoryNames.size();
+};
 
 }  // namespace
 
@@ -36,26 +158,27 @@ int AssaySource::line_of(long id) const {
   return 0;
 }
 
-model::Assay AssaySource::build() const {
-  model::Assay assay(name, registry);
-  for (const SourceOperation& op : operations) {
+model::Assay AssaySource::build() && {
+  model::Assay assay(std::move(name), std::move(registry));
+  assay.reserve(operations.size());
+  for (SourceOperation& op : operations) {
     if (op.id != assay.operation_count()) {
       fail(op.line, "operation ids must be dense and ascending (expected " +
                         std::to_string(assay.operation_count()) + ")");
     }
-    model::OperationSpec spec = op.spec;
-    spec.parents.reserve(op.parents.size());
-    for (const long parent : op.parents) {
+    const std::span<const long> references = parents(op);
+    op.spec.parents.reserve(references.size());
+    for (const long parent : references) {
       // Ids are stored in 32 bits: a parent outside that range is rejected,
       // not narrowed (4294967296 would wrap to operation 0).
       if (parent < std::numeric_limits<std::int32_t>::min() ||
           parent > std::numeric_limits<std::int32_t>::max()) {
         fail(op.line, "parent id out of range: " + std::to_string(parent));
       }
-      spec.parents.push_back(OperationId{static_cast<std::int32_t>(parent)});
+      op.spec.parents.push_back(OperationId{static_cast<std::int32_t>(parent)});
     }
     try {
-      (void)assay.add_operation(std::move(spec));
+      (void)assay.add_operation(std::move(op.spec));
     } catch (const PreconditionError& e) {
       fail(op.line, e.what());
     }
@@ -65,93 +188,18 @@ model::Assay AssaySource::build() const {
 
 AssaySource parse_assay_source(const std::string& text) {
   AssaySource source;
-  bool saw_assay = false;
+  SourceReader reader(source);
   lex::Lines lines(text);
   try {
     while (lines.next()) {
-      const int line_number = lines.number();
       lex::Cursor cursor(lines.text());
-      const int keyword_column = cursor.column();
-      const std::string_view keyword = cursor.word();
-      if (keyword == "assay") {
-        if (saw_assay) {
-          fail(line_number, "duplicate 'assay' header");
-        }
-        source.name = read_name(cursor);
-        source.name_line = line_number;
-        saw_assay = true;
-      } else if (keyword == "accessory") {
-        if (!saw_assay) {
-          fail(line_number, "'accessory' before 'assay'");
-        }
-        SourceAccessory accessory;
-        accessory.line = line_number;
-        accessory.name = read_name(cursor);
-        // The name must read back from an accessories={...} list.
-        if (lex::trim(accessory.name) != accessory.name ||
-            accessory.name.find_first_of(";}") != std::string::npos) {
-          fail(line_number, "accessory name '" + accessory.name +
-                                "' has edge whitespace, ';' or '}'");
-        }
-        if (cursor.word() != "cost") {
-          fail(line_number, "expected cost=<number>");
-        }
-        cursor.expect('=');
-        accessory.cost = lex::to_double(cursor.word());
-        try {
-          source.registry.register_accessory(accessory.name, accessory.cost);
-        } catch (const PreconditionError& e) {
-          fail(line_number, e.what());
-        }
-        source.accessories.push_back(std::move(accessory));
-      } else if (keyword == "operation") {
-        if (!saw_assay) {
-          fail(line_number, "'operation' before 'assay'");
-        }
-        SourceOperation op;
-        op.line = line_number;
-        op.column = keyword_column;
-        op.id = lex::to_int<std::int64_t>(cursor.word());
-        op.spec.name = read_name(cursor);
-        while (!cursor.at_end()) {
-          const std::string_view key = cursor.word();
-          if (key == "indeterminate") {
-            op.spec.indeterminate = true;
-            continue;
-          }
-          cursor.expect('=');
-          if (key == "duration") {
-            op.spec.duration = Minutes{lex::to_int<std::int32_t>(cursor.word())};
-          } else if (key == "container") {
-            op.spec.container = read_container(cursor.word());
-          } else if (key == "capacity") {
-            op.spec.capacity = read_capacity(cursor.word());
-          } else if (key == "accessories") {
-            op.spec.accessories = read_accessories(cursor, source.registry);
-          } else if (key == "parents") {
-            std::string_view list = cursor.word();
-            while (true) {
-              const std::size_t comma = list.find(',');
-              op.parents.push_back(lex::to_int<std::int64_t>(list.substr(0, comma)));
-              if (comma == std::string_view::npos) {
-                break;
-              }
-              list.remove_prefix(comma + 1);
-            }
-          } else {
-            fail(line_number, "unknown field '" + std::string(key) + "'");
-          }
-        }
-        source.operations.push_back(std::move(op));
-      } else {
-        fail(line_number, "unknown directive '" + std::string(keyword) + "'");
-      }
+      reader.read(lines.number(), cursor);
     }
   } catch (const lex::Error& e) {
-    fail(lines.number(), e.what());
+    fail(lines.number(), e.what(), e.column());
   }
 
-  if (!saw_assay) {
+  if (!reader.saw_assay()) {
     throw ParseError("missing 'assay' header");
   }
   return source;

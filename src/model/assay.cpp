@@ -1,10 +1,21 @@
 #include "model/assay.hpp"
 
+#include <algorithm>
+#include <bit>
+
 namespace cohls::model {
 
 Assay::Assay(std::string name, AccessoryRegistry registry)
-    : name_(std::move(name)), registry_(std::move(registry)) {
+    : name_(std::move(name)),
+      registry_(std::move(registry)),
+      accessory_count_(registry_.count()) {
   COHLS_EXPECT(!name_.empty(), "assay name must be non-empty");
+}
+
+void Assay::reserve(std::size_t operations) {
+  operations_.reserve(operations);
+  children_.reserve(operations);
+  graph_.reserve(operations);
 }
 
 OperationId Assay::add_operation(OperationSpec spec) {
@@ -13,15 +24,13 @@ OperationId Assay::add_operation(OperationSpec spec) {
     COHLS_EXPECT(parent.valid() && parent.value() < id.value(),
                  "parent operations must be added before their children");
   }
-  for (const AccessoryId acc : spec.accessories.to_list()) {
-    COHLS_EXPECT(acc < registry_.count(),
-                 "operation requires an accessory kind that is not registered");
-  }
-  operations_.emplace_back(id, spec);
+  COHLS_EXPECT(static_cast<int>(std::bit_width(spec.accessories.bits())) <= accessory_count_,
+               "operation requires an accessory kind that is not registered");
+  const Operation& op = operations_.emplace_back(id, std::move(spec));
   children_.emplace_back();
   const auto node = graph_.add_node();
   COHLS_ASSERT(node == id.index(), "graph nodes must mirror operation ids");
-  for (const OperationId parent : spec.parents) {
+  for (const OperationId parent : op.parents()) {
     graph_.add_edge(parent.index(), id.index());
     children_[parent.index()].push_back(id);
   }
@@ -49,7 +58,8 @@ std::vector<OperationId> Assay::indeterminate_operations() const {
 }
 
 int Assay::indeterminate_count() const {
-  return static_cast<int>(indeterminate_operations().size());
+  return static_cast<int>(std::count_if(operations_.begin(), operations_.end(),
+                                        [](const Operation& op) { return op.indeterminate(); }));
 }
 
 }  // namespace cohls::model

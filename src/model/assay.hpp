@@ -16,13 +16,16 @@ class Assay {
  public:
   explicit Assay(std::string name, AccessoryRegistry registry = AccessoryRegistry{});
 
+  /// Makes room for `operations` operations, so that adding them moves no
+  /// operation and no adjacency list.
+  void reserve(std::size_t operations);
+
   /// Adds an operation; every parent in the spec must already be in the
   /// assay. Returns the new operation's id.
   OperationId add_operation(OperationSpec spec);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const AccessoryRegistry& registry() const { return registry_; }
-  [[nodiscard]] AccessoryRegistry& registry() { return registry_; }
 
   [[nodiscard]] int operation_count() const { return static_cast<int>(operations_.size()); }
   [[nodiscard]] const Operation& operation(OperationId id) const;
@@ -42,6 +45,8 @@ class Assay {
  private:
   std::string name_;
   AccessoryRegistry registry_;
+  /// registry_.count(): the registry is fixed once the assay holds it.
+  int accessory_count_ = 0;
   std::vector<Operation> operations_;
   std::vector<std::vector<OperationId>> children_;
   graph::Digraph graph_;

@@ -7,48 +7,32 @@
 
 namespace cohls::lex {
 
-namespace {
-
-bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
-
-}  // namespace
-
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && is_space(text.front())) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && is_space(text.back())) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
 template <class Int>
-Int to_int(std::string_view token) {
+Int to_int(std::string_view token, int column) {
   Int value = 0;
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (ec == std::errc::result_out_of_range) {
-    throw Error("integer out of range: '" + std::string(token) + "'");
+    throw Error("integer out of range: '" + std::string(token) + "'", column);
   }
   if (token.empty() || ec != std::errc{} || ptr != end) {
-    throw Error("expected an integer, got '" + std::string(token) + "'");
+    throw Error("expected an integer, got '" + std::string(token) + "'", column);
   }
   return value;
 }
 
-template std::int32_t to_int<std::int32_t>(std::string_view);
-template std::int64_t to_int<std::int64_t>(std::string_view);
+template std::int32_t to_int<std::int32_t>(std::string_view, int);
+template std::int64_t to_int<std::int64_t>(std::string_view, int);
 
-double to_double(std::string_view token) {
+double to_double(std::string_view token, int column) {
   double value = 0.0;
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (ec == std::errc::result_out_of_range) {
-    throw Error("number out of range: '" + std::string(token) + "'");
+    throw Error("number out of range: '" + std::string(token) + "'", column);
   }
   if (token.empty() || ec != std::errc{} || ptr != end || !std::isfinite(value)) {
-    throw Error("expected a finite number, got '" + std::string(token) + "'");
+    throw Error("expected a finite number, got '" + std::string(token) + "'", column);
   }
   return value;
 }
@@ -75,77 +59,65 @@ bool Lines::next() {
   return false;
 }
 
-void Cursor::skip_spaces() {
-  while (pos_ < text_.size() && is_space(text_[pos_])) {
-    ++pos_;
-  }
+void Cursor::fail(const std::string& message, std::size_t pos) const {
+  throw Error(message, column_at(pos));
 }
 
-bool Cursor::at_end() {
-  skip_spaces();
-  return pos_ >= text_.size();
-}
-
-int Cursor::column() {
-  skip_spaces();
-  return static_cast<int>(pos_) + 1;
-}
-
-std::string_view Cursor::word() {
-  skip_spaces();
-  const std::size_t start = pos_;
-  while (pos_ < text_.size() && !is_space(text_[pos_]) && text_[pos_] != '=') {
-    ++pos_;
-  }
-  if (start == pos_) {
-    throw Error("expected a word");
-  }
-  return text_.substr(start, pos_ - start);
+double Cursor::real() {
+  const int at = column();
+  return to_double(word(), at);
 }
 
 std::string_view Cursor::quoted() {
-  skip_spaces();
   if (pos_ >= text_.size() || text_[pos_] != '"') {
-    throw Error("expected a quoted string");
+    fail("expected a quoted string", pos_);
   }
   const std::size_t start = pos_ + 1;
   const std::size_t end = text_.find('"', start);
   if (end == std::string_view::npos) {
-    throw Error("unterminated quoted string");
+    fail("unterminated quoted string", pos_);
   }
   pos_ = end + 1;
+  skip_spaces();
   return text_.substr(start, end - start);
 }
 
-void Cursor::expect(char c) {
-  skip_spaces();
-  if (pos_ >= text_.size() || text_[pos_] != c) {
-    throw Error(std::string("expected '") + c + "'");
+List Cursor::list() {
+  if (pos_ >= text_.size() || text_[pos_] != '{') {
+    fail("expected '{'", pos_);
   }
-  ++pos_;
+  const std::size_t open = pos_ + 1;
+  const std::size_t close = text_.find('}', open);
+  if (close == std::string_view::npos) {
+    fail("expected '}'", text_.size());
+  }
+  pos_ = close + 1;
+  skip_spaces();
+  const std::string_view body = text_.substr(open, close - open);
+  for (std::size_t item = 0;;) {
+    const std::size_t separator = body.find(';', item);
+    if (trim(body.substr(item, separator - item)).empty()) {
+      fail("empty item in a {...} list", open + item);
+    }
+    if (separator == std::string_view::npos) {
+      return List(body);
+    }
+    item = separator + 1;
+  }
 }
 
-std::vector<std::string_view> Cursor::list() {
-  expect('{');
-  const std::size_t close = text_.find('}', pos_);
-  if (close == std::string_view::npos) {
-    throw Error("expected '}'");
+List::iterator::iterator(std::string_view body) : rest_(body) { ++*this; }
+
+List::iterator& List::iterator::operator++() {
+  if (rest_.data() == nullptr) {
+    *this = iterator();
+    return *this;
   }
-  std::string_view body = text_.substr(pos_, close - pos_);
-  pos_ = close + 1;
-  std::vector<std::string_view> items;
-  while (true) {
-    const std::size_t separator = body.find(';');
-    const std::string_view item = trim(body.substr(0, separator));
-    if (item.empty()) {
-      throw Error("empty item in a {...} list");
-    }
-    items.push_back(item);
-    if (separator == std::string_view::npos) {
-      return items;
-    }
-    body.remove_prefix(separator + 1);
-  }
+  const std::size_t separator = rest_.find(';');
+  item_ = trim(rest_.substr(0, separator));
+  rest_ = separator == std::string_view::npos ? std::string_view{}
+                                              : rest_.substr(separator + 1);
+  return *this;
 }
 
 }  // namespace cohls::lex

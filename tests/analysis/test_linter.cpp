@@ -56,6 +56,28 @@ TEST(Linter, LexicalFailureBecomesE100WithLine) {
   EXPECT_TRUE(report.has_errors());
 }
 
+// A lexical error's span names the column of the token that broke it: a
+// missing word, a malformed number (alone or inside parents=) and an empty
+// {...} list item.
+TEST(Linter, LexicalFailureNamesItsColumn) {
+  const struct {
+    const char* line;
+    int column;
+  } cases[] = {
+      {"operation 0 \"a\" duration=", 26},
+      {"operation 0 \"a\" duration=12x", 26},
+      {"operation 0 \"a\" duration=5 parents=0,1x", 38},
+      {"operation 0 \"a\" duration=5 accessories={pump;  ;cell trap}", 46},
+      {"operation 0 \"a\" duration=5 accessories={pump; warp core}", 47},
+  };
+  for (const auto& c : cases) {
+    const LintReport report = lint_assay_text(std::string("assay \"x\"\n") + c.line + "\n");
+    ASSERT_EQ(report.diagnostics.size(), 1u) << c.line;
+    EXPECT_EQ(report.diagnostics[0].code, diag::codes::kParseError) << c.line;
+    EXPECT_EQ(report.diagnostics[0].span, (diag::Span{2, c.column})) << c.line;
+  }
+}
+
 // Values the builder or the scheduler cannot hold are lexical errors, so
 // --lint-only stops them instead of the flow failing later: a non-finite
 // cost used to end as "infeasible", a duration past int32 as an abort.

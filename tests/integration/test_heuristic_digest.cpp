@@ -52,7 +52,7 @@ void write_inventory(std::ostream& out, const model::DeviceInventory& inventory)
   for (const model::Device& device : inventory.devices()) {
     out << "  dev " << device.id.value() << ' ' << to_string(device.config.container)
         << ' ' << to_string(device.config.capacity) << " acc";
-    for (const model::AccessoryId a : device.config.accessories.to_list()) {
+    for (const model::AccessoryId a : device.config.accessories) {
       out << ' ' << a;
     }
     out << " created " << device.created_in.value() << '\n';

@@ -1,15 +1,17 @@
 // Seeded mutation test of the text formats. Mutants of the committed
-// protocols, of a saved synthesis result and of a fault plan go through the
-// readers; for every mutant:
+// protocols, of a saved synthesis result, of a fault plan, of a batch
+// manifest and of a hazard spec go through the readers; for every mutant:
 //   - nothing throws but the format's own error type;
 //   - every rejection after the header line carries its line number;
 //   - every assay assay_from_text rejects also gets a lint error;
-//   - every accepted input round-trips through to_text to an equal value.
+//   - every assay that lexes lints exactly as the map-based reference does;
+//   - every accepted input round-trips through its writer to an equal value.
 // Mutants are every numeric extreme in place of sampled number tokens, plus
 // random byte flips, token splices, deletions and CRLF line ends drawn from
 // a fixed seed, so a failure replays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <fstream>
@@ -23,7 +25,11 @@
 #include "core/progressive_resynthesis.hpp"
 #include "io/assay_text.hpp"
 #include "io/result_text.hpp"
+#include "engine/batch.hpp"
 #include "sim/faults.hpp"
+#include "sim/hazard.hpp"
+#include "support/lint_reference.hpp"
+#include "util/lexer.hpp"
 #include "util/rng.hpp"
 
 namespace cohls {
@@ -167,10 +173,24 @@ std::string assay_difference(const model::Assay& a, const model::Assay& b) {
   return "";
 }
 
+/// Empty when the linter and its map-based reference agree on `source`,
+/// under the default budgets and under tight ones that fire the graph rules.
+std::string lint_mismatch(const io::AssaySource& source) {
+  for (const analysis::AnalysisOptions& options :
+       {analysis::AnalysisOptions{}, analysis::AnalysisOptions{2, 1}}) {
+    const std::string difference = oracles::lint_difference(
+        analysis::lint_assay(source, options), oracles::lint_assay_reference(source, options));
+    if (!difference.empty()) {
+      return "lint differs from the reference: " + difference;
+    }
+  }
+  return "";
+}
+
 std::string check_assay(const std::string& text) {
   std::string failure;
   try {
-    (void)io::parse_assay_source(text);
+    failure = lint_mismatch(io::parse_assay_source(text));
   } catch (const io::ParseError& e) {
     failure = untagged(e.line(), e.message());
   }
@@ -255,6 +275,73 @@ std::string check_fault_plan(const std::string& text) {
   } catch (const sim::FaultPlanError& e) {
     return std::string("written plan does not read back: ") + e.what();
   }
+}
+
+/// A manifest names one job per line; the names written back one per line
+/// must read as the same jobs.
+std::string check_manifest(const std::string& text) {
+  const std::vector<engine::BatchJob> jobs = engine::jobs_from_manifest(text, "base");
+  std::string written;
+  for (const engine::BatchJob& job : jobs) {
+    if (job.name.empty() || job.name != lex::trim(job.name) ||
+        job.name.find_first_of("#\n") != std::string::npos) {
+      return "job name '" + job.name + "' is empty, padded or holds '#' or a line end";
+    }
+    written += job.name + "\n";
+  }
+  const std::vector<engine::BatchJob> again = engine::jobs_from_manifest(written, "base");
+  if (again.size() != jobs.size()) {
+    return "manifest does not round-trip";
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (again[i].name != jobs[i].name || again[i].path != jobs[i].path) {
+      return "job " + std::to_string(i) + " does not round-trip";
+    }
+  }
+  return "";
+}
+
+/// The spec grammar's text for `model`, every real in shortest form.
+std::string hazard_text(const sim::HazardModel& model, const model::AccessoryRegistry& registry) {
+  std::string text;
+  for (const sim::HazardRule& rule : model.rules()) {
+    std::string target = rule.accessory < 0 ? "default" : registry.name(rule.accessory);
+    std::replace(target.begin(), target.end(), ' ', '-');
+    text += target + "=";
+    text += rule.dist.family == sim::HazardFamily::Weibull
+                ? "weibull:" + lex::format_double(rule.dist.scale) + "," +
+                      lex::format_double(rule.dist.shape)
+                : "exp:" + lex::format_double(rule.dist.scale);
+    text += "; ";
+  }
+  return text;
+}
+
+std::string check_hazard_spec(const std::string& text) {
+  const model::AccessoryRegistry registry;
+  std::optional<sim::HazardModel> model;
+  try {
+    model.emplace(sim::parse_hazard_spec(text, registry));
+  } catch (const sim::HazardSpecError&) {
+    return "";
+  }
+  try {
+    const sim::HazardModel again = sim::parse_hazard_spec(hazard_text(*model, registry), registry);
+    if (again.rules().size() != model->rules().size()) {
+      return "hazard spec does not round-trip";
+    }
+    for (std::size_t i = 0; i < again.rules().size(); ++i) {
+      const sim::HazardRule& x = model->rules()[i];
+      const sim::HazardRule& y = again.rules()[i];
+      if (x.accessory != y.accessory || x.dist.family != y.dist.family ||
+          bits(x.dist.scale) != bits(y.dist.scale) || bits(x.dist.shape) != bits(y.dist.shape)) {
+        return "hazard rule " + std::to_string(i) + " does not round-trip";
+      }
+    }
+  } catch (const sim::HazardSpecError& e) {
+    return std::string("written hazard spec does not read back: ") + e.what();
+  }
+  return "";
 }
 
 /// Every numeric extreme in place of each of up to kNumbersPerSeed number
@@ -344,6 +431,28 @@ TEST(TextMutations, FaultPlans) {
       "transport-delay 2\n";
   ASSERT_EQ(check_fault_plan(plan), "");
   run_mutants({plan}, 3, check_fault_plan);
+}
+
+TEST(TextMutations, Manifests) {
+  const std::string manifest =
+      "# the paper's protocols\n"
+      "kinase_activity.assay\n"
+      "  gene_expression.assay   # trailing comment\n"
+      "\n"
+      "/abs/rt_qpcr.assay\r\n"
+      "dir with spaces/a.assay\n";
+  ASSERT_EQ(check_manifest(manifest), "");
+  ASSERT_EQ(engine::jobs_from_manifest(manifest, "base").size(), 4u);
+  run_mutants({manifest}, 4, check_manifest);
+}
+
+TEST(TextMutations, HazardSpecs) {
+  const std::string spec =
+      "exp:5000; heating-pad=weibull:2000,1.5; default=exponential:9000.25; "
+      "optical-system=exp:1e-3; pump=weibull:0.001,1";
+  ASSERT_EQ(check_hazard_spec(spec), "");
+  ASSERT_EQ(sim::parse_hazard_spec(spec, model::AccessoryRegistry{}).rules().size(), 5u);
+  run_mutants({spec}, 5, check_hazard_spec);
 }
 
 }  // namespace

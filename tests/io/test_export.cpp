@@ -19,8 +19,15 @@ struct Fixture {
   }
 };
 
+/// One synthesis shared by every test that only reads it: at |D| = 10 the
+/// kinase layers reach the layer MILP, which makes each run take seconds.
+const Fixture& shared_fixture() {
+  static const Fixture fixture;
+  return fixture;
+}
+
 TEST(Gantt, ContainsEveryDeviceAndOperationLegend) {
-  const Fixture f;
+  const Fixture& f = shared_fixture();
   const std::string gantt = to_gantt(f.report.result, f.assay);
   for (const auto& [op, device] : f.report.result.binding()) {
     EXPECT_NE(gantt.find("device#" + std::to_string(device.value())), std::string::npos);
@@ -30,19 +37,19 @@ TEST(Gantt, ContainsEveryDeviceAndOperationLegend) {
 }
 
 TEST(Gantt, ResolutionShortensRows) {
-  const Fixture f;
+  const Fixture& f = shared_fixture();
   const std::string fine = to_gantt(f.report.result, f.assay, 1_min);
   const std::string coarse = to_gantt(f.report.result, f.assay, 10_min);
   EXPECT_GT(fine.size(), coarse.size());
 }
 
 TEST(Gantt, RejectsNonPositiveResolution) {
-  const Fixture f;
+  const Fixture& f = shared_fixture();
   EXPECT_THROW((void)to_gantt(f.report.result, f.assay, Minutes{0}), PreconditionError);
 }
 
 TEST(Csv, OneRowPerOperationPlusHeader) {
-  const Fixture f;
+  const Fixture& f = shared_fixture();
   const std::string csv = to_csv(f.report.result, f.assay);
   const auto rows = std::count(csv.begin(), csv.end(), '\n');
   EXPECT_EQ(rows, f.assay.operation_count() + 1);
@@ -64,7 +71,7 @@ TEST(Csv, EscapesCommasInNames) {
 }
 
 TEST(Dot, DeclaresUsedDevicesAndPaths) {
-  const Fixture f;
+  const Fixture& f = shared_fixture();
   const std::string dot = to_dot(f.report.result, f.assay);
   EXPECT_EQ(dot.rfind("graph chip {", 0), 0u);
   for (const auto& [op, device] : f.report.result.binding()) {

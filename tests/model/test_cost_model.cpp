@@ -55,7 +55,7 @@ TEST(CostModel, AccessorySetProcessingAddsInAscendingIdOrder) {
   const AccessoryId sorter = registry.register_accessory("droplet sorter", 0.1);
   const AccessorySet set{sorter, BuiltinAccessory::kOpticalSystem, BuiltinAccessory::kPump};
   double expected = 0.0;
-  for (const AccessoryId id : set.to_list()) {
+  for (const AccessoryId id : set) {
     expected += registry.processing_cost(id);
   }
   EXPECT_EQ(costs.accessory_set_processing(registry, set), expected);

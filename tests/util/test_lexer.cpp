@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -39,7 +40,9 @@ TEST(Lexer, CursorReadsWordsStringsAndLists) {
   EXPECT_EQ(cursor.quoted(), "a name");
   EXPECT_EQ(cursor.word(), "accessories");
   cursor.expect('=');
-  EXPECT_EQ(cursor.list(), (std::vector<std::string_view>{"pump", "cell trap"}));
+  const List list = cursor.list();
+  EXPECT_EQ(std::vector<std::string_view>(list.begin(), list.end()),
+            (std::vector<std::string_view>{"pump", "cell trap"}));
   EXPECT_EQ(cursor.word(), "tail");
   EXPECT_TRUE(cursor.at_end());
   EXPECT_THROW((void)cursor.word(), Error);
@@ -52,6 +55,60 @@ TEST(Lexer, CursorRejectsMalformedTokens) {
   EXPECT_THROW((void)Cursor("{a;; b}").list(), Error);
   EXPECT_THROW((void)Cursor("{}").list(), Error);
   EXPECT_THROW(Cursor("x").expect('='), Error);
+}
+
+/// The column a Cursor error names, or 0 when `read` does not throw.
+template <class Read>
+int error_column(std::string_view line, Read read) {
+  Cursor cursor(line);
+  try {
+    read(cursor);
+  } catch (const Error& e) {
+    return e.column();
+  }
+  return 0;
+}
+
+TEST(Lexer, CursorErrorsNameTheColumnOfTheBadToken) {
+  // A word where the line has ended.
+  EXPECT_EQ(error_column("key  ", [](Cursor& c) { (void)c.word(), (void)c.word(); }), 6);
+  // A number, alone or in a comma run, and a malformed list item.
+  EXPECT_EQ(error_column("a  12x", [](Cursor& c) { (void)c.word(), (void)c.integer<int>(); }),
+            4);
+  EXPECT_EQ(error_column("cost=inf", [](Cursor& c) {
+              (void)c.word();
+              c.expect('=');
+              (void)c.real();
+            }),
+            6);
+  EXPECT_EQ(error_column("  {a;  ; b}", [](Cursor& c) { (void)c.list(); }), 6);
+  EXPECT_EQ(error_column("{a", [](Cursor& c) { (void)c.list(); }), 3);
+  EXPECT_EQ(error_column(" x", [](Cursor& c) { c.expect('='); }), 2);
+  EXPECT_EQ(error_column("x \"open", [](Cursor& c) { (void)c.word(), (void)c.quoted(); }), 3);
+  // Without a cursor, a token has no column.
+  try {
+    (void)to_int<std::int32_t>("x");
+    ADD_FAILURE();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.column(), 0);
+  }
+  Cursor cursor("ab cd");
+  (void)cursor.word();
+  EXPECT_EQ(cursor.column_of(cursor.word()), 4);
+}
+
+TEST(Lexer, ListsAreViewsOverTheLine) {
+  const std::string_view line = "{ a ;b;  c d }";
+  Cursor cursor(line);
+  const List list = cursor.list();
+  std::vector<std::string_view> items(list.begin(), list.end());
+  ASSERT_EQ(items, (std::vector<std::string_view>{"a", "b", "c d"}));
+  for (const std::string_view item : items) {
+    EXPECT_GE(item.data(), line.data());
+    EXPECT_LE(item.data() + item.size(), line.data() + line.size());
+  }
+  EXPECT_TRUE(cursor.at_end());
+  EXPECT_EQ(std::distance(list.begin(), list.end()), 3);
 }
 
 TEST(Lexer, IntegersAreWholeDecimalTokensOfTheCallersType) {

@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
   buffer << file.rdbuf();
 
   try {
-    const io::AssaySource source = io::parse_assay_source(buffer.str());
+    io::AssaySource source = io::parse_assay_source(buffer.str());
     if (cli.lint || cli.lint_only) {
       const analysis::AnalysisOptions lint_options{
           cli.synthesis.max_devices,
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const model::Assay assay = source.build();
+    const model::Assay assay = std::move(source).build();
     std::cout << "assay: " << assay.name() << " (" << assay.operation_count()
               << " operations, " << assay.indeterminate_count() << " indeterminate)\n";
 
