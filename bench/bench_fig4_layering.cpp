@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "core/layering.hpp"
-#include "graph/traversal.hpp"
 #include "schedule/validate.hpp"
 
 using namespace cohls;
@@ -44,7 +43,6 @@ model::Assay figure4_assay() {
 int main() {
   std::cout << "=== Figure 4: dependency-based allocation walk ===\n\n";
   const model::Assay assay = figure4_assay();
-  const graph::Digraph& g = assay.dependency_graph();
 
   std::cout << "operations (ind = indeterminate):\n";
   for (const auto& op : assay.operations()) {
@@ -55,27 +53,25 @@ int main() {
     std::cout << '\n';
   }
 
-  // Narrate the MIS walk manually, mirroring Algorithm 1 L12-L24.
+  // Narrate the MIS walk manually, mirroring Algorithm 1 L12-L24. Ids are
+  // topological (parents first), so forward sweeps over the parent lists
+  // find ancestors and descendants.
   std::cout << "\nwalk (layer 1):\n";
-  std::vector<char> active(static_cast<std::size_t>(assay.operation_count()), 1);
+  const auto n = static_cast<std::size_t>(assay.operation_count());
+  std::vector<char> active(n, 1);
+  std::vector<char> marked(n, 0);
   while (true) {
+    // marked[o]: o has an indeterminate ancestor in the graph.
     OperationId pick;
     for (const auto& op : assay.operations()) {
-      if (!active[op.id().index()] || !op.indeterminate()) {
-        continue;
-      }
-      const auto anc = graph::ancestor_mask(g, op.id().index());
       bool blocked = false;
-      for (const auto& other : assay.operations()) {
-        if (other.indeterminate() && active[other.id().index()] &&
-            anc[other.id().index()]) {
-          blocked = true;
-          break;
-        }
+      for (const auto p : op.parents()) {
+        blocked = blocked || marked[p.index()] ||
+                  (active[p.index()] && assay.operation(p).indeterminate());
       }
-      if (!blocked) {
+      marked[op.id().index()] = blocked;
+      if (!pick.valid() && active[op.id().index()] && op.indeterminate() && !blocked) {
         pick = op.id();
-        break;
       }
     }
     if (!pick.valid()) {
@@ -84,11 +80,17 @@ int main() {
     std::cout << "  choose " << assay.operation(pick).name()
               << " (no indeterminate ancestor remains); evict descendants:";
     active[pick.index()] = 0;
-    const auto desc = graph::descendant_mask(g, pick.index());
-    for (std::size_t n = 0; n < desc.size(); ++n) {
-      if (desc[n] && active[n]) {
-        std::cout << ' ' << assay.operation(OperationId{static_cast<std::int32_t>(n)}).name();
-        active[n] = 0;
+    // marked[o]: o descends from the pick.
+    marked.assign(n, 0);
+    marked[pick.index()] = 1;
+    for (std::size_t i = pick.index() + 1; i < n; ++i) {
+      const auto& op = assay.operations()[i];
+      for (const auto p : op.parents()) {
+        marked[i] = marked[i] || marked[p.index()];
+      }
+      if (marked[i] && active[i]) {
+        std::cout << ' ' << op.name();
+        active[i] = 0;
       }
     }
     std::cout << '\n';

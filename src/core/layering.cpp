@@ -1,9 +1,12 @@
 #include "core/layering.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <tuple>
 
 #include "graph/max_flow.hpp"
-#include "graph/traversal.hpp"
 
 namespace cohls::core {
 
@@ -38,9 +41,122 @@ int LayerPlan::layer_of(OperationId op) const {
 
 namespace {
 
-using Mask = std::vector<char>;
+using Stamp = std::uint32_t;
 
-Mask make_mask(int n) { return Mask(static_cast<std::size_t>(n), 0); }
+/// Scratch for the eviction cuts of one layering run. Membership marks are
+/// stamped: an entry belongs to the current layer (cone) iff it holds the
+/// current stamp, so starting a new layer or cone is one increment, and a
+/// cut allocates nothing once the buffers have grown.
+///
+/// Cones are found by a backward walk that stays inside the layer. That
+/// finds the whole in-layer ancestor cone because a layer holds every
+/// operation on a path between two of its operations: Algorithm 1's layers
+/// together with the layers before them are closed under ancestors, and an
+/// eviction removes whole descendant sets.
+class CutWorkspace {
+ public:
+  explicit CutWorkspace(int operation_count)
+      : layer_stamp_(static_cast<std::size_t>(operation_count), 0),
+        position_(static_cast<std::size_t>(operation_count), 0),
+        cone_stamp_(static_cast<std::size_t>(operation_count), 0),
+        node_(static_cast<std::size_t>(operation_count), 0) {}
+
+  /// Makes `layer` the set that cones are restricted to.
+  void set_layer(const std::vector<OperationId>& layer) {
+    ++layer_epoch_;
+    for (std::size_t i = 0; i < layer.size(); ++i) {
+      layer_stamp_[layer[i].index()] = layer_epoch_;
+      position_[layer[i].index()] = i;
+    }
+  }
+  [[nodiscard]] bool in_layer(OperationId op) const {
+    return layer_stamp_[op.index()] == layer_epoch_;
+  }
+  void leave_layer(OperationId op) { layer_stamp_[op.index()] = 0; }
+
+  /// The Fig. 5 cost of evicting `op`: returns the min-cut storage and
+  /// appends the operations that move (the sink-side cone in layer order,
+  /// then `op`) to `moved`.
+  std::int64_t cut(const model::Assay& assay, OperationId op, std::vector<OperationId>& moved) {
+    ++cone_epoch_;
+    cone_stamp_[op.index()] = cone_epoch_;
+    cone_.clear();
+    stack_.assign(1, op);
+    while (!stack_.empty()) {
+      const OperationId o = stack_.back();
+      stack_.pop_back();
+      for (const OperationId parent : assay.operation(o).parents()) {
+        if (in_layer(parent) && cone_stamp_[parent.index()] != cone_epoch_) {
+          cone_stamp_[parent.index()] = cone_epoch_;
+          cone_.push_back(parent);
+          stack_.push_back(parent);
+        }
+      }
+    }
+    std::sort(cone_.begin(), cone_.end(), [this](OperationId a, OperationId b) {
+      return position_[a.index()] < position_[b.index()];
+    });
+
+    // Flow network: node 0 = virtual source o_jv (lives in L_{i-1}); nodes
+    // 1..k = cone vertices in layer order; node k+1 = op (the sink).
+    const std::size_t source = 0;
+    const std::size_t sink = cone_.size() + 1;
+    net_.reset(cone_.size() + 2);
+    for (std::size_t i = 0; i < cone_.size(); ++i) {
+      node_[cone_[i].index()] = i + 1;
+    }
+    node_[op.index()] = sink;
+
+    // Reagents entering the cone from outside the layer (earlier layers or
+    // primary inputs) flow out of the virtual source. One unit per external
+    // parent; primary inputs count one unit total. Every in-layer parent of
+    // a cone vertex is in the cone.
+    const auto add_external = [&](OperationId o) {
+      const std::vector<OperationId>& parents = assay.operation(o).parents();
+      std::int64_t external = parents.empty() ? 1 : 0;
+      for (const OperationId parent : parents) {
+        external += in_layer(parent) ? 0 : 1;
+      }
+      if (external > 0) {
+        net_.add_arc(source, node_[o.index()], external);
+      }
+    };
+    for (const OperationId o : cone_) {
+      add_external(o);
+    }
+    add_external(op);
+    // Dependency edges inside the cone (each crossing edge is one stored
+    // intermediate).
+    for (const OperationId o : cone_) {
+      for (const OperationId child : assay.children(o)) {
+        if (cone_stamp_[child.index()] == cone_epoch_) {
+          net_.add_arc(node_[o.index()], node_[child.index()], 1);
+        }
+      }
+    }
+
+    const graph::FlowNetwork::CutResult& result = net_.min_cut(source, sink);
+    // Fewest vertices on the sink side: take the sink-closest minimum cut.
+    for (const OperationId o : cone_) {
+      if (result.sink_side[node_[o.index()]]) {
+        moved.push_back(o);
+      }
+    }
+    moved.push_back(op);
+    return result.value;
+  }
+
+ private:
+  std::vector<Stamp> layer_stamp_;
+  std::vector<std::size_t> position_;  // index in the layer set last
+  std::vector<Stamp> cone_stamp_;
+  std::vector<std::size_t> node_;      // network node of a cone vertex
+  Stamp layer_epoch_ = 0;
+  Stamp cone_epoch_ = 0;
+  std::vector<OperationId> cone_;
+  std::vector<OperationId> stack_;
+  graph::FlowNetwork net_;
+};
 
 }  // namespace
 
@@ -48,85 +164,10 @@ EvictionCost eviction_cost(const model::Assay& assay,
                            const std::vector<OperationId>& layer_ops, OperationId op) {
   COHLS_EXPECT(std::find(layer_ops.begin(), layer_ops.end(), op) != layer_ops.end(),
                "operation to evict must be in the layer");
-  const graph::Digraph& g = assay.dependency_graph();
-  Mask in_layer = make_mask(assay.operation_count());
-  for (const OperationId o : layer_ops) {
-    in_layer[o.index()] = 1;
-  }
-
-  // The ancestor cone of `op` inside the layer.
-  const auto anc = graph::ancestor_mask(g, op.index());
-  std::vector<OperationId> cone;
-  for (const OperationId o : layer_ops) {
-    if (anc[o.index()]) {
-      cone.push_back(o);
-    }
-  }
-
-  // Flow network: node 0 = virtual source o_jv (lives in L_{i-1}); nodes
-  // 1..k = cone vertices; node k+1 = op (the sink).
-  graph::FlowNetwork net(cone.size() + 2);
-  // Network node of each operation, indexed by operation id (0 = none).
-  std::vector<std::size_t> index(static_cast<std::size_t>(assay.operation_count()), 0);
-  for (std::size_t i = 0; i < cone.size(); ++i) {
-    index[cone[i].index()] = i + 1;
-  }
-  const std::size_t source = 0;
-  const std::size_t sink = cone.size() + 1;
-  index[op.index()] = sink;
-
-  for (const OperationId o : cone) {
-    // Reagents entering the cone from outside the layer (earlier layers or
-    // primary inputs) flow out of the virtual source. One unit per
-    // external parent; primary inputs count one unit total.
-    std::int64_t external = 0;
-    for (const OperationId parent : assay.operation(o).parents()) {
-      if (!in_layer[parent.index()] || !anc[parent.index()]) {
-        ++external;
-      }
-    }
-    if (assay.operation(o).parents().empty()) {
-      external = 1;
-    }
-    if (external > 0) {
-      net.add_arc(source, index[o.index()], external);
-    }
-  }
-  // Direct external parents of `op` itself.
-  {
-    std::int64_t external = 0;
-    for (const OperationId parent : assay.operation(op).parents()) {
-      if (!in_layer[parent.index()] || !anc[parent.index()]) {
-        ++external;
-      }
-    }
-    if (assay.operation(op).parents().empty()) {
-      external = 1;
-    }
-    if (external > 0) {
-      net.add_arc(source, sink, external);
-    }
-  }
-  // Dependency edges inside the cone (each crossing edge is one stored
-  // intermediate).
-  for (const OperationId o : cone) {
-    for (const auto succ : g.successors(o.index())) {
-      if (index[succ] != 0) {
-        net.add_arc(index[o.index()], index[succ], 1);
-      }
-    }
-  }
-
-  const auto cut = net.min_cut(source, sink);
+  CutWorkspace cuts(assay.operation_count());
+  cuts.set_layer(layer_ops);
   EvictionCost cost;
-  cost.storage = cut.value;
-  // Fewest vertices on the sink side: take the sink-closest minimum cut.
-  for (const OperationId o : cone) {
-    if (cut.sink_side[index[o.index()]]) {
-      cost.moved.push_back(o);
-    }
-  }
-  cost.moved.push_back(op);
+  cost.storage = cuts.cut(assay, op, cost.moved);
   return cost;
 }
 
@@ -135,25 +176,25 @@ namespace {
 class LayeringRun {
  public:
   LayeringRun(const model::Assay& assay, const LayeringOptions& options)
-      : assay_(assay), options_(options), rng_(options.seed) {
+      : assay_(assay),
+        options_(options),
+        rng_(options.seed),
+        placed_(static_cast<std::size_t>(assay.operation_count()), 0),
+        active_(static_cast<std::size_t>(assay.operation_count()), 0),
+        below_(static_cast<std::size_t>(assay.operation_count()), 0) {
     COHLS_EXPECT(options.indeterminate_threshold >= 1,
                  "the layer threshold must allow at least one indeterminate operation");
   }
 
   LayerPlan run() {
-    Mask remaining = make_mask(assay_.operation_count());
-    for (const model::Operation& op : assay_.operations()) {
-      remaining[op.id().index()] = 1;
-    }
     int remaining_count = assay_.operation_count();
-
     std::vector<std::vector<OperationId>> layers;
     while (remaining_count > 0) {
-      std::vector<OperationId> layer = dependency_phase(remaining);
+      std::vector<OperationId> layer = dependency_phase();
       resource_phase(layer);
       COHLS_ASSERT(!layer.empty(), "a layering round must place at least one operation");
       for (const OperationId op : layer) {
-        remaining[op.index()] = 0;
+        placed_[op.index()] = 1;
       }
       remaining_count -= static_cast<int>(layer.size());
       std::sort(layer.begin(), layer.end());
@@ -164,110 +205,187 @@ class LayeringRun {
 
  private:
   /// Phase 1: modified maximum-independent-set sweep (L12-L24, Fig. 4).
-  std::vector<OperationId> dependency_phase(const Mask& remaining) const {
-    const graph::Digraph& g = assay_.dependency_graph();
-    Mask active = remaining;  // the working graph 𝓛
-    std::vector<OperationId> chosen_indeterminate;
-
-    std::vector<char> below_indeterminate(active.size());
-    while (true) {
-      // Indeterminate ops in the working graph with no indeterminate
-      // ancestor in the working graph. Ids are topological (parents first),
-      // so one forward sweep marks every op below an active indeterminate
-      // one; ancestry runs through the whole assay, inactive ops included.
-      std::vector<OperationId> eligible;
-      for (const model::Operation& op : assay_.operations()) {
-        bool below = false;
-        for (const OperationId parent : op.parents()) {
-          below = below || below_indeterminate[parent.index()] != 0 ||
-                  (active[parent.index()] != 0 && assay_.operation(parent).indeterminate());
-        }
-        below_indeterminate[op.id().index()] = below ? 1 : 0;
-        if (active[op.id().index()] && op.indeterminate() && !below) {
-          eligible.push_back(op.id());
-        }
+  std::vector<OperationId> dependency_phase() {
+    // The working graph 𝓛: every operation not placed yet.
+    for (std::size_t n = 0; n < placed_.size(); ++n) {
+      active_[n] = placed_[n] == 0 ? 1 : 0;
+    }
+    // Indeterminate ops in the working graph with no indeterminate ancestor
+    // in the working graph. Ids are topological (parents first), so one
+    // forward sweep marks every op below an active indeterminate one;
+    // ancestry runs through the whole assay, inactive ops included.
+    eligible_.clear();
+    for (const model::Operation& op : assay_.operations()) {
+      bool below = false;
+      for (const OperationId parent : op.parents()) {
+        below = below || below_[parent.index()] != 0 ||
+                (active_[parent.index()] != 0 && assay_.operation(parent).indeterminate());
       }
-      if (eligible.empty()) {
-        break;
-      }
-      const OperationId pick =
-          eligible[static_cast<std::size_t>(rng_.uniform_int(
-              0, static_cast<std::int64_t>(eligible.size()) - 1))];
-      chosen_indeterminate.push_back(pick);
-      active[pick.index()] = 0;
-      const auto desc = graph::descendant_mask(g, pick.index());
-      for (std::size_t n = 0; n < desc.size(); ++n) {
-        if (desc[n]) {
-          active[n] = 0;  // descendants go to later layers
-        }
+      below_[op.id().index()] = below ? 1 : 0;
+      if (active_[op.id().index()] && op.indeterminate() && !below) {
+        eligible_.push_back(op.id());
       }
     }
 
-    std::vector<OperationId> layer = chosen_indeterminate;
+    // Taking a pick and its descendants out of the working graph never
+    // makes another op eligible: an op whose blocking ancestor left
+    // descends from the pick and left too. So the eligible list only
+    // shrinks, and erasing the ops that left, in order, gives every draw
+    // the list a fresh sweep would.
+    std::vector<OperationId> layer;
+    while (!eligible_.empty()) {
+      const OperationId pick =
+          eligible_[static_cast<std::size_t>(rng_.uniform_int(
+              0, static_cast<std::int64_t>(eligible_.size()) - 1))];
+      layer.push_back(pick);
+      deactivate_with_descendants(pick);
+      std::erase_if(eligible_, [&](OperationId op) { return active_[op.index()] == 0; });
+    }
     for (const model::Operation& op : assay_.operations()) {
-      if (active[op.id().index()]) {
+      if (active_[op.id().index()]) {
         layer.push_back(op.id());
       }
     }
     return layer;
   }
 
-  /// Phase 2: evict the cheapest indeterminate operations until the layer
-  /// respects the threshold (L25-L34, Fig. 5).
-  void resource_phase(std::vector<OperationId>& layer) const {
-    while (count_indeterminate(layer) > options_.indeterminate_threshold) {
-      OperationId victim;
-      EvictionCost victim_cost;
-      bool have = false;
-      for (const OperationId op : layer) {
-        if (!assay_.operation(op).indeterminate()) {
-          continue;
-        }
-        EvictionCost cost = eviction_cost(assay_, layer, op);
-        const bool better =
-            !have || cost.storage < victim_cost.storage ||
-            (cost.storage == victim_cost.storage &&
-             (cost.moved.size() < victim_cost.moved.size() ||
-              (cost.moved.size() == victim_cost.moved.size() && op < victim)));
-        if (better) {
-          victim = op;
-          victim_cost = std::move(cost);
-          have = true;
+  /// Takes `pick` and its descendants out of the working graph (they go to
+  /// later layers). The walk stops at inactive ops: each is an earlier
+  /// pick's descendant, whose own descendants left with it.
+  void deactivate_with_descendants(OperationId pick) {
+    active_[pick.index()] = 0;
+    stack_.assign(1, pick);
+    while (!stack_.empty()) {
+      const OperationId op = stack_.back();
+      stack_.pop_back();
+      for (const OperationId child : assay_.children(op)) {
+        if (active_[child.index()]) {
+          active_[child.index()] = 0;
+          stack_.push_back(child);
         }
       }
-      COHLS_ASSERT(have, "threshold exceeded but no indeterminate op found");
-
-      // Remove the cut's sink side plus, for dependency consistency, every
-      // in-layer descendant of a removed operation.
-      Mask removed = make_mask(assay_.operation_count());
-      for (const OperationId op : victim_cost.moved) {
-        removed[op.index()] = 1;
-      }
-      const graph::Digraph& g = assay_.dependency_graph();
-      for (const OperationId op : victim_cost.moved) {
-        const auto desc = graph::descendant_mask(g, op.index());
-        for (const OperationId other : layer) {
-          if (desc[other.index()]) {
-            removed[other.index()] = 1;
-          }
-        }
-      }
-      std::erase_if(layer, [&](OperationId op) { return removed[op.index()] == 1; });
-      COHLS_ASSERT(!layer.empty(),
-                   "eviction emptied the layer; threshold too small for this assay");
     }
   }
 
-  int count_indeterminate(const std::vector<OperationId>& layer) const {
-    return static_cast<int>(
-        std::count_if(layer.begin(), layer.end(), [&](OperationId op) {
-          return assay_.operation(op).indeterminate();
-        }));
+  /// An eviction candidate: an indeterminate op of the layer and its cost,
+  /// whose moved ops are moved_[first, first + count).
+  struct Candidate {
+    OperationId op;
+    std::int64_t storage;
+    std::size_t first;
+    std::size_t count;
+  };
+
+  /// Phase 2: evict the cheapest indeterminate operations until the layer
+  /// respects the threshold (L25-L34, Fig. 5).
+  void resource_phase(std::vector<OperationId>& layer) {
+    int indeterminate = static_cast<int>(std::count_if(
+        layer.begin(), layer.end(),
+        [&](OperationId op) { return assay_.operation(op).indeterminate(); }));
+    if (indeterminate <= options_.indeterminate_threshold) {
+      return;
+    }
+    // Every candidate's cost is computed once, on the dependency-phase
+    // layer. An eviction removes the victim's moved ops and their in-layer
+    // descendants; any of them inside a surviving candidate's in-layer
+    // ancestor cone would have dragged that candidate out too. So a
+    // survivor's cone, its external-parent counts, its network (the same
+    // nodes and arcs in the same order) and its cut never change.
+    if (!cuts_) {  // most layers need no eviction, many assays none at all
+      cuts_.emplace(assay_.operation_count());
+      removal_stamp_.assign(placed_.size(), 0);
+    }
+    cuts_->set_layer(layer);
+    candidates_.clear();
+    moved_.clear();
+    for (const OperationId op : layer) {
+      if (assay_.operation(op).indeterminate()) {
+        const std::size_t first = moved_.size();
+        const std::int64_t storage = cuts_->cut(assay_, op, moved_);
+        candidates_.push_back(Candidate{op, storage, first, moved_.size() - first});
+      }
+    }
+    // Cheapest first: least storage, then fewest moved ops, then lowest id.
+    std::sort(candidates_.begin(), candidates_.end(), [](const Candidate& a, const Candidate& b) {
+      return std::tie(a.storage, a.count, a.op) < std::tie(b.storage, b.count, b.op);
+    });
+
+    while (indeterminate > options_.indeterminate_threshold) {
+      // The cheapest surviving candidate whose eviction keeps an
+      // indeterminate op in the layer, and so never empties it: a non-final
+      // layer without one ends no branch (validate_layering rejects it).
+      // When every candidate would take them all, the cheapest moves alone
+      // (its trivial cut); it has no in-layer descendant, since the
+      // dependency phase keeps those out of the layer.
+      bool marked = false;
+      for (const Candidate& c : candidates_) {
+        if (cuts_->in_layer(c.op) &&
+            mark_removal(std::span(moved_).subspan(c.first, c.count)) < indeterminate) {
+          marked = true;
+          break;
+        }
+      }
+      if (!marked) {
+        const auto cheapest = std::find_if(candidates_.begin(), candidates_.end(),
+                                           [&](const Candidate& c) { return cuts_->in_layer(c.op); });
+        COHLS_ASSERT(cheapest != candidates_.end(),
+                     "threshold exceeded but no indeterminate op found");
+        (void)mark_removal(std::span(&cheapest->op, 1));
+      }
+      std::erase_if(layer, [&](OperationId op) {
+        if (removal_stamp_[op.index()] != removal_epoch_) {
+          return false;
+        }
+        cuts_->leave_layer(op);
+        indeterminate -= assay_.operation(op).indeterminate() ? 1 : 0;
+        return true;
+      });
+      COHLS_ASSERT(!layer.empty(), "an eviction must leave the layer non-empty");
+    }
+  }
+
+  /// Marks `moved` plus, for dependency consistency, every in-layer
+  /// descendant of a moved op (one forward walk from all of them); returns
+  /// how many indeterminate ops are marked.
+  int mark_removal(std::span<const OperationId> moved) {
+    ++removal_epoch_;
+    int indeterminate = 0;
+    stack_.clear();
+    const auto mark = [&](OperationId op) {
+      if (removal_stamp_[op.index()] != removal_epoch_) {
+        removal_stamp_[op.index()] = removal_epoch_;
+        indeterminate += assay_.operation(op).indeterminate() ? 1 : 0;
+        stack_.push_back(op);
+      }
+    };
+    for (const OperationId op : moved) {
+      mark(op);
+    }
+    while (!stack_.empty()) {
+      const OperationId op = stack_.back();
+      stack_.pop_back();
+      for (const OperationId child : assay_.children(op)) {
+        if (cuts_->in_layer(child)) {
+          mark(child);
+        }
+      }
+    }
+    return indeterminate;
   }
 
   const model::Assay& assay_;
   const LayeringOptions& options_;
-  mutable Rng rng_;
+  Rng rng_;
+  std::vector<char> placed_;
+  std::vector<char> active_;  // the working graph 𝓛
+  std::vector<char> below_;   // below an active indeterminate op
+  std::vector<OperationId> eligible_;
+  std::vector<OperationId> stack_;
+  std::vector<Stamp> removal_stamp_;
+  Stamp removal_epoch_ = 0;
+  std::vector<Candidate> candidates_;
+  std::vector<OperationId> moved_;
+  std::optional<CutWorkspace> cuts_;
 };
 
 }  // namespace
@@ -300,7 +418,6 @@ std::vector<int> boundary_storage(const LayerPlan& plan, const model::Assay& ass
 std::vector<std::string> validate_layering(const LayerPlan& plan, const model::Assay& assay,
                                            int indeterminate_threshold) {
   std::vector<std::string> violations;
-  const graph::Digraph& g = assay.dependency_graph();
 
   // Exactly-once coverage.
   std::vector<int> seen(static_cast<std::size_t>(assay.operation_count()), 0);
@@ -324,6 +441,7 @@ std::vector<std::string> validate_layering(const LayerPlan& plan, const model::A
   }
 
   // Dependencies respect layer order; indeterminate descendants are strict.
+  std::vector<char> descends(static_cast<std::size_t>(assay.operation_count()), 0);
   for (const model::Operation& op : assay.operations()) {
     const int child_layer = plan.layer_of(op.id());
     for (const OperationId parent : op.parents()) {
@@ -337,11 +455,17 @@ std::vector<std::string> validate_layering(const LayerPlan& plan, const model::A
       }
     }
     // Also strict for transitive descendants of indeterminate operations.
+    // Ids are topological, so one forward sweep from `op` marks its
+    // descendants in id order (entries at or below `op` are stale).
     if (op.indeterminate()) {
-      const auto desc = graph::descendant_mask(g, op.id().index());
-      for (const model::Operation& other : assay.operations()) {
-        if (desc[other.id().index()] &&
-            plan.layer_of(other.id()) <= plan.layer_of(op.id())) {
+      for (std::size_t n = op.id().index() + 1; n < descends.size(); ++n) {
+        const model::Operation& other = assay.operations()[n];
+        descends[n] = std::any_of(other.parents().begin(), other.parents().end(),
+                                  [&](OperationId parent) {
+                                    return parent == op.id() ||
+                                           (op.id() < parent && descends[parent.index()] != 0);
+                                  });
+        if (descends[n] && plan.layer_of(other.id()) <= plan.layer_of(op.id())) {
           violations.push_back("descendant '" + other.name() + "' of indeterminate '" +
                                op.name() + "' is not in a later layer");
         }

@@ -10,7 +10,12 @@
 // indeterminate operations, evict the one whose removal is cheapest, where
 // the cost is a minimum cut over the operation's ancestor cone (crossing
 // edges = intermediates that must be stored), tie-broken by the number of
-// ancestor operations dragged along (Fig. 5).
+// ancestor operations dragged along (Fig. 5). A candidate whose eviction
+// would take every indeterminate operation out of the layer is passed over;
+// if all would, the cheapest leaves alone.
+//
+// Cost: one eligibility sweep per layer, one min-cut per eviction
+// candidate per layer, and no allocation per cut (DESIGN.md, Algorithm 1).
 #pragma once
 
 #include <vector>
@@ -65,7 +70,9 @@ struct LayeringOptions {
 
 /// Cost of evicting indeterminate operation `op` from the set `layer_ops`
 /// (Fig. 5): the min-cut storage usage and the operations that move. This
-/// is exposed for tests and the Fig. 5 reproduction bench.
+/// is exposed for tests and the Fig. 5 reproduction bench. `layer_ops` must
+/// hold every operation on a path between two of its operations, as every
+/// layer of Algorithm 1 does: the cone is found without leaving the layer.
 struct EvictionCost {
   std::int64_t storage = 0;               ///< crossing edges of the min cut
   std::vector<OperationId> moved;         ///< ops leaving the layer (incl. `op`)

@@ -13,10 +13,18 @@
 
 namespace cohls::graph {
 
-/// A flow network with integer capacities. Nodes are indexed 0..n-1.
+/// A flow network with integer capacities. Nodes are indexed 0..n-1. The
+/// arcs live in one flat array (arc `2h` is handle `h`, arc `2h + 1` its
+/// residual reverse) with per-node linked adjacency, and the search buffers
+/// are members: after `reset`, building and cutting a network of no more
+/// nodes and arcs than before allocates nothing.
 class FlowNetwork {
  public:
-  explicit FlowNetwork(std::size_t node_count);
+  FlowNetwork() = default;
+  explicit FlowNetwork(std::size_t node_count) { reset(node_count); }
+
+  /// Drops every arc and resizes to `node_count` nodes, keeping capacity.
+  void reset(std::size_t node_count);
 
   [[nodiscard]] std::size_t node_count() const { return head_.size(); }
 
@@ -48,22 +56,28 @@ class FlowNetwork {
 
   /// Runs Edmonds–Karp from `source` to `sink`; returns the cut. Both
   /// canonical minimum cuts are reported: `source_side` describes the cut
-  /// closest to the source, `sink_side` the cut closest to the sink.
-  CutResult min_cut(std::size_t source, std::size_t sink);
+  /// closest to the source, `sink_side` the cut closest to the sink. Both
+  /// are unique, so they do not depend on the order the arcs were added.
+  /// The result is held by the network and stays valid until the next
+  /// `min_cut` or `reset`.
+  const CutResult& min_cut(std::size_t source, std::size_t sink);
 
  private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
   struct Arc {
     std::size_t to;
-    std::size_t reverse;   ///< index of the reverse arc in arcs_[to]
-    std::int64_t capacity; ///< residual capacity
+    std::size_t next;       ///< next arc out of the same node, or kNone
+    std::int64_t capacity;  ///< residual capacity
   };
 
   std::int64_t bfs_augment(std::size_t source, std::size_t sink);
 
-  std::vector<std::size_t> head_;            // per-node first arc (unused marker)
-  std::vector<std::vector<Arc>> arcs_;       // adjacency of residual arcs
-  std::vector<std::pair<std::size_t, std::size_t>> handles_;  // (node, slot)
-  std::vector<std::int64_t> original_capacity_;
+  std::vector<std::size_t> head_;  // per-node first arc, or kNone
+  std::vector<Arc> arcs_;
+  std::vector<std::size_t> parent_arc_;  // BFS: arc that discovered each node
+  std::vector<std::size_t> queue_;       // BFS queue and side-search stack
+  CutResult cut_;
 };
 
 }  // namespace cohls::graph

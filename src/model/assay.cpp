@@ -15,7 +15,6 @@ Assay::Assay(std::string name, AccessoryRegistry registry)
 void Assay::reserve(std::size_t operations) {
   operations_.reserve(operations);
   children_.reserve(operations);
-  graph_.reserve(operations);
 }
 
 OperationId Assay::add_operation(OperationSpec spec) {
@@ -28,10 +27,7 @@ OperationId Assay::add_operation(OperationSpec spec) {
                "operation requires an accessory kind that is not registered");
   const Operation& op = operations_.emplace_back(id, std::move(spec));
   children_.emplace_back();
-  const auto node = graph_.add_node();
-  COHLS_ASSERT(node == id.index(), "graph nodes must mirror operation ids");
   for (const OperationId parent : op.parents()) {
-    graph_.add_edge(parent.index(), id.index());
     children_[parent.index()].push_back(id);
   }
   return id;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/digraph.hpp"
 #include "model/operation.hpp"
 
 namespace cohls::model {
@@ -36,9 +35,6 @@ class Assay {
   /// stays valid until the next add_operation.
   [[nodiscard]] const std::vector<OperationId>& children(OperationId id) const;
 
-  /// The dependency digraph: node i == operation id i, edges parent->child.
-  [[nodiscard]] const graph::Digraph& dependency_graph() const { return graph_; }
-
   [[nodiscard]] std::vector<OperationId> indeterminate_operations() const;
   [[nodiscard]] int indeterminate_count() const;
 
@@ -49,7 +45,6 @@ class Assay {
   int accessory_count_ = 0;
   std::vector<Operation> operations_;
   std::vector<std::vector<OperationId>> children_;
-  graph::Digraph graph_;
 };
 
 }  // namespace cohls::model

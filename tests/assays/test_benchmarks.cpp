@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/traversal.hpp"
 #include "model/compatibility.hpp"
+#include "support/traversal.hpp"
 
 namespace cohls::assays {
 namespace {
@@ -41,7 +41,7 @@ TEST(Benchmarks, RejectsNonPositiveReplication) {
 TEST(Benchmarks, AllGraphsAreDags) {
   for (const model::Assay& assay :
        {kinase_activity_assay(), gene_expression_assay(), rt_qpcr_assay()}) {
-    EXPECT_FALSE(graph::has_cycle(assay.dependency_graph())) << assay.name();
+    EXPECT_FALSE(graph::has_cycle(oracles::dependency_graph(assay))) << assay.name();
   }
 }
 

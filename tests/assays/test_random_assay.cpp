@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/traversal.hpp"
 #include "model/compatibility.hpp"
+#include "support/traversal.hpp"
 
 namespace cohls::assays {
 namespace {
@@ -67,7 +67,7 @@ TEST_P(RandomAssayProperty, AlwaysWellFormed) {
   options.indeterminate_probability = 0.3;
   const model::Assay assay =
       random_assay(static_cast<std::uint64_t>(GetParam()) * 53 + 2, options);
-  EXPECT_FALSE(graph::has_cycle(assay.dependency_graph()));
+  EXPECT_FALSE(graph::has_cycle(oracles::dependency_graph(assay)));
   for (const auto& op : assay.operations()) {
     EXPECT_GE(op.duration(), options.min_duration);
     EXPECT_LE(op.duration(), options.max_duration);

@@ -4,6 +4,8 @@
 
 #include "assays/benchmarks.hpp"
 #include "assays/random_assay.hpp"
+#include "core/progressive_resynthesis.hpp"
+#include "schedule/validate.hpp"
 
 namespace cohls::core {
 namespace {
@@ -117,6 +119,35 @@ TEST(Layering, RejectsEmptyAssayAndBadThreshold) {
   LayeringOptions options;
   options.indeterminate_threshold = 0;
   EXPECT_THROW((void)layer_assay(assay, options), PreconditionError);
+}
+
+TEST(Layering, EvictionNeverEmptiesTheLayer) {
+  // At t = 1 and 2 the cheapest candidate's removal set (its cut's sink
+  // side plus their in-layer descendants) can be the whole layer, and the
+  // next cheapest's can hold every indeterminate op of the layer. Either
+  // would leave a layer that ends no branch, so such candidates are passed
+  // over; this input used to abort synthesis.
+  assays::RandomAssayOptions gen;
+  gen.operations = 120;
+  gen.indeterminate_probability = 0.15;
+  gen.edge_probability = 0.17;
+  const model::Assay assay = assays::random_assay(19, gen);
+  for (const int threshold : {1, 2}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      LayeringOptions options;
+      options.indeterminate_threshold = threshold;
+      options.seed = seed;
+      const auto violations = validate_layering(layer_assay(assay, options), assay, threshold);
+      EXPECT_TRUE(violations.empty()) << "t = " << threshold << ", seed " << seed << ": "
+                                      << violations.front();
+    }
+    SynthesisOptions options;
+    options.layering.indeterminate_threshold = threshold;
+    const SynthesisReport report = synthesize(assay, options);
+    const auto diagnostics = schedule::certify_result(report.result, assay, report.transport);
+    EXPECT_TRUE(diagnostics.empty()) << "t = " << threshold << ": "
+                                     << diag::summary_line(diagnostics.front());
+  }
 }
 
 TEST(LayerPlan, LayerOfUnknownIsNegative) {

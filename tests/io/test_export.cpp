@@ -15,12 +15,14 @@ struct Fixture {
   Fixture() {
     core::SynthesisOptions options;
     options.max_devices = 10;
+    // The exporters only read the result; at |D| = 10 the kinase layers
+    // would otherwise reach the layer MILP, which takes seconds per run.
+    options.engine.enable_ilp = false;
     report = core::synthesize(assay, options);
   }
 };
 
-/// One synthesis shared by every test that only reads it: at |D| = 10 the
-/// kinase layers reach the layer MILP, which makes each run take seconds.
+/// One synthesis shared by every test that only reads it.
 const Fixture& shared_fixture() {
   static const Fixture fixture;
   return fixture;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/traversal.hpp"
+
 namespace cohls::model {
 namespace {
 
@@ -24,7 +26,7 @@ TEST(Assay, AddOperationsBuildsGraph) {
   EXPECT_EQ(assay.operation(b).parents(), std::vector<OperationId>{a});
   EXPECT_EQ(assay.children(a), (std::vector<OperationId>{b, c}));
   EXPECT_EQ(assay.children(c).size(), 0u);
-  EXPECT_EQ(assay.dependency_graph().edge_count(), 3u);
+  EXPECT_EQ(oracles::dependency_graph(assay).edge_count(), 3u);
 }
 
 TEST(Assay, ChildrenListInTheOrderTheyWereAdded) {
@@ -38,10 +40,12 @@ TEST(Assay, ChildrenListInTheOrderTheyWereAdded) {
   EXPECT_EQ(assay.children(a), (std::vector<OperationId>{b, d, e, f}));
   EXPECT_EQ(assay.children(b), std::vector<OperationId>{f});
   EXPECT_EQ(assay.children(c), (std::vector<OperationId>{d, e}));
-  // The same order as the dependency graph's successor lists.
+  // The same order as the successor lists of the dependency graph built
+  // from the parent lists.
+  const graph::Digraph g = oracles::dependency_graph(assay);
   for (const Operation& operation : assay.operations()) {
     std::vector<OperationId> successors;
-    for (const auto node : assay.dependency_graph().successors(operation.id().index())) {
+    for (const auto node : g.successors(operation.id().index())) {
       successors.push_back(OperationId{static_cast<std::int32_t>(node)});
     }
     EXPECT_EQ(assay.children(operation.id()), successors) << operation.name();
@@ -104,7 +108,7 @@ TEST(Assay, GraphIsAlwaysAcyclicByConstruction) {
   const auto b = assay.add_operation(op("b", {a}));
   (void)assay.add_operation(op("c", {b}));
   // Topological order exists for any constructible assay.
-  const auto& g = assay.dependency_graph();
+  const graph::Digraph g = oracles::dependency_graph(assay);
   std::size_t edges = 0;
   for (graph::NodeIndex n = 0; n < g.node_count(); ++n) {
     for (const auto s : g.successors(n)) {

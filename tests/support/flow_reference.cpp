@@ -9,8 +9,9 @@
 #include <sstream>
 #include <utility>
 
-#include "graph/traversal.hpp"
+#include "graph/max_flow.hpp"
 #include "model/compatibility.hpp"
+#include "support/traversal.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -312,22 +313,116 @@ std::vector<diag::Diagnostic> certify_result_reference(const SynthesisResult& re
   return diagnostics;
 }
 
-
 namespace {
 
 using core::EvictionCost;
 using core::LayerPlan;
 using core::LayeringOptions;
-using core::eviction_cost;
 
 using Mask = std::vector<char>;
 
 Mask make_mask(int n) { return Mask(static_cast<std::size_t>(n), 0); }
 
+}  // namespace
+
+EvictionCost eviction_cost_reference(const model::Assay& assay,
+                                     const std::vector<OperationId>& layer_ops,
+                                     OperationId op) {
+  COHLS_EXPECT(std::find(layer_ops.begin(), layer_ops.end(), op) != layer_ops.end(),
+               "operation to evict must be in the layer");
+  const graph::Digraph g = dependency_graph(assay);
+  Mask in_layer = make_mask(assay.operation_count());
+  for (const OperationId o : layer_ops) {
+    in_layer[o.index()] = 1;
+  }
+
+  // The ancestor cone of `op` inside the layer.
+  const auto anc = graph::ancestor_mask(g, op.index());
+  std::vector<OperationId> cone;
+  for (const OperationId o : layer_ops) {
+    if (anc[o.index()]) {
+      cone.push_back(o);
+    }
+  }
+
+  // Flow network: node 0 = virtual source o_jv (lives in L_{i-1}); nodes
+  // 1..k = cone vertices; node k+1 = op (the sink).
+  graph::FlowNetwork net(cone.size() + 2);
+  // Network node of each operation, indexed by operation id (0 = none).
+  std::vector<std::size_t> index(static_cast<std::size_t>(assay.operation_count()), 0);
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    index[cone[i].index()] = i + 1;
+  }
+  const std::size_t source = 0;
+  const std::size_t sink = cone.size() + 1;
+  index[op.index()] = sink;
+
+  for (const OperationId o : cone) {
+    // Reagents entering the cone from outside the layer (earlier layers or
+    // primary inputs) flow out of the virtual source. One unit per
+    // external parent; primary inputs count one unit total.
+    std::int64_t external = 0;
+    for (const OperationId parent : assay.operation(o).parents()) {
+      if (!in_layer[parent.index()] || !anc[parent.index()]) {
+        ++external;
+      }
+    }
+    if (assay.operation(o).parents().empty()) {
+      external = 1;
+    }
+    if (external > 0) {
+      net.add_arc(source, index[o.index()], external);
+    }
+  }
+  // Direct external parents of `op` itself.
+  {
+    std::int64_t external = 0;
+    for (const OperationId parent : assay.operation(op).parents()) {
+      if (!in_layer[parent.index()] || !anc[parent.index()]) {
+        ++external;
+      }
+    }
+    if (assay.operation(op).parents().empty()) {
+      external = 1;
+    }
+    if (external > 0) {
+      net.add_arc(source, sink, external);
+    }
+  }
+  // Dependency edges inside the cone (each crossing edge is one stored
+  // intermediate).
+  for (const OperationId o : cone) {
+    for (const auto succ : g.successors(o.index())) {
+      if (index[succ] != 0) {
+        net.add_arc(index[o.index()], index[succ], 1);
+      }
+    }
+  }
+
+  const graph::FlowNetwork::CutResult cut = net.min_cut(source, sink);
+  EvictionCost cost;
+  cost.storage = cut.value;
+  // Fewest vertices on the sink side: take the sink-closest minimum cut.
+  for (const OperationId o : cone) {
+    if (cut.sink_side[index[o.index()]]) {
+      cost.moved.push_back(o);
+    }
+  }
+  cost.moved.push_back(op);
+  return cost;
+}
+
+namespace {
+
 class LayeringRunReference {
  public:
-  LayeringRunReference(const model::Assay& assay, const LayeringOptions& options)
-      : assay_(assay), options_(options), rng_(options.seed) {
+  LayeringRunReference(const model::Assay& assay, const LayeringOptions& options,
+                       const LayerObserver& observe)
+      : assay_(assay),
+        options_(options),
+        observe_(observe),
+        graph_(dependency_graph(assay)),
+        rng_(options.seed) {
     COHLS_EXPECT(options.indeterminate_threshold >= 1,
                  "the layer threshold must allow at least one indeterminate operation");
   }
@@ -342,6 +437,9 @@ class LayeringRunReference {
     std::vector<std::vector<OperationId>> layers;
     while (remaining_count > 0) {
       std::vector<OperationId> layer = dependency_phase(remaining);
+      if (observe_) {
+        observe_(layer, false);
+      }
       resource_phase(layer);
       COHLS_ASSERT(!layer.empty(), "a layering round must place at least one operation");
       for (const OperationId op : layer) {
@@ -357,7 +455,6 @@ class LayeringRunReference {
  private:
   /// Phase 1: modified maximum-independent-set sweep (L12-L24, Fig. 4).
   std::vector<OperationId> dependency_phase(const Mask& remaining) const {
-    const graph::Digraph& g = assay_.dependency_graph();
     Mask active = remaining;  // the working graph 𝓛
     std::vector<OperationId> chosen_indeterminate;
 
@@ -369,7 +466,7 @@ class LayeringRunReference {
         if (!active[op.id().index()] || !op.indeterminate()) {
           continue;
         }
-        const auto anc = graph::ancestor_mask(g, op.id().index());
+        const auto anc = graph::ancestor_mask(graph_, op.id().index());
         bool has_ind_ancestor = false;
         for (const model::Operation& other : assay_.operations()) {
           if (other.indeterminate() && active[other.id().index()] &&
@@ -390,7 +487,7 @@ class LayeringRunReference {
               0, static_cast<std::int64_t>(eligible.size()) - 1))];
       chosen_indeterminate.push_back(pick);
       active[pick.index()] = 0;
-      const auto desc = graph::descendant_mask(g, pick.index());
+      const auto desc = graph::descendant_mask(graph_, pick.index());
       for (std::size_t n = 0; n < desc.size(); ++n) {
         if (desc[n]) {
           active[n] = 0;  // descendants go to later layers
@@ -408,49 +505,68 @@ class LayeringRunReference {
   }
 
   /// Phase 2: evict the cheapest indeterminate operations until the layer
-  /// respects the threshold (L25-L34, Fig. 5).
+  /// respects the threshold (L25-L34, Fig. 5), recomputing every
+  /// candidate's cost in every round.
   void resource_phase(std::vector<OperationId>& layer) const {
     while (count_indeterminate(layer) > options_.indeterminate_threshold) {
-      OperationId victim;
-      EvictionCost victim_cost;
-      bool have = false;
+      std::vector<std::pair<OperationId, EvictionCost>> ranked;
       for (const OperationId op : layer) {
-        if (!assay_.operation(op).indeterminate()) {
-          continue;
-        }
-        EvictionCost cost = eviction_cost(assay_, layer, op);
-        const bool better =
-            !have || cost.storage < victim_cost.storage ||
-            (cost.storage == victim_cost.storage &&
-             (cost.moved.size() < victim_cost.moved.size() ||
-              (cost.moved.size() == victim_cost.moved.size() && op < victim)));
-        if (better) {
-          victim = op;
-          victim_cost = std::move(cost);
-          have = true;
+        if (assay_.operation(op).indeterminate()) {
+          ranked.emplace_back(op, eviction_cost_reference(assay_, layer, op));
         }
       }
-      COHLS_ASSERT(have, "threshold exceeded but no indeterminate op found");
+      COHLS_ASSERT(!ranked.empty(), "threshold exceeded but no indeterminate op found");
+      std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+        if (a.second.storage != b.second.storage) {
+          return a.second.storage < b.second.storage;
+        }
+        if (a.second.moved.size() != b.second.moved.size()) {
+          return a.second.moved.size() < b.second.moved.size();
+        }
+        return a.first < b.first;
+      });
 
-      // Remove the cut's sink side plus, for dependency consistency, every
-      // in-layer descendant of a removed operation.
-      Mask removed = make_mask(assay_.operation_count());
-      for (const OperationId op : victim_cost.moved) {
-        removed[op.index()] = 1;
-      }
-      const graph::Digraph& g = assay_.dependency_graph();
-      for (const OperationId op : victim_cost.moved) {
-        const auto desc = graph::descendant_mask(g, op.index());
-        for (const OperationId other : layer) {
-          if (desc[other.index()]) {
-            removed[other.index()] = 1;
-          }
+      // The cheapest candidate whose removal leaves an indeterminate op in
+      // the layer; when none does, the cheapest one alone.
+      Mask removed;
+      bool found = false;
+      for (const auto& [op, cost] : ranked) {
+        removed = removal_mask(layer, cost.moved);
+        if (std::count_if(layer.begin(), layer.end(), [&](OperationId o) {
+              return removed[o.index()] == 0 && assay_.operation(o).indeterminate();
+            }) > 0) {
+          found = true;
+          break;
         }
+      }
+      if (!found) {
+        removed = removal_mask(layer, {ranked.front().first});
       }
       std::erase_if(layer, [&](OperationId op) { return removed[op.index()] == 1; });
-      COHLS_ASSERT(!layer.empty(),
-                   "eviction emptied the layer; threshold too small for this assay");
+      COHLS_ASSERT(!layer.empty(), "an eviction must leave the layer non-empty");
+      if (observe_) {
+        observe_(layer, true);
+      }
     }
+  }
+
+  /// The cut's sink side plus, for dependency consistency, every in-layer
+  /// descendant of a removed operation.
+  Mask removal_mask(const std::vector<OperationId>& layer,
+                    const std::vector<OperationId>& moved) const {
+    Mask removed = make_mask(assay_.operation_count());
+    for (const OperationId op : moved) {
+      removed[op.index()] = 1;
+    }
+    for (const OperationId op : moved) {
+      const auto desc = graph::descendant_mask(graph_, op.index());
+      for (const OperationId other : layer) {
+        if (desc[other.index()]) {
+          removed[other.index()] = 1;
+        }
+      }
+    }
+    return removed;
   }
 
   int count_indeterminate(const std::vector<OperationId>& layer) const {
@@ -462,16 +578,18 @@ class LayeringRunReference {
 
   const model::Assay& assay_;
   const LayeringOptions& options_;
+  const LayerObserver& observe_;
+  graph::Digraph graph_;
   mutable Rng rng_;
 };
-
 
 }  // namespace
 
 core::LayerPlan layer_assay_reference(const model::Assay& assay,
-                                      const core::LayeringOptions& options) {
+                                      const core::LayeringOptions& options,
+                                      const LayerObserver& observe) {
   COHLS_EXPECT(assay.operation_count() > 0, "cannot layer an empty assay");
-  LayeringRunReference run(assay, options);
+  LayeringRunReference run(assay, options, observe);
   return run.run();
 }
 

@@ -1,12 +1,13 @@
 // Test-only references for the synthesis flow's bookkeeping: the original
 // std::map / std::set implementations of the result's path set, the
 // objective, the transport refinement, the certifier and Algorithm 1's
-// layering. The library versions index flat arrays by the dense operation
-// ids instead; the differential tests hold them to identical paths,
-// bit-identical objectives, equal edge times, identical diagnostic
-// sequences and identical layer plans.
+// layering with its eviction min-cut. The library versions index flat arrays
+// by the dense operation ids instead; the differential tests hold them to
+// identical paths, bit-identical objectives, equal edge times, identical
+// diagnostic sequences, identical layer plans and identical eviction costs.
 #pragma once
 
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -40,9 +41,22 @@ namespace cohls::oracles {
     const schedule::SynthesisResult& result, const model::Assay& assay,
     const schedule::TransportPlan& transport);
 
+/// core::eviction_cost over whole-assay masks: the cone is the layer's
+/// ancestors of `op` in the whole assay, and every call builds a fresh
+/// flow network.
+[[nodiscard]] core::EvictionCost eviction_cost_reference(
+    const model::Assay& assay, const std::vector<OperationId>& layer_ops, OperationId op);
+
+/// Sees each layer of a reference layering run: once as the dependency
+/// phase leaves it (`after_eviction` false) and again after every eviction.
+using LayerObserver =
+    std::function<void(const std::vector<OperationId>& layer, bool after_eviction)>;
+
 /// core::layer_assay with one ancestor search per indeterminate operation
-/// in the dependency phase.
+/// in the dependency phase and every candidate's eviction cost recomputed
+/// (by eviction_cost_reference) in every round of the resource phase.
 [[nodiscard]] core::LayerPlan layer_assay_reference(const model::Assay& assay,
-                                                    const core::LayeringOptions& options);
+                                                    const core::LayeringOptions& options,
+                                                    const LayerObserver& observe = {});
 
 }  // namespace cohls::oracles
