@@ -2,8 +2,9 @@
 // revised simplex (cold solve and warm child re-solve), branch-and-bound,
 // the layer-model build and its presolve, max-flow, layering, one
 // list-scheduled layer, a full synthesis pass, the flow's bookkeeping
-// (transport refinement and certification of a synthesized result) and the
-// text front end (lex, build and lint of a protocol).
+// (transport refinement and certification of a synthesized result), the
+// text front end (lex, build and lint of a protocol) and the layer cache's
+// key (one signature; one missed lookup plus its store).
 // These track the cost of the pieces the paper's runtime column depends on.
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,8 @@
 #include "core/layering.hpp"
 #include "core/progressive_resynthesis.hpp"
 #include "core/transport_estimator.hpp"
+#include "engine/layer_cache.hpp"
+#include "engine/layer_signature.hpp"
 #include "graph/max_flow.hpp"
 #include "io/assay_source.hpp"
 #include "io/assay_text.hpp"
@@ -281,5 +284,98 @@ void BM_LintAssay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LintAssay)->DenseRange(1, 3);
+
+/// An owned copy of one layer-solve context and the solve's outcome.
+struct CapturedLayer {
+  model::Assay assay{"captured"};
+  schedule::LayerRequest request;
+  schedule::TransportPlan transport{Minutes{0}};
+  model::CostModel costs;
+  core::EngineOptions engine;
+  model::DeviceInventory inventory{1};
+  core::LayerOutcome outcome;
+
+  [[nodiscard]] core::LayerSolveContext context() const {
+    return {request, assay, transport, costs, engine, inventory};
+  }
+};
+
+/// A cache that never hits and keeps the first context of one layer.
+class LayerGrabber final : public core::LayerSolveCache {
+ public:
+  LayerGrabber(int layer, CapturedLayer& out) : layer_(layer), out_(out) {}
+  std::optional<core::LayerOutcome> lookup(const core::LayerSolveContext&) override {
+    return std::nullopt;
+  }
+  void store(const core::LayerSolveContext& context,
+             const core::LayerOutcome& outcome) override {
+    if (!grabbed_ && context.request.layer == LayerId{layer_}) {
+      grabbed_ = true;
+      out_.request = context.request;
+      out_.transport = context.transport;
+      out_.costs = context.costs;
+      out_.engine = context.engine;
+      out_.inventory = context.inventory;
+      out_.outcome = outcome;
+    }
+  }
+
+ private:
+  int layer_;
+  CapturedLayer& out_;
+  bool grabbed_ = false;
+};
+
+/// The first-pass context of `layer` when `assay` is synthesized.
+CapturedLayer capture_layer(model::Assay assay, int layer, core::SynthesisOptions options) {
+  CapturedLayer captured;
+  captured.assay = std::move(assay);
+  LayerGrabber grabber(layer, captured);
+  options.layer_cache = &grabber;
+  (void)core::synthesize(captured.assay, options);
+  return captured;
+}
+
+/// 0: case 2's layer 1 (gene expression, default options); 1: layer 0 of a
+/// 48-op random assay, heuristic only (a batch-corpus job's shape).
+const CapturedLayer& captured_layer(int which) {
+  static const CapturedLayer layers[] = {
+      capture_layer(assays::gene_expression_assay(), 1, core::SynthesisOptions{}),
+      [] {
+        assays::RandomAssayOptions shape;
+        shape.operations = 48;
+        core::SynthesisOptions options;
+        options.engine.enable_ilp = false;
+        return capture_layer(assays::random_assay(1, shape), 0, options);
+      }()};
+  return layers[which];
+}
+
+/// One engine::layer_signature call: the layer cache's key.
+void BM_LayerSignature(benchmark::State& state) {
+  const CapturedLayer& layer = captured_layer(static_cast<int>(state.range(0)));
+  const core::LayerSolveContext context = layer.context();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const engine::LayerSignature signature = engine::layer_signature(context);
+    bytes = signature.text.size();
+    benchmark::DoNotOptimize(signature.hash);
+  }
+  state.counters["key_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_LayerSignature)->DenseRange(0, 1);
+
+/// One missed lookup plus the store of its solve, on a fresh cache and a
+/// fresh context: what a cacheable solve adds around the solver.
+void BM_LayerCacheMissStore(benchmark::State& state) {
+  const CapturedLayer& layer = captured_layer(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    engine::LayerSolutionCache cache(/*capacity=*/1, /*shards=*/1);
+    const core::LayerSolveContext context = layer.context();
+    benchmark::DoNotOptimize(cache.lookup(context));
+    cache.store(context, layer.outcome);
+  }
+}
+BENCHMARK(BM_LayerCacheMissStore)->DenseRange(0, 1);
 
 }  // namespace

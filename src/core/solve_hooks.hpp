@@ -6,14 +6,17 @@
 // across concurrent syntheses — core calls them without locking.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <string>
 
 #include "core/layer_synthesizer.hpp"
 
 namespace cohls::core {
 
 /// Everything synthesize_layer reads, bundled so cache implementations can
-/// derive a complete solution signature from one place.
+/// derive a complete solution signature from one place. One context serves
+/// one solve: its inputs must not change between `lookup` and `store`.
 struct LayerSolveContext {
   const schedule::LayerRequest& request;
   const model::Assay& assay;
@@ -21,6 +24,11 @@ struct LayerSolveContext {
   const model::CostModel& costs;
   const EngineOptions& engine;
   const model::DeviceInventory& inventory;
+  /// Memo slot for the attached cache: the key its `lookup` derived (text
+  /// and hash), so the `store` of the same solve need not derive it again.
+  /// Empty until a cache fills it; core never reads it.
+  mutable std::string cache_key{};
+  mutable std::uint64_t cache_key_hash = 0;
 };
 
 /// Memoization of per-layer solves. `lookup` returns a LayerOutcome

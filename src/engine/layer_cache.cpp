@@ -1,6 +1,7 @@
 #include "engine/layer_cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -8,11 +9,18 @@ namespace cohls::engine {
 
 namespace {
 
-/// Layer ops in canonical (id) order — rank r maps to sorted_ops[r].
-std::vector<OperationId> sorted_layer_ops(const schedule::LayerRequest& request) {
-  std::vector<OperationId> ops = request.ops;
-  std::sort(ops.begin(), ops.end());
-  return ops;
+/// Rank of each layer op in id order, indexed by op id (-1 off the layer).
+std::vector<int> layer_ranks(const schedule::LayerRequest& request) {
+  std::vector<int> rank;
+  for (const OperationId id : request.ops) {
+    rank.resize(std::max(rank.size(), id.index() + 1), -1);
+    rank[id.index()] = 0;
+  }
+  int next = 0;
+  for (int& r : rank) {
+    r = r < 0 ? r : next++;
+  }
+  return rank;
 }
 
 int hint_position(const schedule::LayerRequest& request, int key) {
@@ -38,14 +46,13 @@ LayerSolutionCache::LayerSolutionCache(std::size_t capacity, int shards)
 LayerSolutionCache::CachedSolution LayerSolutionCache::encode(
     const core::LayerSolveContext& context, const core::LayerOutcome& outcome) {
   const schedule::LayerRequest& request = context.request;
-  const std::vector<OperationId> ops = sorted_layer_ops(request);
-  std::unordered_map<std::int32_t, int> op_rank;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    op_rank.emplace(ops[i].value(), static_cast<int>(i));
-  }
-  std::unordered_map<std::int32_t, int> device_ref;
-  for (std::size_t i = 0; i < request.usable_devices.size(); ++i) {
-    device_ref.emplace(request.usable_devices[i].value(), static_cast<int>(i));
+  const std::vector<int> op_rank = layer_ranks(request);
+  // Inherited devices by inventory position (filled backwards, so a device
+  // listed twice keeps its first position); created ones by |inherited| +
+  // creation order.
+  std::vector<int> device_ref(static_cast<std::size_t>(outcome.inventory.size()), -1);
+  for (std::size_t i = request.usable_devices.size(); i-- > 0;) {
+    device_ref.at(request.usable_devices[i].index()) = static_cast<int>(i);
   }
 
   CachedSolution cached;
@@ -56,15 +63,17 @@ LayerSolutionCache::CachedSolution LayerSolutionCache::encode(
     const model::Device& device = devices[static_cast<std::size_t>(i)];
     COHLS_ASSERT(device.created_in == request.layer,
                  "layer outcome contains a device created elsewhere");
-    device_ref.emplace(device.id.value(),
-                       static_cast<int>(request.usable_devices.size()) + (i - inherited));
+    device_ref[device.id.index()] =
+        static_cast<int>(request.usable_devices.size()) + (i - inherited);
     cached.created.push_back(device.config);
   }
 
   for (const schedule::ScheduledOperation& item : outcome.result.schedule.items) {
     CachedItem encoded;
-    encoded.op_rank = op_rank.at(item.op.value());
-    encoded.device_ref = device_ref.at(item.device.value());
+    encoded.op_rank = op_rank.at(item.op.index());
+    encoded.device_ref = device_ref.at(item.device.index());
+    COHLS_ASSERT(encoded.op_rank >= 0 && encoded.device_ref >= 0,
+                 "layer outcome references an id outside the layer's context");
     encoded.start = item.start.count();
     encoded.duration = item.duration.count();
     encoded.transport = item.transport.count();
@@ -81,7 +90,11 @@ LayerSolutionCache::CachedSolution LayerSolutionCache::encode(
 core::LayerOutcome LayerSolutionCache::decode(const core::LayerSolveContext& context,
                                               const CachedSolution& cached) {
   const schedule::LayerRequest& request = context.request;
-  const std::vector<OperationId> ops = sorted_layer_ops(request);
+  const std::vector<int> op_rank = layer_ranks(request);
+  std::vector<OperationId> ops(request.ops.size());  // rank r -> ops[r]
+  for (const OperationId id : request.ops) {
+    ops[static_cast<std::size_t>(op_rank[id.index()])] = id;
+  }
 
   core::LayerOutcome outcome;
   outcome.inventory = context.inventory;
@@ -114,12 +127,12 @@ std::optional<core::LayerOutcome> LayerSolutionCache::lookup(
   if (!cacheable(context)) {
     return std::nullopt;
   }
-  const LayerSignature signature = layer_signature(context);
+  LayerSignature signature = layer_signature(context);
   Shard& shard = shard_for(signature.hash);
   std::optional<CachedSolution> found;
   {
     util::MutexLock lock(shard.mutex);
-    const auto it = shard.index.find(std::string_view{signature.text});
+    const auto it = shard.index.find(IndexKey{signature.hash, signature.text});
     if (it == shard.index.end()) {
       ++shard.misses;
     } else {
@@ -129,6 +142,8 @@ std::optional<core::LayerOutcome> LayerSolutionCache::lookup(
     }
   }
   if (!found.has_value()) {
+    context.cache_key = std::move(signature.text);
+    context.cache_key_hash = signature.hash;
     return std::nullopt;
   }
   core::LayerOutcome outcome = decode(context, *found);
@@ -147,18 +162,23 @@ void LayerSolutionCache::store(const core::LayerSolveContext& context,
   if (!cacheable(context)) {
     return;
   }
-  const LayerSignature signature = layer_signature(context);
+  LayerSignature signature = context.cache_key.empty()
+                                 ? layer_signature(context)
+                                 : LayerSignature{std::exchange(context.cache_key, {}),
+                                                  context.cache_key_hash};
   CachedSolution value = encode(context, outcome);
   Shard& shard = shard_for(signature.hash);
   util::MutexLock lock(shard.mutex);
-  if (shard.index.count(std::string_view{signature.text}) > 0) {
+  if (shard.index.contains(IndexKey{signature.hash, signature.text})) {
     return;  // first writer wins; identical by construction
   }
-  shard.lru.push_front(Entry{std::move(signature.text), std::move(value)});
-  shard.index.emplace(std::string_view{shard.lru.front().key}, shard.lru.begin());
+  shard.lru.push_front(Entry{std::move(signature), std::move(value)});
+  const LayerSignature& key = shard.lru.front().key;
+  shard.index.emplace(IndexKey{key.hash, key.text}, shard.lru.begin());
   ++shard.stores;
   while (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(std::string_view{shard.lru.back().key});
+    const LayerSignature& last = shard.lru.back().key;
+    shard.index.erase(IndexKey{last.hash, last.text});
     shard.lru.pop_back();
     ++shard.evictions;
   }

@@ -3,8 +3,9 @@
 // device-id- and operation-id-independent form (canonical ranks), so a hit
 // can be decoded into any context that produced the same signature —
 // replicated pipelines, re-submitted assays, converged re-synthesis
-// iterations. Lookup compares the full signature text, so a 64-bit hash
-// collision degrades to a miss, never to a wrong answer.
+// iterations. The index buckets by the signature's hash but compares the
+// full text, so a 64-bit hash collision degrades to a miss, never to a
+// wrong answer.
 //
 // Caching is only sound when the per-layer solver is deterministic for a
 // given context. The default layer budget counts nodes and pivots, so it
@@ -15,7 +16,9 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/solve_hooks.hpp"
@@ -44,7 +47,8 @@ class LayerSolutionCache final : public core::LayerSolveCache {
   explicit LayerSolutionCache(std::size_t capacity = 4096, int shards = 16);
 
   /// Never throws business logic at callers: uncacheable contexts and
-  /// signature mismatches simply miss.
+  /// signature mismatches simply miss. A miss leaves the signature in the
+  /// context's memo slot, where the solve's `store` takes it from.
   [[nodiscard]] std::optional<core::LayerOutcome> lookup(
       const core::LayerSolveContext& context) override;
   void store(const core::LayerSolveContext& context,
@@ -90,8 +94,14 @@ class LayerSolutionCache final : public core::LayerSolveCache {
 
  private:
   struct Entry {
-    std::string key;
+    LayerSignature key;
     CachedSolution value;
+  };
+  /// (hash, text) of a signature: buckets by the hash computed with the
+  /// signature, compares the hash and then the text.
+  using IndexKey = std::pair<std::uint64_t, std::string_view>;
+  struct IndexHash {
+    std::size_t operator()(const IndexKey& key) const noexcept { return key.first; }
   };
   struct Shard {
     mutable util::Mutex mutex;
@@ -99,7 +109,7 @@ class LayerSolutionCache final : public core::LayerSolveCache {
     /// emplace) — it is never iterated, so its unordered order can't leak
     /// into any output (cohls_check S101 guards the invariant).
     std::list<Entry> lru COHLS_GUARDED_BY(mutex);
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> index
+    std::unordered_map<IndexKey, std::list<Entry>::iterator, IndexHash> index
         COHLS_GUARDED_BY(mutex);
     std::int64_t hits COHLS_GUARDED_BY(mutex) = 0;
     std::int64_t misses COHLS_GUARDED_BY(mutex) = 0;

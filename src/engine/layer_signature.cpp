@@ -1,10 +1,10 @@
 #include "engine/layer_signature.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
-#include <map>
-#include <set>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -13,42 +13,80 @@ namespace cohls::engine {
 
 namespace {
 
-void put_double(std::ostringstream& out, double value) {
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
+/// Appends key text in the stream syntax the format was first written in:
+/// integers and bools in decimal, doubles as `%.17g` (general format at
+/// max_digits10 significant digits). Each write reserves room in a buffer
+/// that only grows and stores raw bytes: a bounds check and a small copy.
+class KeyWriter {
+ public:
+  explicit KeyWriter(std::string& buffer) : buffer_(buffer) {}
+
+  [[nodiscard]] std::string_view text() const { return {buffer_.data(), size_}; }
+
+  template <typename T>
+  KeyWriter& operator<<(const T& value) {
+    std::size_t room = std::max(sizeof(T), kMaxNumber);
+    if constexpr (std::is_same_v<T, std::string_view>) {
+      room = std::max(room, value.size());
+    }
+    if (size_ + room > buffer_.size()) {
+      buffer_.resize(2 * (size_ + room));
+    }
+    char* at = buffer_.data() + size_;
+    if constexpr (std::is_array_v<T>) {  // a string literal
+      at = std::copy_n(value, sizeof(T) - 1, at);
+    } else if constexpr (std::is_same_v<T, std::string_view>) {
+      at = std::copy(value.begin(), value.end(), at);
+    } else if constexpr (std::is_same_v<T, char>) {
+      *at++ = value;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      *at++ = value ? '1' : '0';
+    } else if constexpr (std::is_floating_point_v<T>) {
+      at = std::to_chars(at, at + kMaxNumber, value, std::chars_format::general,
+                         std::numeric_limits<T>::max_digits10)
+               .ptr;
+    } else {
+      at = std::to_chars(at, at + kMaxNumber, value).ptr;
+    }
+    size_ = static_cast<std::size_t>(at - buffer_.data());
+    return *this;
+  }
+
+ private:
+  static constexpr std::size_t kMaxNumber = 32;  ///< longest number written
+  std::string& buffer_;
+  std::size_t size_ = 0;
+};
+
+char container_code(model::ContainerKind kind) {
+  return kind == model::ContainerKind::Ring ? 'R' : 'C';
 }
 
-void put_config(std::ostringstream& out, const model::DeviceConfig& config) {
-  out << (config.container == model::ContainerKind::Ring ? 'R' : 'C')
-      << static_cast<int>(config.capacity) << "a{";
-  bool first = true;
-  for (const model::AccessoryId id : config.accessories) {
-    out << (first ? "" : ",") << id;
-    first = false;
+void put_accessories(KeyWriter& out, model::AccessorySet accessories) {
+  out << "a{";
+  std::string_view separator;
+  for (const model::AccessoryId id : accessories) {
+    out << separator << id;
+    separator = ",";
   }
   out << '}';
 }
 
-void put_op_attributes(std::ostringstream& out, const model::Operation& op) {
-  out << " c=";
-  if (op.container().has_value()) {
-    out << (*op.container() == model::ContainerKind::Ring ? 'R' : 'C');
-  } else {
-    out << '*';
-  }
-  out << " k=";
+void put_config(KeyWriter& out, const model::DeviceConfig& config) {
+  out << container_code(config.container) << static_cast<int>(config.capacity);
+  put_accessories(out, config.accessories);
+}
+
+void put_op_attributes(KeyWriter& out, const model::Operation& op) {
+  out << " c=" << (op.container() ? container_code(*op.container()) : '*') << " k=";
   if (op.capacity().has_value()) {
     out << static_cast<int>(*op.capacity());
   } else {
     out << '*';
   }
-  out << " a{";
-  bool first = true;
-  for (const model::AccessoryId id : op.accessories()) {
-    out << (first ? "" : ",") << id;
-    first = false;
-  }
-  out << "} d=" << op.duration().count() << (op.indeterminate() ? " ind" : "");
+  out << ' ';
+  put_accessories(out, op.accessories());
+  out << " d=" << op.duration().count() << std::string_view(op.indeterminate() ? " ind" : "");
 }
 
 }  // namespace
@@ -81,31 +119,36 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
 
   // Canonical operation numbering: dense rank in id order, over the layer's
   // ops plus the full descendant cone (the scheduler's pipeline lookahead
-  // reads descendant attributes arbitrarily deep).
-  std::set<OperationId> cone(request.ops.begin(), request.ops.end());
-  std::vector<OperationId> frontier(request.ops.begin(), request.ops.end());
-  while (!frontier.empty()) {
-    const OperationId current = frontier.back();
-    frontier.pop_back();
+  // reads descendant attributes arbitrarily deep). Mark the cone (rank 0),
+  // then rank it in one ascending scan.
+  const auto op_count = static_cast<std::size_t>(assay.operation_count());
+  std::vector<int> rank(op_count, -1);
+  std::vector<bool> member(op_count, false);
+  std::vector<OperationId> cone(request.ops.begin(), request.ops.end());
+  for (const OperationId id : request.ops) {
+    COHLS_EXPECT(id.valid() && id.index() < op_count, "unknown operation id");
+    member[id.index()] = true;
+    rank[id.index()] = 0;
+  }
+  while (!cone.empty()) {
+    const OperationId current = cone.back();
+    cone.pop_back();
     for (const OperationId child : assay.children(current)) {
-      if (cone.insert(child).second) {
-        frontier.push_back(child);
+      if (rank[child.index()] < 0) {
+        rank[child.index()] = 0;
+        cone.push_back(child);
       }
     }
   }
-  std::map<OperationId, int> rank;
-  for (const OperationId id : cone) {
-    rank.emplace(id, static_cast<int>(rank.size()));
-  }
-  const std::set<OperationId> in_layer(request.ops.begin(), request.ops.end());
-
-  // Canonical device numbering: position in the inherited inventory.
-  std::map<DeviceId, int> device_rank;
-  for (const DeviceId id : request.usable_devices) {
-    device_rank.emplace(id, static_cast<int>(device_rank.size()));
+  for (std::size_t i = 0; i < op_count; ++i) {
+    if (rank[i] >= 0) {
+      rank[i] = static_cast<int>(cone.size());
+      cone.emplace_back(static_cast<std::int32_t>(i));
+    }
   }
 
-  std::ostringstream out;
+  thread_local std::string buffer;
+  KeyWriter out(buffer);
   out << "cohls-layer-sig v3\n";
 
   // Engine budgets — a different budget may legitimately change the result.
@@ -113,58 +156,58 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
   out << "engine ilp=" << engine.enable_ilp << " ops=" << engine.ilp_max_ops
       << " dev=" << engine.ilp_max_devices << " slots=" << engine.ilp_new_slots
       << " nodes=" << engine.milp.max_nodes << " pivots=" << engine.milp.max_pivots
-      << " tol=";
-  put_double(out, engine.milp.integrality_tolerance);
-  out << " gap=";
-  put_double(out, engine.milp.absolute_gap);
-  out << " round=" << engine.milp.enable_rounding_heuristic
-      << " dive=" << engine.milp.dive << " lp_tol=";
-  put_double(out, engine.milp.simplex.tolerance);
-  out << " lp_iters=" << engine.milp.simplex.max_iterations
-      << " refactor=" << engine.milp.simplex.refactor_interval << "\n";
+      << " tol=" << engine.milp.integrality_tolerance << " gap=" << engine.milp.absolute_gap
+      << " round=" << engine.milp.enable_rounding_heuristic
+      << " dive=" << engine.milp.dive << " lp_tol=" << engine.milp.simplex.tolerance
+      << " lp_iters=" << engine.milp.simplex.max_iterations
+      << " refactor=" << engine.milp.simplex.refactor_interval << '\n';
 
   // Cost model and registry processing costs.
   const model::CostModel& costs = context.costs;
-  out << "w";
+  out << 'w';
   for (const double w : {costs.weight_time(), costs.weight_area(),
                          costs.weight_processing(), costs.weight_paths()}) {
-    out << ' ';
-    put_double(out, w);
+    out << ' ' << w;
   }
   out << "\narea";
   for (const model::ContainerKind kind :
        {model::ContainerKind::Ring, model::ContainerKind::Chamber}) {
     for (const model::Capacity capacity : model::kAllCapacities) {
-      if (!model::capacity_allowed(kind, capacity)) {
-        continue;
+      if (model::capacity_allowed(kind, capacity)) {
+        out << ' ' << costs.area(kind, capacity) << '/'
+            << costs.container_processing(kind, capacity);
       }
-      out << ' ';
-      put_double(out, costs.area(kind, capacity));
-      out << '/';
-      put_double(out, costs.container_processing(kind, capacity));
     }
   }
   out << "\nacc";
   const model::AccessoryRegistry& registry = assay.registry();
-  const int accessory_count = registry.count();
-  for (model::AccessoryId id = 0; id < accessory_count; ++id) {
-    out << ' ';
-    put_double(out, registry.processing_cost(id));
+  for (model::AccessoryId id = 0; id < registry.count(); ++id) {
+    out << ' ' << registry.processing_cost(id);
   }
-  out << '\n';
 
   // Layer-request scalars. The layer id itself is deliberately absent: it
   // only tags the output and is re-applied on decode.
-  out << "req slot=" << request.slot_size.count() << " new=" << request.allow_new_devices
+  out << "\nreq slot=" << request.slot_size.count()
+      << " new=" << request.allow_new_devices
       << " free=" << (context.inventory.max_devices() - context.inventory.size())
-      << " t0=" << context.transport.uniform_time().count() << "\n";
+      << " t0=" << context.transport.uniform_time().count() << '\n';
 
-  // Inherited devices, in canonical (inventory) order.
+  // Inherited devices, in canonical (inventory) order; a device's first
+  // listing fixes its rank.
+  std::vector<int> device_rank(static_cast<std::size_t>(context.inventory.size()), -1);
+  int inherited = 0;
   for (const DeviceId id : request.usable_devices) {
     out << "dev ";
     put_config(out, context.inventory.device(id).config);
     out << '\n';
+    int& position = device_rank[id.index()];
+    position = position < 0 ? inherited++ : position;
   }
+  const auto device_position = [&device_rank](DeviceId id) {
+    const int position = id.index() < device_rank.size() ? device_rank[id.index()] : -1;
+    COHLS_ASSERT(position >= 0, "layer context references a device outside the inventory");
+    return position;
+  };
   // Hints, in request order (the order is visible to the solver).
   for (const schedule::DeviceHint& hint : request.hints) {
     out << "hint ";
@@ -174,11 +217,9 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
   // Existing paths between inherited devices, canonically numbered.
   std::vector<std::pair<int, int>> paths;
   for (const schedule::DevicePath& path : request.existing_paths) {
-    const auto a = device_rank.find(path.first);
-    const auto b = device_rank.find(path.second);
-    COHLS_ASSERT(a != device_rank.end() && b != device_rank.end(),
-                 "existing path references a device outside the inventory");
-    paths.emplace_back(std::min(a->second, b->second), std::max(a->second, b->second));
+    const int a = device_position(path.first);
+    const int b = device_position(path.second);
+    paths.emplace_back(std::min(a, b), std::max(a, b));
   }
   std::sort(paths.begin(), paths.end());
   for (const auto& [a, b] : paths) {
@@ -190,48 +231,42 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
   // cone-only members carry the attributes the lookahead reads.
   for (const OperationId id : cone) {
     const model::Operation& op = assay.operation(id);
-    const bool member = in_layer.count(id) > 0;
-    out << "op " << rank.at(id) << (member ? " L" : " D");
+    const bool in_layer = member[id.index()];
+    out << "op " << rank[id.index()] << (in_layer ? " L" : " D");
     put_op_attributes(out, op);
-    if (member) {
+    if (in_layer) {
       out << " par[";
-      bool first = true;
+      std::string_view separator;
       for (const OperationId parent : op.parents()) {
-        out << (first ? "" : " ");
-        first = false;
+        out << separator;
+        separator = " ";
         const std::int64_t t = context.transport.edge_time(parent, id).count();
-        if (in_layer.count(parent)) {
-          out << 'L' << rank.at(parent) << '@' << t;
+        if (member[parent.index()]) {
+          out << 'L' << rank[parent.index()] << '@' << t;
+        } else if (const auto prior = request.prior_binding.find(parent);
+                   prior != request.prior_binding.end()) {
+          out << 'P' << device_position(prior->second) << '@' << t;
         } else {
-          const auto prior = request.prior_binding.find(parent);
-          if (prior != request.prior_binding.end()) {
-            const auto bound = device_rank.find(prior->second);
-            COHLS_ASSERT(bound != device_rank.end(),
-                         "prior binding references a device outside the inventory");
-            out << 'P' << bound->second << '@' << t;
-          } else {
-            out << "U@" << t;
-          }
+          out << "U@" << t;
         }
       }
       out << ']';
     }
+    // Children lists ascend by id (an op joins its parents' lists when it is
+    // added), and ranks ascend with ids: the list is in canonical order.
     out << " ch[";
-    std::vector<std::pair<int, std::int64_t>> children;
+    std::string_view separator;
     for (const OperationId child : assay.children(id)) {
-      children.emplace_back(rank.at(child), context.transport.edge_time(id, child).count());
-    }
-    std::sort(children.begin(), children.end());
-    bool first = true;
-    for (const auto& [child_rank, t] : children) {
-      out << (first ? "" : " ") << child_rank << '@' << t;
-      first = false;
+      out << separator << rank[child.index()] << '@'
+          << context.transport.edge_time(id, child).count();
+      separator = " ";
     }
     out << "]\n";
   }
 
+  // Copy out exact-size: the key moves into a cache entry and stays resident.
   LayerSignature signature;
-  signature.text = out.str();
+  signature.text = out.text();
   signature.hash = fnv1a(signature.text);
   return signature;
 }

@@ -19,6 +19,10 @@
 // Equal signature strings imply equal solver inputs; the cache compares
 // full strings (not just hashes), so hash collisions cannot alias two
 // different layers.
+//
+// Cost contract: one flat pass over dense per-id arrays, returned
+// exact-size (it stays resident in a cache entry), built at most once per
+// cacheable solve (a missed lookup hands it to the store; DESIGN.md §5).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +35,8 @@ namespace cohls::engine {
 struct LayerSignature {
   /// The complete canonical serialization (the exact-compare cache key).
   std::string text;
-  /// FNV-1a hash of `text` (shard selection and index buckets).
+  /// FNV-1a hash of `text`: selects the shard and buckets its index, so the
+  /// text is hashed once per key.
   std::uint64_t hash = 0;
 };
 

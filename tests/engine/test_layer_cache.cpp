@@ -68,6 +68,25 @@ TEST(LayerSolutionCache, MissThenStoreThenHit) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
+TEST(LayerSolutionCache, MissThenStoreBuildsOneKey) {
+  // One context per solve: the missed lookup leaves its key in the
+  // context's memo slot, and the store of the same solve moves it into the
+  // cache entry instead of building it again.
+  Fixture f = chain_fixture(3);
+  LayerSolutionCache cache;
+  const core::LayerSolveContext context = f.context();
+  ASSERT_TRUE(context.cache_key.empty());
+  EXPECT_FALSE(cache.lookup(context).has_value());
+  const LayerSignature signature = layer_signature(context);
+  EXPECT_EQ(context.cache_key, signature.text);
+  EXPECT_EQ(context.cache_key_hash, signature.hash);
+
+  cache.store(context, f.solve());
+  EXPECT_TRUE(context.cache_key.empty());
+  EXPECT_EQ(cache.stats().stores, 1);
+  EXPECT_TRUE(cache.lookup(f.context()).has_value());
+}
+
 TEST(LayerSolutionCache, HitReproducesTheSolveExactly) {
   Fixture f = chain_fixture(3);
   LayerSolutionCache cache;
