@@ -1,7 +1,7 @@
 // Solver benchmark of the branch-and-bound MILP solver in its one
 // configuration: sparse revised simplex, presolve at the root, dual
-// re-solves from the parent basis at every child node, root dive and
-// pseudocost branching. Instances are the actual per-layer MILPs that arise
+// re-solves from the parent basis at every child node and pseudocost
+// branching. Instances are the actual per-layer MILPs that arise
 // while synthesizing the Table-2 bioassays — captured through the
 // LayerSolveCache hook — plus random mixed integer programs. Every instance
 // is checked: a truncated search must still hold an incumbent, every
@@ -14,10 +14,12 @@
 // one record per instance holding nodes, pivots and wall ms.
 //
 // Every captured layer model carries its combinatorial bound provider
-// (core::IlpLayerModel::bound_provider) and the solver attaches it, as
-// synthesize_layer does. With the configuration-cost floor cuts the big
-// case-2/3 layer-0 MILPs CLOSE to proven optimality (550/548) without a warm
-// start, which the --closure mode and the full run assert. Full mode also
+// (core::IlpLayerModel::bound_provider) and the encoded heuristic layer
+// result, as synthesize_layer builds them. The truncated layer rows attach
+// both, as production does. The closure rows attach only the bound provider:
+// with the configuration-cost floor cuts the big case-2/3 layer-0 MILPs
+// CLOSE to proven optimality (550/548) without a warm start, which the
+// --closure mode and the full run assert. Full mode also
 // re-solves the case-2/3 layer MILPs, the same assays re-layered at a low
 // indeterminate threshold and harder random MIPs with generous node budgets
 // ("closure rows"); the low-threshold and random rows must close.
@@ -43,6 +45,7 @@
 #include "lp/simplex.hpp"
 #include "milp/bounds.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "schedule/list_scheduler.hpp"
 #include "support/lp_oracles.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -55,16 +58,20 @@ using Clock = std::chrono::steady_clock;
 
 // --- instance capture --------------------------------------------------------
 
-/// A captured per-layer MILP plus the combinatorial node-bound provider the
-/// production search attaches to it.
+/// A captured per-layer MILP plus the combinatorial node-bound provider and
+/// the heuristic warm start the production search attaches to it.
 struct CapturedLayer {
   milp::MilpModel model;
   std::shared_ptr<const milp::NodeBoundProvider> bounds;
+  /// The heuristic layer result encoded onto the model; empty when it does
+  /// not map onto the model's device slots (or for random instances).
+  std::vector<double> warm_start;
 };
 
-/// A LayerSolveCache that never hits: it rebuilds the layer MILP exactly as
-/// synthesize_layer would (same inputs, same gate) and keeps a copy of the
-/// model and its bound provider, letting synthesis proceed untouched.
+/// A LayerSolveCache that never hits: it rebuilds the layer MILP as
+/// synthesize_layer would (same inputs, a wider gate) and keeps a copy of
+/// the model, its bound provider and the encoded heuristic result, letting
+/// synthesis proceed untouched.
 class ModelRecorder final : public core::LayerSolveCache {
  public:
   explicit ModelRecorder(std::size_t cap) : cap_(cap) {}
@@ -105,7 +112,13 @@ class ModelRecorder final : public core::LayerSolveCache {
     try {
       const core::IlpLayerModel ilp(ctx.assay, std::move(inputs), ctx.transport,
                                     ctx.costs);
-      models_.push_back({ilp.model(), ilp.bound_provider()});
+      // The heuristic candidate, scheduled on a copy of the inventory
+      // exactly as synthesize_layer schedules it.
+      model::DeviceInventory inventory = ctx.inventory;
+      const schedule::LayerResult heuristic = schedule::schedule_layer(
+          ctx.request, ctx.assay, ctx.transport, ctx.costs, inventory);
+      models_.push_back(
+          {ilp.model(), ilp.bound_provider(), ilp.encode(heuristic, inventory)});
     } catch (const std::exception&) {
       // A model we cannot build is simply not benchmarked.
     }
@@ -199,19 +212,23 @@ struct Measurement {
   long warm_solves = 0;
   long bound_prunes = 0;
   long cutoff_prunes = 0;
-  long dive_lp_solves = 0;
-  bool dive_found_incumbent = false;
   double wall_ms = 0.0;
 };
 
-milp::MilpOptions solver_config(long node_cap,
-                                std::shared_ptr<const milp::NodeBoundProvider> bounds) {
+/// Whether a solve attaches the captured warm start: truncated layer rows
+/// do, as production always does; closure rows search cold.
+enum class Start { Cold, Warm };
+
+milp::MilpOptions solver_config(long node_cap, const CapturedLayer& instance, Start start) {
   milp::MilpOptions options;
   // Random instances (node_cap == 0) run to completion; layer models get a
   // node budget so wall-per-node is comparable across runs and hosts.
   options.max_nodes = node_cap > 0 ? node_cap : 2000000;
   options.time_limit_seconds = 600.0;
-  options.bounds = std::move(bounds);
+  options.bounds = instance.bounds;
+  if (start == Start::Warm && !instance.warm_start.empty()) {
+    options.warm_start = instance.warm_start;
+  }
   return options;
 }
 
@@ -229,8 +246,6 @@ void fill_common(Measurement& out, const milp::MilpSolution& solution) {
   out.warm_solves = solution.lp_warm_solves;
   out.bound_prunes = solution.milp_bound_prunes;
   out.cutoff_prunes = solution.milp_cutoff_prunes;
-  out.dive_lp_solves = solution.milp_dive_lp_solves;
-  out.dive_found_incumbent = solution.milp_dive_found_incumbent;
 }
 
 struct InstanceRow {
@@ -245,12 +260,12 @@ struct InstanceRow {
 };
 
 InstanceRow run_instance(const std::string& name, const CapturedLayer& instance,
-                         int repetitions, long node_cap) {
+                         int repetitions, long node_cap, Start start) {
   InstanceRow row;
   row.name = name;
   row.vars = instance.model.variable_count();
   row.rows = instance.model.constraint_count();
-  const milp::MilpOptions options = solver_config(node_cap, instance.bounds);
+  const milp::MilpOptions options = solver_config(node_cap, instance, start);
   row.m.wall_ms = std::numeric_limits<double>::infinity();
   milp::MilpSolution solution;
   for (int rep = 0; rep < repetitions; ++rep) {
@@ -265,8 +280,8 @@ InstanceRow run_instance(const std::string& name, const CapturedLayer& instance,
   if (relaxation.status == lp::LpStatus::Optimal) {
     row.root_lp = relaxation.objective;
   }
-  // A truncated search must still hold SOME incumbent (the root dive
-  // guarantees one on feasible instances); an incumbent must be feasible
+  // A truncated search must still hold SOME incumbent (the heuristic warm
+  // start guarantees one on the layer rows); an incumbent must be feasible
   // and can never beat the LP relaxation.
   row.ok = row.m.status != milp::MilpStatus::NoSolution;
   if (row.m.has_objective) {
@@ -288,8 +303,6 @@ std::string json_record(const InstanceRow& row) {
      << ", \"best_bound\": " << m.best_bound << ", \"proven_gap\": " << m.gap
      << ", \"bound_prunes\": " << m.bound_prunes
      << ", \"cutoff_prunes\": " << m.cutoff_prunes
-     << ", \"dive_lp_solves\": " << m.dive_lp_solves
-     << ", \"dive_found_incumbent\": " << (m.dive_found_incumbent ? "true" : "false")
      << ", \"root_lp\": " << (row.root_lp ? std::to_string(*row.root_lp) : "null")
      << ", \"checked\": " << (row.ok ? "true" : "false")
      << ", \"wall_ms\": " << m.wall_ms << "}";
@@ -372,13 +385,13 @@ int main(int argc, char** argv) {
       for (const CapturedLayer& captured : models) {
         std::ostringstream name;
         name << spec.tag << "-layer-" << index++;
-        const InstanceRow row = run_instance(name.str(), captured, 1, /*node_cap=*/5000);
+        const InstanceRow row =
+            run_instance(name.str(), captured, 1, /*node_cap=*/5000, Start::Cold);
         check_closure(closure_gates, row);
         std::cout << row.name << ": " << milp::to_string(row.m.status)
                   << " obj=" << row.m.objective << " bound=" << row.m.best_bound
                   << " nodes=" << row.m.nodes << " bound_prunes=" << row.m.bound_prunes
-                  << " dive=" << (row.m.dive_found_incumbent ? 1 : 0) << ", "
-                  << row.m.wall_ms << " ms\n";
+                  << ", " << row.m.wall_ms << " ms\n";
       }
     }
     const bool ok = report_closure(closure_gates);
@@ -419,7 +432,7 @@ int main(int argc, char** argv) {
     for (const CapturedLayer& captured : models) {
       std::ostringstream name;
       name << spec.tag << "-layer-" << index++;
-      rows.push_back(run_instance(name.str(), captured, 1, layer_node_cap));
+      rows.push_back(run_instance(name.str(), captured, 1, layer_node_cap, Start::Warm));
       if (spec.tag != std::string("case1")) {
         table2_models.emplace_back(name.str(), captured);
       }
@@ -433,8 +446,8 @@ int main(int argc, char** argv) {
                                                   static_cast<std::uint64_t>(i) *
                                                       6364136223846793005ULL +
                                                   1442695040888963407ULL),
-                                              nullptr},
-                                repetitions, /*node_cap=*/0));
+                                              nullptr, {}},
+                                repetitions, /*node_cap=*/0, Start::Cold));
   }
 
   const auto print_rows = [](const std::vector<InstanceRow>& printed) {
@@ -480,7 +493,7 @@ int main(int argc, char** argv) {
     // re-layered assays and the random instances, which must all close.
     std::vector<bool> must_close;
     for (const auto& [name, captured] : table2_models) {
-      closure_rows.push_back(run_instance(name, captured, 1, /*node_cap=*/5000));
+      closure_rows.push_back(run_instance(name, captured, 1, /*node_cap=*/5000, Start::Cold));
       must_close.push_back(false);
       check_closure(closure_gates, closure_rows.back());
     }
@@ -498,7 +511,8 @@ int main(int argc, char** argv) {
       for (const CapturedLayer& captured : models) {
         std::ostringstream name;
         name << spec.tag << "-layer-" << index++;
-        closure_rows.push_back(run_instance(name.str(), captured, 1, /*node_cap=*/20000));
+        closure_rows.push_back(
+            run_instance(name.str(), captured, 1, /*node_cap=*/20000, Start::Cold));
         must_close.push_back(true);
       }
     }
@@ -510,8 +524,8 @@ int main(int argc, char** argv) {
           CapturedLayer{make_random_milp(static_cast<std::uint64_t>(i) *
                                              2862933555777941757ULL +
                                          3037000493ULL),
-                        nullptr},
-          1, /*node_cap=*/2000));
+                        nullptr, {}},
+          1, /*node_cap=*/2000, Start::Cold));
       must_close.push_back(true);
     }
     print_rows(closure_rows);
@@ -533,7 +547,7 @@ int main(int argc, char** argv) {
     std::ofstream out(out_path);
     out << "{\n  \"benchmark\": \"bench_solver_perf\",\n";
     out << "  \"solver\": \"sparse revised simplex, root presolve, warm dual re-solves, "
-           "root dive, pseudocost branching\",\n";
+           "pseudocost branching\",\n";
     out << "  \"all_checked\": " << (all_checked ? "true" : "false") << ",\n";
     out << "  \"closure\": [";
     for (std::size_t g = 0; g < closure_gates.size(); ++g) {

@@ -38,7 +38,6 @@ constexpr SummedCounter kSummedCounters[] = {
     {"lp_refactorizations", &milp::MilpStats::lp_refactorizations},
     {"milp_bound_prunes", &milp::MilpStats::milp_bound_prunes},
     {"milp_cutoff_prunes", &milp::MilpStats::milp_cutoff_prunes},
-    {"milp_dive_lp_solves", &milp::MilpStats::milp_dive_lp_solves},
 };
 
 /// Adapts the core's per-layer solve events onto the metrics registry.
@@ -48,7 +47,6 @@ class MetricsObserver final : public core::SolveObserver {
       : layers_solved_(metrics.counter("layers_solved")),
         layer_cache_hits_(metrics.counter("layer_cache_hits")),
         ilp_layers_(metrics.counter("ilp_layers")),
-        milp_dive_incumbents_(metrics.counter("milp_dive_incumbents")),
         solve_seconds_(metrics.histogram("layer_solve_seconds")) {
     for (const SummedCounter& summed : kSummedCounters) {
       summed_.push_back(&metrics.counter(summed.metric));
@@ -67,9 +65,6 @@ class MetricsObserver final : public core::SolveObserver {
     for (std::size_t i = 0; i < summed_.size(); ++i) {
       summed_[i]->add(event.*kSummedCounters[i].field);
     }
-    if (event.milp_dive_found_incumbent) {
-      milp_dive_incumbents_.increment();
-    }
     solve_seconds_.observe(event.seconds);
   }
 
@@ -77,7 +72,6 @@ class MetricsObserver final : public core::SolveObserver {
   Counter& layers_solved_;
   Counter& layer_cache_hits_;
   Counter& ilp_layers_;
-  Counter& milp_dive_incumbents_;
   Histogram& solve_seconds_;
   std::vector<Counter*> summed_;  ///< parallel to kSummedCounters
 };

@@ -149,18 +149,14 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
 
   thread_local std::string buffer;
   KeyWriter out(buffer);
-  out << "cohls-layer-sig v3\n";
+  out << "cohls-layer-sig v4\n";
 
   // Engine budgets — a different budget may legitimately change the result.
   const core::EngineOptions& engine = context.engine;
   out << "engine ilp=" << engine.enable_ilp << " ops=" << engine.ilp_max_ops
       << " dev=" << engine.ilp_max_devices << " slots=" << engine.ilp_new_slots
       << " nodes=" << engine.milp.max_nodes << " pivots=" << engine.milp.max_pivots
-      << " tol=" << engine.milp.integrality_tolerance << " gap=" << engine.milp.absolute_gap
-      << " round=" << engine.milp.enable_rounding_heuristic
-      << " dive=" << engine.milp.dive << " lp_tol=" << engine.milp.simplex.tolerance
-      << " lp_iters=" << engine.milp.simplex.max_iterations
-      << " refactor=" << engine.milp.simplex.refactor_interval << '\n';
+      << " round=" << engine.milp.enable_rounding_heuristic << '\n';
 
   // Cost model and registry processing costs.
   const model::CostModel& costs = context.costs;

@@ -29,19 +29,20 @@ constexpr double kSingularTol = 1e-11;
 /// Infeasibility above this after phase 1 means the LP is infeasible
 /// (the dense-tableau test reference uses the same phase-1 threshold).
 constexpr double kInfeasibleTol = 1e-6;
+/// Feasibility and pricing tolerance.
+constexpr double kEps = 1e-7;
+/// Refactorize the basis after this many eta updates.
+constexpr int kRefactorInterval = 64;
 
 }  // namespace
 
 class RevisedSimplex::Impl {
  public:
-  Impl(const LpModel& model, const SimplexOptions& options)
+  explicit Impl(const LpModel& model)
       : n_(model.variable_count()),
         m_(model.constraint_count()),
         total_(n_ + m_),
-        eps_(options.tolerance),
-        refactor_interval_(std::max(4, options.refactor_interval)) {
-    max_iterations_ = options.max_iterations > 0 ? options.max_iterations
-                                                 : 200 * (m_ + total_) + 10000;
+        max_iterations_(200 * (m_ + total_) + 10000) {
     build_columns(model);
   }
 
@@ -352,7 +353,7 @@ class RevisedSimplex::Impl {
   /// True when the eta file is due for compaction; refactorizes and
   /// recomputes the basic values.
   bool maybe_refactor() {
-    if (static_cast<int>(etas_.size()) < refactor_interval_) {
+    if (static_cast<int>(etas_.size()) < kRefactorInterval) {
       return true;
     }
     if (!refactor()) {
@@ -530,10 +531,10 @@ class RevisedSimplex::Impl {
         const double x = xB_[static_cast<std::size_t>(i)];
         double c = 0.0;
         if (phase1) {
-          if (x < lower_[s] - eps_) {
+          if (x < lower_[s] - kEps) {
             c = -1.0;
             infeasibility += lower_[s] - x;
-          } else if (x > upper_[s] + eps_) {
+          } else if (x > upper_[s] + kEps) {
             c = 1.0;
             infeasibility += x - upper_[s];
           }
@@ -542,7 +543,7 @@ class RevisedSimplex::Impl {
         }
         y_[static_cast<std::size_t>(i)] = c;
       }
-      if (phase1 && infeasibility <= eps_) {
+      if (phase1 && infeasibility <= kEps) {
         return LpStatus::Optimal;  // primal feasible; phase 1 done
       }
       btran(y_);
@@ -550,7 +551,7 @@ class RevisedSimplex::Impl {
       // Pricing over the sparse columns.
       int entering = -1;
       double entering_dir = 1.0;
-      double best_score = eps_;
+      double best_score = kEps;
       for (int j = 0; j < total_; ++j) {
         const BasisStatus s = status_[static_cast<std::size_t>(j)];
         if (s == BasisStatus::Basic || is_fixed(j)) {
@@ -596,7 +597,7 @@ class RevisedSimplex::Impl {
         return phase1 ? LpStatus::IterationLimit : LpStatus::Unbounded;
       }
       bump_iterations(phase1);
-      if (ratio.step < eps_) {
+      if (ratio.step < kEps) {
         if (++degenerate_streak > 64) {
           bland = true;
         }
@@ -638,12 +639,12 @@ class RevisedSimplex::Impl {
       // The basic variable moves by -alpha per unit step of the entering.
       double limit = kInfinity;
       BasisStatus to = BasisStatus::AtLower;
-      if (phase1 && x < lo - eps_) {
+      if (phase1 && x < lo - kEps) {
         if (alpha < 0.0) {
           limit = (lo - x) / (-alpha);  // infeasible-below blocks on re-entry
           to = BasisStatus::AtLower;
         }
-      } else if (phase1 && x > hi + eps_) {
+      } else if (phase1 && x > hi + kEps) {
         if (alpha > 0.0) {
           limit = (x - hi) / alpha;
           to = BasisStatus::AtUpper;
@@ -666,12 +667,12 @@ class RevisedSimplex::Impl {
         limit = 0.0;  // numeric safety for slightly drifted basics
       }
       bool take = false;
-      if (limit < best - eps_) {
+      if (limit < best - kEps) {
         take = true;
-      } else if (limit <= best + eps_ && out.slot >= 0) {
+      } else if (limit <= best + kEps && out.slot >= 0) {
         take = bland ? bcol < basic_[static_cast<std::size_t>(out.slot)]
                      : std::abs(alpha) > best_pivot_mag;
-      } else if (limit <= best + eps_ && out.slot < 0 && limit <= best) {
+      } else if (limit <= best + kEps && out.slot < 0 && limit <= best) {
         take = true;
       }
       if (take) {
@@ -725,7 +726,7 @@ class RevisedSimplex::Impl {
           cost_[static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)])];
     }
     btran(y_);
-    const double tol = 16.0 * eps_;
+    const double tol = 16.0 * kEps;
     for (int j = 0; j < total_; ++j) {
       const BasisStatus s = status_[static_cast<std::size_t>(j)];
       if (s == BasisStatus::Basic || is_fixed(j)) {
@@ -768,17 +769,17 @@ class RevisedSimplex::Impl {
       }
       // Leaving variable: the worst primal bound violation.
       int slot = -1;
-      double worst = eps_;
+      double worst = kEps;
       bool above = false;
       for (int i = 0; i < m_; ++i) {
         const std::size_t bs =
             static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)]);
         const double x = xB_[static_cast<std::size_t>(i)];
-        if (x < lower_[bs] - eps_ && lower_[bs] - x > worst) {
+        if (x < lower_[bs] - kEps && lower_[bs] - x > worst) {
           worst = lower_[bs] - x;
           slot = i;
           above = false;
-        } else if (x > upper_[bs] + eps_ && x - upper_[bs] > worst) {
+        } else if (x > upper_[bs] + kEps && x - upper_[bs] > worst) {
           worst = x - upper_[bs];
           slot = i;
           above = true;
@@ -839,7 +840,7 @@ class RevisedSimplex::Impl {
         }
         const double d = cost_[static_cast<std::size_t>(j)] - column_dot(j, y_);
         const double r = std::max(0.0, dual_ratio(s, d, sigma));
-        if (r <= min_ratio + eps_ && std::abs(alpha) > best_mag) {
+        if (r <= min_ratio + kEps && std::abs(alpha) > best_mag) {
           best_mag = std::abs(alpha);
           entering = j;
         }
@@ -982,9 +983,8 @@ class RevisedSimplex::Impl {
   std::vector<double> val_;
   std::vector<double> cost_;  ///< size total_ (logicals cost 0)
   std::vector<double> b_;     ///< row right-hand sides
-  const double eps_;
-  const int refactor_interval_;
-  int max_iterations_;
+  /// Hard cap on pivots across both phases of one solve.
+  const int max_iterations_;
 
   /// Dual-solve objective cutoff; +infinity disables (see the public doc).
   double cutoff_ = kInfinity;
@@ -1018,8 +1018,8 @@ class RevisedSimplex::Impl {
   std::vector<double> w_;
 };
 
-RevisedSimplex::RevisedSimplex(const LpModel& model, const SimplexOptions& options)
-    : impl_(std::make_unique<Impl>(model, options)) {}
+RevisedSimplex::RevisedSimplex(const LpModel& model)
+    : impl_(std::make_unique<Impl>(model)) {}
 RevisedSimplex::~RevisedSimplex() = default;
 RevisedSimplex::RevisedSimplex(RevisedSimplex&&) noexcept = default;
 RevisedSimplex& RevisedSimplex::operator=(RevisedSimplex&&) noexcept = default;
@@ -1045,7 +1045,7 @@ const Basis& RevisedSimplex::basis() const { return impl_->basis(); }
 const SolveStats& RevisedSimplex::last_stats() const { return impl_->last_stats(); }
 const SolveStats& RevisedSimplex::total_stats() const { return impl_->total_stats(); }
 
-LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
+LpSolution solve_lp(const LpModel& model) {
   for (Col c = 0; c < model.variable_count(); ++c) {
     if (model.lower_bound(c) > model.upper_bound(c)) {
       LpSolution solution;
@@ -1053,7 +1053,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
       return solution;
     }
   }
-  RevisedSimplex solver(model, options);
+  RevisedSimplex solver(model);
   return solver.solve();
 }
 

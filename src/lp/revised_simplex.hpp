@@ -57,7 +57,7 @@ struct SolveStats {
 /// bound tightens one bound per node) without rebuilding anything else.
 class RevisedSimplex {
  public:
-  explicit RevisedSimplex(const LpModel& model, const SimplexOptions& options = {});
+  explicit RevisedSimplex(const LpModel& model);
   ~RevisedSimplex();
   RevisedSimplex(RevisedSimplex&&) noexcept;
   RevisedSimplex& operator=(RevisedSimplex&&) noexcept;

@@ -1,4 +1,4 @@
-// LP solve entry point, options and result types. The one implementation
+// LP solve entry point and result types. The one implementation
 // is the sparse revised simplex (lp/revised_simplex.hpp) with native
 // variable bounds (nonbasic variables rest at either bound; bound flips
 // avoid explicit bound rows). This is the LP engine under the branch-and-
@@ -34,18 +34,9 @@ struct LpSolution {
   int iterations = 0;
 };
 
-struct SimplexOptions {
-  /// Hard cap on pivots across both phases; 0 means "derived from size".
-  int max_iterations = 0;
-  /// Feasibility / pricing tolerance.
-  double tolerance = 1e-7;
-  /// Refactorize the basis after this many eta updates.
-  int refactor_interval = 64;
-};
-
 /// Solves `model` (a minimization) from scratch: a one-shot
 /// lp::RevisedSimplex cold solve. Callers that re-solve after bound changes
 /// keep a RevisedSimplex and use its warm solve_from instead.
-[[nodiscard]] LpSolution solve_lp(const LpModel& model, const SimplexOptions& options = {});
+[[nodiscard]] LpSolution solve_lp(const LpModel& model);
 
 }  // namespace cohls::lp

@@ -11,7 +11,6 @@
 #include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/bounds.hpp"
-#include "milp/dive.hpp"
 #include "util/check.hpp"
 
 namespace cohls::milp {
@@ -29,6 +28,11 @@ std::string to_string(MilpStatus status) {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// A column within this distance of an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+/// A node whose bound comes within this distance of the incumbent is pruned.
+constexpr double kAbsoluteGap = 1e-6;
 
 /// One bound tightening on the branch path. Children share their parent's
 /// suffix, so a node's bounds are O(depth) deltas instead of the O(n)
@@ -113,9 +117,8 @@ class Solver {
     stop_ = true;
   }
 
-  /// The budget check every search phase polls — between nodes and before
-  /// every root-dive re-solve: a fired cancellation token, the wall-clock
-  /// deadline or the spent pivot budget halts the search.
+  /// The budget check polled between nodes: a fired cancellation token, the
+  /// wall-clock deadline or the spent pivot budget halts the search.
   bool out_of_budget() {
     if (options_.cancel.can_cancel() && options_.cancel.cancelled()) {
       stats_.milp_cancelled = true;
@@ -138,7 +141,7 @@ class Solver {
 
   /// True when the incumbent already meets `bound`.
   bool incumbent_meets(double bound) const {
-    return has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap;
+    return has_incumbent_ && bound >= incumbent_value_ - kAbsoluteGap;
   }
 
   /// Expands one node: prune it, solve its relaxation, offer incumbents and
@@ -221,20 +224,12 @@ class Solver {
       return;
     }
     if (options_.enable_rounding_heuristic) {
-      offer(relax.values, options_.integrality_tolerance);
+      offer(relax.values, kIntegralityTolerance);
     }
 
     // Children re-solve from this node's optimal basis with the dual simplex
-    // after the single branching-bound change. Snapshot it before the root
-    // dive below re-solves (and re-bases) the LP.
+    // after the single branching-bound change.
     const auto child_basis = std::make_shared<const lp::Basis>(revised_->basis());
-    if (at_root && options_.dive) {
-      run_root_dive(relax);
-      if (incumbent_meets(bound)) {
-        undo_path();
-        return;  // the dive's incumbent already matches the root bound
-      }
-    }
     const std::size_t bc = static_cast<std::size_t>(branch_col);
     const double value = relax.values[bc];
     const double floor_value = std::floor(value);
@@ -308,7 +303,7 @@ class Solver {
         continue;
       }
       const double v = pre_.fixed_value(c);
-      if (std::abs(v - std::round(v)) > options_.integrality_tolerance) {
+      if (std::abs(v - std::round(v)) > kIntegralityTolerance) {
         return false;  // integer column pinned to a fractional value
       }
     }
@@ -323,19 +318,12 @@ class Solver {
 
     const int n = reduced_.variable_count();
     const std::size_t ns = static_cast<std::size_t>(n);
-    long integer_columns = 0;
     cur_lower_.resize(ns);
     cur_upper_.resize(ns);
     for (lp::Col c = 0; c < n; ++c) {
       cur_lower_[static_cast<std::size_t>(c)] = reduced_.lp().lower_bound(c);
       cur_upper_[static_cast<std::size_t>(c)] = reduced_.lp().upper_bound(c);
-      if (reduced_.is_integer(c)) {
-        ++integer_columns;
-      }
     }
-    // Two solves per dive level (fix + one backtrack flip), depth at most
-    // the integer-column count, plus slack for re-fractionalizations.
-    dive_budget_ = 2 * integer_columns + 8;
     pc_down_sum_.assign(ns, 0.0);
     pc_up_sum_.assign(ns, 0.0);
     pc_down_count_.assign(ns, 0);
@@ -359,7 +347,7 @@ class Solver {
         }
       }
     }
-    revised_.emplace(reduced_.lp(), options_.simplex);
+    revised_.emplace(reduced_.lp());
     return true;
   }
 
@@ -370,7 +358,7 @@ class Solver {
     }
     COHLS_EXPECT(static_cast<int>(options_.warm_start->size()) == model_.variable_count(),
                  "warm start arity must match the model");
-    if (!model_.is_feasible(*options_.warm_start, options_.integrality_tolerance)) {
+    if (!model_.is_feasible(*options_.warm_start, kIntegralityTolerance)) {
       return;
     }
     std::vector<double> mapped(static_cast<std::size_t>(reduced_.variable_count()));
@@ -381,7 +369,7 @@ class Solver {
             (*options_.warm_start)[static_cast<std::size_t>(c)];
       }
     }
-    if (reduced_.is_feasible(mapped, options_.integrality_tolerance)) {
+    if (reduced_.is_feasible(mapped, kIntegralityTolerance)) {
       incumbent_value_ = reduced_.lp().objective_value(mapped);
       incumbent_ = std::move(mapped);
       has_incumbent_ = true;
@@ -459,7 +447,7 @@ class Solver {
     const double incumbent =
         has_incumbent_ ? incumbent_value_ : std::numeric_limits<double>::infinity();
     const double cutoff = at_root ? std::numeric_limits<double>::infinity()
-                                  : incumbent - options_.absolute_gap;
+                                  : incumbent - kAbsoluteGap;
     revised_->set_objective_cutoff(cutoff);
   }
 
@@ -470,7 +458,7 @@ class Solver {
   /// initializes the pseudocosts. Returns -1 when the point is integral.
   int select_branch(const std::vector<double>& x) const {
     int best_unreliable = -1;
-    double best_unreliable_frac = options_.integrality_tolerance;
+    double best_unreliable_frac = kIntegralityTolerance;
     int best_reliable = -1;
     double best_score = -1.0;
     for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
@@ -480,7 +468,7 @@ class Solver {
       const std::size_t j = static_cast<std::size_t>(c);
       const double v = x[j];
       const double frac = std::abs(v - std::round(v));
-      if (frac <= options_.integrality_tolerance) {
+      if (frac <= kIntegralityTolerance) {
         continue;
       }
       const double f = v - std::floor(v);
@@ -523,44 +511,6 @@ class Solver {
     }
   }
 
-  /// The root dive (see milp/dive.hpp): fixes its way down from the root
-  /// relaxation with warm re-solves, offers any integral point it reaches as
-  /// an incumbent, and restores every bound it touched. It polls the same
-  /// budget check as the node loop before every re-solve. LP work lands in
-  /// the dive counters, never in the node budget.
-  void run_root_dive(const lp::LpSolution& root_relax) {
-    std::vector<BoundUndo> undo;
-    lp::Basis dive_basis = revised_->basis();
-    DiveHooks hooks;
-    hooks.lower = &cur_lower_;
-    hooks.upper = &cur_upper_;
-    hooks.set_bounds = [this, &undo](lp::Col c, double lo, double hi) {
-      const std::size_t j = static_cast<std::size_t>(c);
-      undo.push_back({c, cur_lower_[j], cur_upper_[j]});
-      set_node_bounds(c, lo, hi);
-    };
-    hooks.resolve = [this, &dive_basis]() {
-      lp::LpSolution sol = revised_->solve_from(dive_basis);
-      if (sol.status == lp::LpStatus::Optimal) {
-        dive_basis = revised_->basis();
-      }
-      return sol;
-    };
-    hooks.stop = [this] { return out_of_budget(); };
-    const DiveResult result =
-        dive_for_incumbent(reduced_, hooks, root_relax,
-                           options_.integrality_tolerance,
-                           /*feasibility_tolerance=*/1e-5, dive_budget_);
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      set_node_bounds(it->col, it->lower, it->upper);
-    }
-    stats_.milp_dive_lp_solves += result.lp_solves;
-    if (result.found) {
-      stats_.milp_dive_found_incumbent = true;
-      offer(result.values, /*tolerance=*/1e-5);
-    }
-  }
-
   /// The common epilogue: best bound, incumbent restoration and status.
   void finish(MilpSolution& out) {
     if (has_incumbent_) {
@@ -588,7 +538,6 @@ class Solver {
   double objective_offset_ = 0.0;  ///< objective mass on presolve-fixed columns
   bool deadline_set_;
   Clock::time_point deadline_{};
-  long dive_budget_ = 0;
 
   // Node LP and the effective bounds of the node being solved.
   std::optional<lp::RevisedSimplex> revised_;

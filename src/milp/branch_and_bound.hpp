@@ -4,7 +4,9 @@
 // fall back to its heuristic when a layer is too large. The search has one
 // configuration: root presolve, warm dual re-solves at child nodes, and
 // pseudocost branching that scores a column by fractionality until both of
-// its branching sides have history.
+// its branching sides have history. Its tolerances are fixed; MilpOptions
+// carries budgets, the warm start, the bound provider and the cancellation
+// token.
 #pragma once
 
 #include <memory>
@@ -12,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "lp/simplex.hpp"
 #include "milp/model.hpp"
 #include "util/cancellation.hpp"
 
@@ -38,41 +39,25 @@ struct MilpOptions {
   /// Wall-clock budget in seconds; <= 0 means unlimited. A solve that hits
   /// it depends on host speed and load; prefer max_pivots.
   double time_limit_seconds = 0.0;
-  /// Work budget: cumulative simplex pivots (primal + dual, root, dive and
-  /// node solves alike); <= 0 means unlimited. Polled where the deadline
-  /// is, so a search overshoots it by at most one LP solve, and the same
-  /// input stops at the same point on every host.
+  /// Work budget: cumulative simplex pivots (primal + dual, root and node
+  /// solves alike); <= 0 means unlimited. Polled between nodes, with the
+  /// deadline, so a search overshoots it by at most one LP solve, and the
+  /// same input stops at the same point on every host.
   long max_pivots = 0;
-  /// Integrality tolerance.
-  double integrality_tolerance = 1e-6;
-  /// Stop when incumbent is within this absolute gap of the best bound.
-  double absolute_gap = 1e-6;
   /// Optional known-feasible point used as the initial incumbent.
   std::optional<std::vector<double>> warm_start;
   /// Try rounding fractional LP relaxations into incumbents.
   bool enable_rounding_heuristic = true;
-  /// LP solver configuration for node relaxations. The root is presolved
-  /// once (lp::presolve: fixed columns, empty and singleton rows) and the
-  /// search branches in the reduced space; the root relaxation is a cold
-  /// revised-simplex solve and every child node re-solves with the dual
-  /// simplex from its parent's optimal basis.
-  lp::SimplexOptions simplex{};
   /// Optional combinatorial node-bound provider (see milp/bounds.hpp). When
   /// set, every node evaluates the provider against its effective variable
   /// bounds (in ORIGINAL model space) before its LP relaxation; the node
   /// prunes without an LP solve when the combinatorial bound already meets
   /// the incumbent, and otherwise the node bound is the max of the two.
   std::shared_ptr<const NodeBoundProvider> bounds;
-  /// Depth-first rounding/fixing dive at the root, before any branching: fix
-  /// the least-fractional integer column to its nearest value, re-solve warm,
-  /// backtrack once per column on infeasibility. A successful dive installs a
-  /// feasible incumbent the search prunes against from the root's children on. Dive LP
-  /// solves are *not* charged against max_nodes.
-  bool dive = true;
-  /// Cooperative cancellation: polled between nodes and before every root
-  /// dive re-solve, like the wall-clock and pivot budgets. A cancelled solve
-  /// returns like a limit-hit one (Feasible with the incumbent so far, or
-  /// NoSolution) with `milp_cancelled` set in the solution.
+  /// Cooperative cancellation: polled between nodes, like the wall-clock and
+  /// pivot budgets. A cancelled solve returns like a limit-hit one (Feasible
+  /// with the incumbent so far, or NoSolution) with `milp_cancelled` set in
+  /// the solution.
   CancellationToken cancel{};
 };
 
@@ -96,8 +81,9 @@ struct MilpStats {
   // Bound-driven search summary.
   long milp_bound_prunes = 0;    ///< nodes pruned by the combinatorial bound, no LP solve
   long milp_cutoff_prunes = 0;   ///< node LPs cut off early by the dual objective cutoff
-  long milp_dive_lp_solves = 0;  ///< LP solves spent inside the root dive (not nodes)
-  bool milp_dive_found_incumbent = false;  ///< the root dive installed an incumbent
+  /// Always 0: the search has no root dive. Kept until the benchmark
+  /// harness, which still reports it, drops the field.
+  long milp_dive_lp_solves = 0;
 };
 
 struct MilpSolution : MilpStats {

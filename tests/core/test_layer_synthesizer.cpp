@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ilp_layer_model.hpp"
+#include "milp/branch_and_bound.hpp"
 #include "schedule/validate.hpp"
 
 namespace cohls::core {
@@ -93,6 +95,58 @@ TEST(LayerSynthesizer, ExactEngineImprovesOnGreedyWhenItCan) {
   EXPECT_TRUE(
       schedule::certify_result(wrapped, assay, schedule::TransportPlan{3_min}).empty());
   EXPECT_LE(outcome.inventory.size(), 2);
+}
+
+TEST(LayerSynthesizer, ExactPathWithoutAWarmStartStillCertifies) {
+  // Two independent ops with different accessory needs: the greedy builds
+  // one minimal chamber for each, two new devices, but the model offers a
+  // single new slot. The heuristic result then has no encoding (no warm
+  // start), and the search must find its incumbents on its own.
+  model::Assay assay{"t"};
+  model::OperationSpec heated;
+  heated.name = "heated";
+  heated.duration = 10_min;
+  heated.accessories = {BuiltinAccessory::kHeatingPad};
+  const auto a = assay.add_operation(heated);
+  model::OperationSpec optical;
+  optical.name = "optical";
+  optical.duration = 10_min;
+  optical.accessories = {BuiltinAccessory::kOpticalSystem};
+  const auto b = assay.add_operation(optical);
+  schedule::LayerRequest request;
+  request.layer = LayerId{0};
+  request.ops = {a, b};
+  EngineOptions engine;
+  engine.ilp_new_slots = 1;
+  const schedule::TransportPlan transport{2_min};
+  const model::CostModel costs;
+  const model::DeviceInventory inventory(4);
+
+  model::DeviceInventory heuristic_inventory = inventory;
+  const schedule::LayerResult heuristic =
+      schedule::schedule_layer(request, assay, transport, costs, heuristic_inventory);
+  ASSERT_EQ(heuristic_inventory.size(), 2);
+  const double heuristic_score =
+      layer_score(heuristic, heuristic_inventory, request, assay, costs);
+
+  IlpLayerInputs inputs;
+  inputs.layer = request.layer;
+  inputs.ops = request.ops;
+  inputs.new_slots = engine.ilp_new_slots;
+  const IlpLayerModel ilp(assay, std::move(inputs), transport, costs);
+  EXPECT_TRUE(ilp.encode(heuristic, heuristic_inventory).empty());
+  // Cold, the search still proves the one-slot optimum.
+  milp::MilpOptions cold = engine.milp;
+  cold.bounds = ilp.bound_provider();
+  EXPECT_EQ(milp::solve_milp(ilp.model(), cold).status, milp::MilpStatus::Optimal);
+
+  const auto outcome = synthesize_layer(request, assay, transport, costs, engine, inventory);
+  EXPECT_GT(outcome.milp_nodes, 0);  // the layer passed the gate
+  schedule::SynthesisResult wrapped;
+  wrapped.layers.push_back(outcome.result.schedule);
+  wrapped.devices = outcome.inventory;
+  EXPECT_TRUE(schedule::certify_result(wrapped, assay, transport).empty());
+  EXPECT_LE(outcome.score, heuristic_score + 1e-9);
 }
 
 TEST(LayerScore, CountsLayerDevicesAndPaths) {

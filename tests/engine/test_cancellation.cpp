@@ -1,6 +1,5 @@
 // Cooperative cancellation end to end: token semantics, the branch-and-bound
-// node loop and root dive, and the synthesis flow's layer / iteration
-// checkpoints.
+// node loop, and the synthesis flow's layer / iteration checkpoints.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,7 +12,6 @@
 #include "core/progressive_resynthesis.hpp"
 #include "milp/bounds.hpp"
 #include "milp/branch_and_bound.hpp"
-#include "milp/dive.hpp"
 #include "util/cancellation.hpp"
 
 namespace cohls {
@@ -108,51 +106,8 @@ TEST(Cancellation, CrossThreadStopRequestStopsSolver) {
   EXPECT_TRUE(solution.milp_cancelled);
 }
 
-TEST(Cancellation, RootDiveStopsAfterTheReSolveThatFiresTheToken) {
-  // Six binaries the relaxation leaves at 0.5 until fixed: uninterrupted,
-  // the dive fixes one per re-solve and reaches an integral point after six.
-  constexpr int kColumns = 6;
-  constexpr long kFiringResolve = 3;
-  milp::MilpModel model;
-  for (int i = 0; i < kColumns; ++i) {
-    (void)model.add_binary(/*objective=*/1.0);
-  }
-  std::vector<double> lower(kColumns, 0.0);
-  std::vector<double> upper(kColumns, 1.0);
-  auto relaxation = [&lower, &upper] {
-    lp::LpSolution relax;
-    relax.status = lp::LpStatus::Optimal;
-    for (std::size_t c = 0; c < lower.size(); ++c) {
-      relax.values.push_back(lower[c] == upper[c] ? lower[c] : 0.5);
-    }
-    return relax;
-  };
-  CancellationSource source;
-  const CancellationToken token = source.token();
-  long resolves = 0;
-  milp::DiveHooks hooks;
-  hooks.lower = &lower;
-  hooks.upper = &upper;
-  hooks.set_bounds = [&lower, &upper](lp::Col c, double lo, double hi) {
-    lower[static_cast<std::size_t>(c)] = lo;
-    upper[static_cast<std::size_t>(c)] = hi;
-  };
-  hooks.resolve = [&] {
-    if (++resolves == kFiringResolve) {
-      source.request_stop();
-    }
-    return relaxation();
-  };
-  hooks.stop = [&token] { return token.cancelled(); };
-  const milp::DiveResult result =
-      milp::dive_for_incumbent(model, hooks, relaxation(), 1e-6, 1e-5, /*max_lp_solves=*/100);
-  EXPECT_EQ(result.lp_solves, kFiringResolve);
-  EXPECT_EQ(resolves, kFiringResolve);
-  EXPECT_FALSE(result.found);
-}
-
 /// A bound provider that proves nothing and fires the token the first time
-/// the search evaluates it — at the root node, before the root LP and dive.
+/// the search evaluates it — at the root node, before the root LP.
 class CancelAtRootBound final : public milp::NodeBoundProvider {
  public:
   explicit CancelAtRootBound(CancellationSource& source) : source_(source) {}
@@ -166,7 +121,7 @@ class CancelAtRootBound final : public milp::NodeBoundProvider {
   CancellationSource& source_;
 };
 
-TEST(Cancellation, RootDiveSeesATokenFiredAtTheRootNode) {
+TEST(Cancellation, SearchStopsAtTheNextNodeAfterATokenFiredAtTheRoot) {
   CancellationSource source;
   milp::MilpOptions options;
   options.max_nodes = 0;
@@ -176,10 +131,9 @@ TEST(Cancellation, RootDiveSeesATokenFiredAtTheRootNode) {
   const milp::MilpSolution solution = milp::solve_milp(hard_model(40), options);
   EXPECT_TRUE(solution.milp_cancelled);
   EXPECT_EQ(solution.status, milp::MilpStatus::NoSolution);
+  // The root finishes its LP and branches; the poll before the next node
+  // sees the fired token.
   EXPECT_EQ(solution.milp_nodes, 1);
-  // The root relaxation is fractional, so the dive starts, but its first
-  // budget poll sees the fired token and it re-solves nothing.
-  EXPECT_EQ(solution.milp_dive_lp_solves, 0);
 }
 
 TEST(Cancellation, SynthesisThrowsCancelledError) {

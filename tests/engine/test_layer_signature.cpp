@@ -174,20 +174,10 @@ TEST(LayerSignature, EngineBudgetChangesTheSignature) {
       {"ilp_new_slots", [](core::EngineOptions& e) { e.ilp_new_slots += 1; }},
       {"milp.max_nodes", [](core::EngineOptions& e) { e.milp.max_nodes += 1; }},
       {"milp.max_pivots", [](core::EngineOptions& e) { e.milp.max_pivots += 1; }},
-      {"milp.integrality_tolerance",
-       [](core::EngineOptions& e) { e.milp.integrality_tolerance *= 10.0; }},
-      {"milp.absolute_gap", [](core::EngineOptions& e) { e.milp.absolute_gap *= 10.0; }},
       {"milp.enable_rounding_heuristic",
        [](core::EngineOptions& e) {
          e.milp.enable_rounding_heuristic = !e.milp.enable_rounding_heuristic;
        }},
-      {"milp.dive", [](core::EngineOptions& e) { e.milp.dive = !e.milp.dive; }},
-      {"milp.simplex.tolerance",
-       [](core::EngineOptions& e) { e.milp.simplex.tolerance *= 10.0; }},
-      {"milp.simplex.max_iterations",
-       [](core::EngineOptions& e) { e.milp.simplex.max_iterations += 100; }},
-      {"milp.simplex.refactor_interval",
-       [](core::EngineOptions& e) { e.milp.simplex.refactor_interval += 1; }},
   };
   for (const Change& change : changes) {
     Fixture f;

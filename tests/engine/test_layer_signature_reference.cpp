@@ -170,9 +170,8 @@ TEST(LayerSignatureReference, EveryFieldSetByHand) {
   core::EngineOptions engine;
   engine.ilp_max_ops = 5;
   engine.milp.max_nodes = 777;
-  engine.milp.absolute_gap = 0.1;
-  engine.milp.simplex.tolerance = 3e-9;
-  engine.milp.dive = false;
+  engine.milp.max_pivots = 4321;
+  engine.milp.enable_rounding_heuristic = false;
 
   model::DeviceInventory inventory{12};
   model::DeviceConfig ring;

@@ -1,17 +1,13 @@
-// Bound-driven search: validity of the combinatorial node bounds, dive
-// incumbent certification, and exactness of the solver with bounds attached
-// (sequential and parallel).
+// Bound-driven search: validity of the combinatorial node bounds and
+// exactness of the solver with bounds attached.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
-#include "lp/simplex.hpp"
 #include "milp/bounds.hpp"
 #include "milp/branch_and_bound.hpp"
-#include "milp/dive.hpp"
 #include "milp/model.hpp"
 #include "util/rng.hpp"
 
@@ -308,107 +304,6 @@ TEST(SchedulingWideMasks, FortySlotInstanceTracksHighMaskBits) {
   }
   EXPECT_NEAR(provider.makespan_bound(serial_lower, upper, kDevices),
               2.0 * kOccupation + kDuration, 1e-9);
-}
-
-// --- dive ------------------------------------------------------------------
-
-struct RandomMilpForDive {
-  MilpModel model;
-};
-
-RandomMilpForDive make_random_mip(std::uint64_t seed) {
-  Rng rng{seed};
-  RandomMilpForDive out;
-  const int n = static_cast<int>(rng.uniform_int(2, 6));
-  for (int j = 0; j < n; ++j) {
-    const int lb = static_cast<int>(rng.uniform_int(-2, 0));
-    const int ub = lb + static_cast<int>(rng.uniform_int(1, 5));
-    out.model.add_variable(VarKind::Integer, lb, ub,
-                           static_cast<double>(rng.uniform_int(-4, 4)));
-  }
-  const int m = static_cast<int>(rng.uniform_int(1, 5));
-  for (int i = 0; i < m; ++i) {
-    std::vector<lp::Term> terms;
-    for (int j = 0; j < n; ++j) {
-      const auto coef = rng.uniform_int(-3, 3);
-      if (coef != 0) {
-        terms.emplace_back(j, static_cast<double>(coef));
-      }
-    }
-    const auto sense = rng.uniform_int(0, 1) == 0 ? lp::RowSense::LessEqual
-                                                  : lp::RowSense::GreaterEqual;
-    out.model.add_constraint(std::move(terms), sense,
-                             static_cast<double>(rng.uniform_int(-6, 6)));
-  }
-  return out;
-}
-
-class DiveCertification : public ::testing::TestWithParam<int> {};
-
-// Whatever point the dive claims is always LP- and integrality-feasible for
-// the model it dived, with a correctly reported objective.
-TEST_P(DiveCertification, DiveIncumbentAlwaysCertifies) {
-  const auto instance = make_random_mip(static_cast<std::uint64_t>(GetParam()) * 131 + 7);
-  lp::LpModel box = instance.model.lp();
-  std::vector<double> lower(static_cast<std::size_t>(box.variable_count()));
-  std::vector<double> upper(static_cast<std::size_t>(box.variable_count()));
-  for (lp::Col c = 0; c < box.variable_count(); ++c) {
-    lower[static_cast<std::size_t>(c)] = box.lower_bound(c);
-    upper[static_cast<std::size_t>(c)] = box.upper_bound(c);
-  }
-  DiveHooks hooks;
-  hooks.resolve = [&box] { return lp::solve_lp(box); };
-  hooks.set_bounds = [&](lp::Col c, double lo, double hi) {
-    box.set_bounds(c, lo, hi);
-    lower[static_cast<std::size_t>(c)] = lo;
-    upper[static_cast<std::size_t>(c)] = hi;
-  };
-  hooks.lower = &lower;
-  hooks.upper = &upper;
-
-  const auto root = lp::solve_lp(box);
-  if (root.status != lp::LpStatus::Optimal) {
-    return;  // nothing to dive from
-  }
-  const auto result = dive_for_incumbent(instance.model, hooks, root,
-                                         /*integrality_tolerance=*/1e-6,
-                                         /*feasibility_tolerance=*/1e-6,
-                                         /*max_lp_solves=*/64);
-  if (!result.found) {
-    return;
-  }
-  EXPECT_TRUE(instance.model.is_feasible(result.values, 1e-6));
-  EXPECT_NEAR(result.objective, instance.model.lp().objective_value(result.values), 1e-9);
-
-  // Soundness: a dive incumbent can never beat the proven optimum.
-  const auto exact = solve_milp(instance.model);
-  ASSERT_EQ(exact.status, MilpStatus::Optimal);
-  EXPECT_GE(result.objective, exact.objective - 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DiveCertification, ::testing::Range(0, 60));
-
-// The dive is not vacuous: across the seed range it finds incumbents, and a
-// solve that reports dive_found_incumbent matches the no-dive optimum.
-TEST(DiveCertification, DiveFindsIncumbentsAndPreservesExactness) {
-  int found = 0;
-  for (int seed = 0; seed < 25; ++seed) {
-    const auto instance = make_from_seed(static_cast<std::uint64_t>(seed) + 3000);
-    MilpOptions with_dive;
-    with_dive.bounds = std::make_shared<SchedulingBounds>(instance.config);
-    MilpOptions no_dive = with_dive;
-    no_dive.dive = false;
-    const auto dived = solve_milp(instance.model, with_dive);
-    const auto plain = solve_milp(instance.model, no_dive);
-    ASSERT_EQ(dived.status, MilpStatus::Optimal);
-    ASSERT_EQ(plain.status, MilpStatus::Optimal);
-    EXPECT_NEAR(dived.objective, plain.objective, 1e-6);
-    if (dived.milp_dive_found_incumbent) {
-      ++found;
-      EXPECT_GT(dived.milp_dive_lp_solves, 0);
-    }
-  }
-  EXPECT_GT(found, 0) << "the root dive never fired across 25 scheduling instances";
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Branch and bound against an exact reference on random mixed-integer
 // programs: enumerate every point of the integer grid, solve the continuous
 // remainder of each with the dense-tableau LP (tests/support), and keep the
-// best. The solver's presolve, warm dual re-solves, dive and pseudocost
+// best. The solver's presolve, warm dual re-solves and pseudocost
 // branching must reproduce that optimum (and infeasibility) exactly.
 #include <gtest/gtest.h>
 

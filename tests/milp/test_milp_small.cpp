@@ -188,7 +188,6 @@ TEST(Milp, PivotBudgetStopsTheSearchWithinOneLpSolve) {
   // of this search (every later one re-solves warm after one bound change).
   MilpOptions root_only;
   root_only.max_nodes = 1;
-  root_only.dive = false;
   const long root_pivots = solve_milp(model, root_only).lp_pivots;
   ASSERT_GT(root_pivots, 0);
 

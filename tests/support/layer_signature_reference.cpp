@@ -84,22 +84,14 @@ std::string layer_signature_reference(const core::LayerSolveContext& context) {
   }
 
   std::ostringstream out;
-  out << "cohls-layer-sig v3\n";
+  out << "cohls-layer-sig v4\n";
 
   // Engine budgets — a different budget may legitimately change the result.
   const core::EngineOptions& engine = context.engine;
   out << "engine ilp=" << engine.enable_ilp << " ops=" << engine.ilp_max_ops
       << " dev=" << engine.ilp_max_devices << " slots=" << engine.ilp_new_slots
       << " nodes=" << engine.milp.max_nodes << " pivots=" << engine.milp.max_pivots
-      << " tol=";
-  put_double(out, engine.milp.integrality_tolerance);
-  out << " gap=";
-  put_double(out, engine.milp.absolute_gap);
-  out << " round=" << engine.milp.enable_rounding_heuristic
-      << " dive=" << engine.milp.dive << " lp_tol=";
-  put_double(out, engine.milp.simplex.tolerance);
-  out << " lp_iters=" << engine.milp.simplex.max_iterations
-      << " refactor=" << engine.milp.simplex.refactor_interval << "\n";
+      << " round=" << engine.milp.enable_rounding_heuristic << "\n";
 
   // Cost model and registry processing costs.
   const model::CostModel& costs = context.costs;

@@ -11,12 +11,10 @@ namespace cohls::oracles {
 /// Solves `model` (a minimization) with the dense-tableau two-phase primal
 /// simplex. Same statuses and bounded-variable semantics as lp::solve_lp;
 /// it never reports CutoffReached.
-[[nodiscard]] lp::LpSolution solve_lp_dense(const lp::LpModel& model,
-                                            const lp::SimplexOptions& options = {});
+[[nodiscard]] lp::LpSolution solve_lp_dense(const lp::LpModel& model);
 
 /// lp::presolve, then lp::solve_lp on the reduced model, then restore.
 /// Statuses mirror lp::solve_lp.
-[[nodiscard]] lp::LpSolution solve_lp_with_presolve(const lp::LpModel& model,
-                                                    const lp::SimplexOptions& options = {});
+[[nodiscard]] lp::LpSolution solve_lp_with_presolve(const lp::LpModel& model);
 
 }  // namespace cohls::oracles

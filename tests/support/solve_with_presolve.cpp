@@ -3,15 +3,14 @@
 
 namespace cohls::oracles {
 
-lp::LpSolution solve_lp_with_presolve(const lp::LpModel& model,
-                                      const lp::SimplexOptions& options) {
+lp::LpSolution solve_lp_with_presolve(const lp::LpModel& model) {
   const lp::Presolved pre = lp::presolve(model);
   if (pre.infeasible()) {
     lp::LpSolution solution;
     solution.status = lp::LpStatus::Infeasible;
     return solution;
   }
-  lp::LpSolution reduced = lp::solve_lp(pre.model(), options);
+  lp::LpSolution reduced = lp::solve_lp(pre.model());
   if (reduced.status != lp::LpStatus::Optimal) {
     return reduced;
   }
