@@ -6,10 +6,15 @@
 // text front end (lex, build and lint of a protocol) and the layer cache's
 // key (one signature; one missed lookup plus its store).
 // These track the cost of the pieces the paper's runtime column depends on.
+// The binary counts the calling thread's heap allocations (a replaced global
+// operator new), which BM_BuildAssay reports per build.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "assays/benchmarks.hpp"
 #include "analysis/linter.hpp"
@@ -30,6 +35,27 @@
 #include "schedule/validate.hpp"
 #include "support/layer_capture.hpp"
 #include "util/rng.hpp"
+
+namespace {
+
+/// Heap allocations made by this thread so far.
+thread_local std::uint64_t allocations = 0;
+
+}  // namespace
+
+// Out of line, so that no caller sees new and delete pair up as malloc and
+// free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++allocations;
+  if (void* memory = std::malloc(size == 0 ? 1 : size)) {
+    return memory;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* memory) noexcept { std::free(memory); }
+[[gnu::noinline]] void operator delete(void* memory, std::size_t) noexcept {
+  std::free(memory);
+}
 
 namespace {
 
@@ -216,6 +242,17 @@ void BM_FullSynthesisCase2(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSynthesisCase2);
 
+// Case 3 (rt_qpcr, 120 ops): the input that sets the paper flow's p95.
+void BM_FullSynthesisCase3(benchmark::State& state) {
+  const model::Assay assay = assays::rt_qpcr_assay();
+  core::SynthesisOptions options;
+  options.max_devices = 25;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::synthesize(assay, options));
+  }
+}
+BENCHMARK(BM_FullSynthesisCase3);
+
 /// One refine_transport call on the synthesized case-2 result: the Sec. 4.1
 /// usage ranking every re-synthesis iteration starts from.
 void BM_RefineTransportCase2(benchmark::State& state) {
@@ -262,16 +299,24 @@ void BM_ParseAssay(benchmark::State& state) {
 BENCHMARK(BM_ParseAssay)->DenseRange(1, 3);
 
 /// AssaySource::build() on a parsed protocol; the copy it consumes is made
-/// outside the timed region.
+/// outside the timed region. `allocs_per_build` counts the heap allocations
+/// of build() alone.
 void BM_BuildAssay(benchmark::State& state) {
   const io::AssaySource source =
       io::parse_assay_source(protocol_text(static_cast<int>(state.range(0))));
+  std::uint64_t built = 0;
   for (auto _ : state) {
     state.PauseTiming();
     io::AssaySource copy = source;
     state.ResumeTiming();
-    benchmark::DoNotOptimize(std::move(copy).build());
+    const std::uint64_t before = allocations;
+    model::Assay assay = std::move(copy).build();
+    built += allocations - before;
+    benchmark::DoNotOptimize(assay);
   }
+  state.counters["allocs_per_build"] =
+      static_cast<double>(built) / static_cast<double>(state.iterations());
+  state.counters["ops"] = static_cast<double>(source.operations.size());
 }
 BENCHMARK(BM_BuildAssay)->DenseRange(1, 3);
 

@@ -398,14 +398,12 @@ int main(int argc, char** argv) {
           : "fewer than 4 workers: the shared hazard-sampling and "
             "window-realization cost bounds the single-worker ratio below "
             "the gate";
-  if (gate_enforced && case2_speedup < kCase2SpeedupGate) {
-    std::cerr << "FAIL: case-2 fleet speedup " << case2_speedup << " < "
-              << kCase2SpeedupGate << "x gate (" << workers << " workers)\n";
-    return 1;
-  }
+  const bool gate_passed = !gate_enforced || case2_speedup >= kCase2SpeedupGate;
   std::cout << "case-2 speedup " << case2_speedup << "x on " << workers
             << " worker(s); " << kCase2SpeedupGate << "x gate "
-            << (gate_enforced ? "enforced: ok" : "not enforced") << "\n";
+            << (gate_enforced ? (gate_passed ? "enforced: ok" : "enforced: failed")
+                              : "not enforced")
+            << "\n";
   std::ostringstream json;
   json << "{\n  \"benchmark\": \"bench_sim\",\n  \"hazard\": \"" << kHazardSpec
        << "\",\n  \"mission_hazard\": \"" << kMissionHazardSpec
@@ -419,6 +417,7 @@ int main(int argc, char** argv) {
        << ",\n  \"gate\": {\"threshold\": " << kCase2SpeedupGate
        << ", \"measured\": " << case2_speedup
        << ", \"enforced\": " << (gate_enforced ? "true" : "false")
+       << ", \"passed\": " << (gate_passed ? "true" : "false")
        << ", \"reason\": \"" << gate_reason << "\"}"
        << ",\n  \"reductions_match\": " << (all_match ? "true" : "false")
        << ",\n  \"cases\": [\n";
@@ -433,5 +432,11 @@ int main(int argc, char** argv) {
   }
   out << json.str();
   std::cout << "wrote " << out_path << "\n";
+  // The record is written either way, so a failed gate keeps what it measured.
+  if (!gate_passed) {
+    std::cerr << "FAIL: case-2 fleet speedup " << case2_speedup << " < "
+              << kCase2SpeedupGate << "x gate (" << workers << " workers)\n";
+    return 1;
+  }
   return 0;
 }

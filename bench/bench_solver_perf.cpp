@@ -415,8 +415,9 @@ int main(int argc, char** argv) {
     const char* tag;
     model::Assay assay;
   };
+  // Case 1 (kinase) is absent: its only layer has 16 operations, beyond
+  // the capture box, so it yields no row.
   std::vector<CaseSpec> cases;
-  cases.push_back({"case1", assays::kinase_activity_assay()});
   cases.push_back({"case2", assays::gene_expression_assay()});
   if (!smoke) {
     cases.push_back({"case3", assays::rt_qpcr_assay()});
@@ -433,9 +434,7 @@ int main(int argc, char** argv) {
       std::ostringstream name;
       name << spec.tag << "-layer-" << index++;
       rows.push_back(run_instance(name.str(), captured, 1, layer_node_cap, Start::Warm));
-      if (spec.tag != std::string("case1")) {
-        table2_models.emplace_back(name.str(), captured);
-      }
+      table2_models.emplace_back(name.str(), captured);
     }
   }
   for (int i = 0; i < random_count; ++i) {

@@ -78,12 +78,10 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
   }
 
   // The binding and paths of the layers solved so far. They move into each
-  // layer's request and back out after the solve, so no layer copies them.
-  std::map<OperationId, DeviceId> prior_binding;
-  std::set<schedule::DevicePath> existing_paths;
-  // prior_binding as a dense array over operation ids (invalid = unbound),
-  // for the path bookkeeping's per-neighbour lookups.
-  std::vector<DeviceId> bound(static_cast<std::size_t>(assay.operation_count()));
+  // layer's request and back out after the solve, so no layer copies them;
+  // both stay empty, without storage, until the first layer binds.
+  schedule::Binding prior_binding;
+  schedule::PathMatrix existing_paths;
   std::vector<bool> hint_consumed(known_devices.size(), false);
 
   for (int li = 0; li < plan.layer_count(); ++li) {
@@ -123,22 +121,23 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
     for (const int key : outcome.result.consumed_hints) {
       hint_consumed[static_cast<std::size_t>(key)] = true;
     }
-    for (const auto& item : outcome.result.schedule.items) {
-      prior_binding[item.op] = item.device;
-      bound[item.op.index()] = item.device;
+    if (prior_binding.size() == 0) {
+      prior_binding = schedule::Binding(assay.operation_count());
+      existing_paths.reserve(static_cast<std::size_t>(options.max_devices));
     }
-    // The paths this layer adds: every dependency edge with an endpoint in
-    // the layer whose other endpoint is bound to a different device. Edges
-    // between two earlier layers are already in the set, so this keeps it
-    // equal to result.paths(assay).
     for (const auto& item : outcome.result.schedule.items) {
-      for (const auto* neighbours : {&assay.operation(item.op).parents(),
-                                     &assay.children(item.op)}) {
-        for (const OperationId other : *neighbours) {
-          const DeviceId device = bound[other.index()];
-          if (device.valid() && device != item.device) {
-            existing_paths.insert(schedule::make_path(item.device, device));
-          }
+      prior_binding.bind(item.op, item.device);
+    }
+    // The paths this layer adds: every dependency edge into the layer whose
+    // parent is bound to a different device. A parent is never layered
+    // after its child, so every edge with both ends bound so far enters
+    // this layer or an earlier one, and the matrix stays equal to
+    // result.paths(assay).
+    for (const auto& item : outcome.result.schedule.items) {
+      for (const OperationId parent : assay.operation(item.op).parents()) {
+        const DeviceId parent_device = prior_binding.device(parent);
+        if (parent_device.valid() && parent_device != item.device) {
+          existing_paths.insert(item.device, parent_device);
         }
       }
     }

@@ -16,6 +16,7 @@ IlpLayerModel::IlpLayerModel(const model::Assay& assay, IlpLayerInputs inputs,
     : assay_(assay), inputs_(std::move(inputs)), transport_(transport), costs_(costs) {
   COHLS_EXPECT(!inputs_.ops.empty(), "a layer model needs at least one operation");
   COHLS_EXPECT(inputs_.new_slots >= 0, "new slot count must be non-negative");
+  COHLS_EXPECT(transport.fits(assay), "transport plan belongs to another assay");
   in_layer_ = std::set<OperationId>(inputs_.ops.begin(), inputs_.ops.end());
   for (std::size_t i = 0; i < inputs_.ops.size(); ++i) {
     op_index_[inputs_.ops[i]] = static_cast<int>(i);
@@ -42,9 +43,9 @@ lp::Col IlpLayerModel::start_var(int op) const {
 
 Minutes IlpLayerModel::outgoing_reserve(OperationId id) const {
   Minutes reserve{0};
-  for (const OperationId child : assay_.children(id)) {
-    if (in_layer_.count(child)) {
-      reserve = std::max(reserve, transport_.edge_time(id, child));
+  for (const EdgeId edge : assay_.child_edges(id)) {
+    if (in_layer_.count(assay_.edge_child(edge))) {
+      reserve = std::max(reserve, transport_.edge_time(edge));
     }
   }
   return reserve;
@@ -110,9 +111,9 @@ void IlpLayerModel::build() {
   for (const OperationId id : inputs_.ops) {
     total += static_cast<double>(
         (assay_.operation(id).duration() + outgoing_reserve(id)).count());
-    for (const OperationId parent : assay_.operation(id).parents()) {
-      if (!in_layer_.count(parent)) {
-        max_cross = std::max(max_cross, transport_.edge_time(parent, id));
+    for (const EdgeId edge : assay_.operation(id).parent_edges()) {
+      if (!in_layer_.count(assay_.edge_parent(edge))) {
+        max_cross = std::max(max_cross, transport_.edge_time(edge));
       }
     }
   }
@@ -158,20 +159,19 @@ void IlpLayerModel::tighten_time_windows() {
   std::vector<std::vector<int>> children(static_cast<std::size_t>(n));
   for (const OperationId child_id : inputs_.ops) {
     const int c = op_index(child_id);
-    for (const OperationId parent_id : assay_.operation(child_id).parents()) {
+    for (const EdgeId edge : assay_.operation(child_id).parent_edges()) {
+      const OperationId parent_id = assay_.edge_parent(edge);
       if (in_layer_.count(parent_id)) {
         children[static_cast<std::size_t>(op_index(parent_id))].push_back(c);
       } else {
         // Cross-layer parent: with no fixed producer device the arrival time
         // is a hard earliest start (the dep_cross row); with one, the child
         // may co-locate and start at zero, so nothing is implied.
-        const double t =
-            static_cast<double>(transport_.edge_time(parent_id, child_id).count());
-        const auto prior = inputs_.prior_binding.find(parent_id);
+        const double t = static_cast<double>(transport_.edge_time(edge).count());
+        const DeviceId prior = inputs_.prior_binding.device(parent_id);
         const bool producer_fixed =
-            prior != inputs_.prior_binding.end() &&
-            std::find(fixed_ids_.begin(), fixed_ids_.end(), prior->second) !=
-                fixed_ids_.end();
+            prior.valid() &&
+            std::find(fixed_ids_.begin(), fixed_ids_.end(), prior) != fixed_ids_.end();
         if (t > 0.0 && !producer_fixed) {
           est_[static_cast<std::size_t>(c)] =
               std::max(est_[static_cast<std::size_t>(c)], t);
@@ -406,15 +406,15 @@ void IlpLayerModel::add_dependencies() {
   for (const OperationId child_id : inputs_.ops) {
     const model::Operation& child = assay_.operation(child_id);
     const int c = op_index(child_id);
-    for (const OperationId parent_id : child.parents()) {
+    for (const EdgeId edge : child.parent_edges()) {
+      const OperationId parent_id = assay_.edge_parent(edge);
       if (in_layer_.count(parent_id)) {
         const int p = op_index(parent_id);
         COHLS_EXPECT(!assay_.operation(parent_id).indeterminate(),
                      "indeterminate operations must not have same-layer children");
         const double dur_p =
             static_cast<double>(assay_.operation(parent_id).duration().count());
-        const double t = static_cast<double>(
-            transport_.edge_time(parent_id, child_id).count());
+        const double t = static_cast<double>(transport_.edge_time(edge).count());
         if (t == 0.0) {
           model_.add_constraint({{start_var(c), 1.0}, {start_var(p), -1.0}},
                                 lp::RowSense::GreaterEqual, dur_p);
@@ -441,16 +441,15 @@ void IlpLayerModel::add_dependencies() {
             lp::RowSense::GreaterEqual, dur_p + t);
       } else {
         // Cross-layer parent: the inherited reagent must arrive first.
-        const double t = static_cast<double>(
-            transport_.edge_time(parent_id, child_id).count());
+        const double t = static_cast<double>(transport_.edge_time(edge).count());
         if (t == 0.0) {
           continue;
         }
-        const auto prior = inputs_.prior_binding.find(parent_id);
+        const DeviceId prior = inputs_.prior_binding.device(parent_id);
         int parent_device = -1;
-        if (prior != inputs_.prior_binding.end()) {
+        if (prior.valid()) {
           for (std::size_t f = 0; f < fixed_ids_.size(); ++f) {
-            if (fixed_ids_[f] == prior->second) {
+            if (fixed_ids_[f] == prior) {
               parent_device = static_cast<int>(f);
               break;
             }
@@ -682,9 +681,8 @@ void IlpLayerModel::add_objective_sums() {
     double cost = costs_.weight_paths();
     if (device_kind_[static_cast<std::size_t>(j1)] == SlotKind::Fixed &&
         device_kind_[static_cast<std::size_t>(j2)] == SlotKind::Fixed) {
-      const auto existing = schedule::make_path(fixed_ids_[static_cast<std::size_t>(j1)],
-                                                fixed_ids_[static_cast<std::size_t>(j2)]);
-      if (inputs_.existing_paths.count(existing)) {
+      if (inputs_.existing_paths.contains(fixed_ids_[static_cast<std::size_t>(j1)],
+                                          fixed_ids_[static_cast<std::size_t>(j2)])) {
         cost = 0.0;
       }
     }
@@ -711,13 +709,13 @@ void IlpLayerModel::add_objective_sums() {
           }
         }
       } else {
-        const auto prior = inputs_.prior_binding.find(parent_id);
-        if (prior == inputs_.prior_binding.end()) {
+        const DeviceId prior = inputs_.prior_binding.device(parent_id);
+        if (!prior.valid()) {
           continue;
         }
         int parent_device = -1;
         for (std::size_t f = 0; f < fixed_ids_.size(); ++f) {
-          if (fixed_ids_[f] == prior->second) {
+          if (fixed_ids_[f] == prior) {
             parent_device = static_cast<int>(f);
             break;
           }
@@ -1015,11 +1013,11 @@ std::vector<double> IlpLayerModel::encode(const schedule::LayerResult& result,
                    device_of[static_cast<std::size_t>(c)]);
         }
       } else {
-        const auto prior = inputs_.prior_binding.find(parent_id);
-        if (prior == inputs_.prior_binding.end()) {
+        const DeviceId prior = inputs_.prior_binding.device(parent_id);
+        if (!prior.valid()) {
           continue;
         }
-        const auto parent_slot = slot_of.find(prior->second);
+        const auto parent_slot = slot_of.find(prior);
         if (parent_slot != slot_of.end() &&
             parent_slot->second != device_of[static_cast<std::size_t>(c)]) {
           use_path(parent_slot->second, device_of[static_cast<std::size_t>(c)]);
@@ -1107,10 +1105,10 @@ schedule::LayerResult IlpLayerModel::decode(const std::vector<double>& solution,
   // Reporting: actual outgoing transport per item, given the final binding.
   for (auto& item : result.schedule.items) {
     Minutes actual{0};
-    for (const OperationId child : assay_.children(item.op)) {
-      const auto* child_item = result.schedule.find(child);
+    for (const EdgeId edge : assay_.child_edges(item.op)) {
+      const auto* child_item = result.schedule.find(assay_.edge_child(edge));
       if (child_item != nullptr && child_item->device != item.device) {
-        actual = std::max(actual, transport_.edge_time(item.op, child));
+        actual = std::max(actual, transport_.edge_time(edge));
       }
     }
     item.transport = actual;

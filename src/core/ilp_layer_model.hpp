@@ -50,9 +50,9 @@ struct IlpLayerInputs {
   /// Number of freely-configurable new device slots.
   int new_slots = 2;
   /// Binding of prior-layer operations (cross-layer transport and paths).
-  std::map<OperationId, DeviceId> prior_binding;
+  schedule::Binding prior_binding;
   /// Paths already integrated (re-using them costs nothing).
-  std::set<schedule::DevicePath> existing_paths;
+  schedule::PathMatrix existing_paths;
   /// Operations forced onto a specific fixed device (recovery re-synthesis
   /// pins in-flight operations to the device already running them). Every
   /// pinned device must appear in `fixed_devices` and be compatible with

@@ -1,7 +1,6 @@
 #include "core/layer_synthesizer.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "model/compatibility.hpp"
@@ -41,28 +40,24 @@ double layer_score(const schedule::LayerResult& result,
 
   // Newly created inter-device paths. A parent is bound by this layer's
   // schedule first, by an earlier layer otherwise.
-  std::vector<std::optional<DeviceId>> layer_binding(
-      static_cast<std::size_t>(assay.operation_count()));
+  schedule::Binding layer_binding(assay.operation_count());
   for (const auto& item : result.schedule.items) {
     COHLS_EXPECT(item.op.valid() && item.op.value() < assay.operation_count(),
                  "unknown operation id");
-    layer_binding[item.op.index()] = item.device;
+    layer_binding.bind(item.op, item.device);
   }
   std::vector<schedule::DevicePath> created;
   for (const auto& item : result.schedule.items) {
     for (const OperationId parent : assay.operation(item.op).parents()) {
-      std::optional<DeviceId> parent_device = layer_binding[parent.index()];
-      if (!parent_device) {
-        const auto prior = request.prior_binding.find(parent);
-        if (prior != request.prior_binding.end()) {
-          parent_device = prior->second;
-        }
+      DeviceId parent_device = layer_binding.device(parent);
+      if (!parent_device.valid()) {
+        parent_device = request.prior_binding.device(parent);
       }
-      if (!parent_device || *parent_device == item.device) {
+      if (!parent_device.valid() || parent_device == item.device) {
         continue;
       }
-      const schedule::DevicePath path = schedule::make_path(*parent_device, item.device);
-      if (request.existing_paths.count(path) == 0 &&
+      const schedule::DevicePath path = schedule::make_path(parent_device, item.device);
+      if (!request.existing_paths.contains(parent_device, item.device) &&
           std::find(created.begin(), created.end(), path) == created.end()) {
         created.push_back(path);
       }

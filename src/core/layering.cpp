@@ -112,7 +112,7 @@ class CutWorkspace {
     // parent; primary inputs count one unit total. Every in-layer parent of
     // a cone vertex is in the cone.
     const auto add_external = [&](OperationId o) {
-      const std::vector<OperationId>& parents = assay.operation(o).parents();
+      const std::span<const OperationId> parents = assay.operation(o).parents();
       std::int64_t external = parents.empty() ? 1 : 0;
       for (const OperationId parent : parents) {
         external += in_layer(parent) ? 0 : 1;

@@ -38,15 +38,17 @@ SynthesisReport synthesize_single(const model::Assay& assay,
   report.plan = layer_assay(assay, options.layering);
 
   report.transport = schedule::TransportPlan(options.initial_transport);
-  schedule::SynthesisResult current =
-      run_pass(assay, report.plan, report.transport, options, {}, policy);
-  report.iterations.push_back(record_of(current, assay, options.costs));
-
-  report.result = current;
+  report.result = run_pass(assay, report.plan, report.transport, options, {}, policy);
+  report.iterations.push_back(record_of(report.result, assay, options.costs));
   double best_objective = report.iterations.back().objective.weighted_total;
 
+  // The latest pass is the best one (report.result) or, when it did not
+  // improve on it, `latest`; passes move into place and are never copied.
+  schedule::SynthesisResult latest;
+  bool latest_is_best = true;
   for (int iteration = 1; iteration <= options.max_resynthesis_iterations; ++iteration) {
     options.cancel.check("progressive re-synthesis");
+    const schedule::SynthesisResult& current = latest_is_best ? report.result : latest;
     schedule::TransportPlan refined =
         options.transport_refinement == TransportRefinement::Layout
             ? layout::transport_from_layout(
@@ -65,12 +67,15 @@ SynthesisReport synthesize_single(const model::Assay& assay,
     const double improvement =
         previous > 0.0 ? (previous - record.objective.weighted_total) / previous : 0.0;
 
-    if (record.objective.weighted_total < best_objective - 1e-9) {
+    // Ties favour earlier iterations.
+    latest_is_best = record.objective.weighted_total < best_objective - 1e-9;
+    if (latest_is_best) {
       best_objective = record.objective.weighted_total;
-      report.result = next;
+      report.result = std::move(next);
       report.transport = std::move(refined);
+    } else {
+      latest = std::move(next);
     }
-    current = std::move(next);
 
     if (improvement <= options.resynthesis_improvement_threshold) {
       break;  // "no further significant improvement"

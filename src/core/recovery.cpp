@@ -243,10 +243,10 @@ RecoveryOutcome recover(const model::Assay& assay,
 
   // The continuation is only trusted certified: pins honoured, then the
   // full E2xx certifier.
-  const std::map<OperationId, DeviceId> binding = outcome.continuation.result.binding();
+  const schedule::Binding binding =
+      outcome.continuation.result.dense_binding(residual.assay);
   for (const auto& [op, device] : residual.pinned) {
-    const auto bound = binding.find(op);
-    if (bound == binding.end() || bound->second != device) {
+    if (binding.device(op) != device) {
       std::ostringstream message;
       message << "in-flight operation " << residual.to_original.at(op)
               << " was re-bound away from its pinned device " << device;

@@ -1,7 +1,7 @@
 #include "core/transport_estimator.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <utility>
 #include <vector>
 
 namespace cohls::core {
@@ -26,22 +26,20 @@ schedule::TransportPlan refine_transport(const schedule::SynthesisResult& result
                                          const model::Assay& assay,
                                          const schedule::TransportProgression& progression,
                                          Minutes fallback) {
-  schedule::TransportPlan plan(fallback);
-  const std::vector<std::optional<DeviceId>> device_of = result.dense_binding(assay);
+  schedule::TransportPlan plan(fallback, assay);
+  const schedule::Binding device_of = result.dense_binding(assay);
+  const auto ends = [&](EdgeId edge) {
+    return std::pair{device_of.device(assay.edge_parent(edge)),
+                     device_of.device(assay.edge_child(edge))};
+  };
 
   // Count how many transfers use each inter-device path: collect one entry
   // per transfer, sort by path and merge runs.
   std::vector<schedule::DevicePath> transfers;
-  for (const model::Operation& op : assay.operations()) {
-    const std::optional<DeviceId> parent_device = device_of[op.id().index()];
-    if (!parent_device) {
-      continue;
-    }
-    for (const OperationId child : assay.children(op.id())) {
-      const std::optional<DeviceId> child_device = device_of[child.index()];
-      if (child_device && *parent_device != *child_device) {
-        transfers.push_back(schedule::make_path(*parent_device, *child_device));
-      }
+  for (int e = 0; e < assay.edge_count(); ++e) {
+    const auto [parent_device, child_device] = ends(EdgeId{e});
+    if (parent_device.valid() && child_device.valid() && parent_device != child_device) {
+      transfers.push_back(schedule::make_path(parent_device, child_device));
     }
   }
   std::sort(transfers.begin(), transfers.end());
@@ -72,27 +70,18 @@ schedule::TransportPlan refine_transport(const schedule::SynthesisResult& result
     ranked[static_cast<std::size_t>(r)]->time = progression.term(term_index);
   }
 
-  // Write per-edge times, in ascending (parent, child) order.
-  for (const model::Operation& op : assay.operations()) {
-    const std::optional<DeviceId> parent_device = device_of[op.id().index()];
-    if (!parent_device) {
+  // Write per-edge times.
+  for (int e = 0; e < assay.edge_count(); ++e) {
+    const auto [parent_device, child_device] = ends(EdgeId{e});
+    if (!parent_device.valid() || !child_device.valid()) {
       continue;
     }
-    for (const OperationId child : assay.children(op.id())) {
-      const std::optional<DeviceId> child_device = device_of[child.index()];
-      if (!child_device) {
-        continue;
-      }
-      if (*parent_device == *child_device) {
-        plan.set_edge_time(op.id(), child, Minutes{0});
-      } else {
-        const schedule::DevicePath path =
-            schedule::make_path(*parent_device, *child_device);
-        plan.set_edge_time(
-            op.id(), child,
-            std::lower_bound(usage.begin(), usage.end(), path, path_before)->time);
-      }
-    }
+    const schedule::DevicePath path = schedule::make_path(parent_device, child_device);
+    plan.set_edge_time(EdgeId{e}, parent_device == child_device
+                                      ? Minutes{0}
+                                      : std::lower_bound(usage.begin(), usage.end(), path,
+                                                         path_before)
+                                            ->time);
   }
   return plan;
 }

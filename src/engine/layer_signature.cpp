@@ -114,6 +114,8 @@ bool cacheable(const core::LayerSolveContext& context) {
 
 LayerSignature layer_signature(const core::LayerSolveContext& context) {
   COHLS_EXPECT(cacheable(context), "layer context is not cacheable");
+  COHLS_EXPECT(context.transport.fits(context.assay),
+               "transport plan belongs to another assay");
   const schedule::LayerRequest& request = context.request;
   const model::Assay& assay = context.assay;
 
@@ -212,11 +214,11 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
   }
   // Existing paths between inherited devices, canonically numbered.
   std::vector<std::pair<int, int>> paths;
-  for (const schedule::DevicePath& path : request.existing_paths) {
+  request.existing_paths.for_each([&](const schedule::DevicePath& path) {
     const int a = device_position(path.first);
     const int b = device_position(path.second);
     paths.emplace_back(std::min(a, b), std::max(a, b));
-  }
+  });
   std::sort(paths.begin(), paths.end());
   for (const auto& [a, b] : paths) {
     out << "path " << a << '-' << b << '\n';
@@ -233,15 +235,16 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
     if (in_layer) {
       out << " par[";
       std::string_view separator;
-      for (const OperationId parent : op.parents()) {
+      for (const EdgeId edge : op.parent_edges()) {
         out << separator;
         separator = " ";
-        const std::int64_t t = context.transport.edge_time(parent, id).count();
+        const OperationId parent = assay.edge_parent(edge);
+        const std::int64_t t = context.transport.edge_time(edge).count();
         if (member[parent.index()]) {
           out << 'L' << rank[parent.index()] << '@' << t;
-        } else if (const auto prior = request.prior_binding.find(parent);
-                   prior != request.prior_binding.end()) {
-          out << 'P' << device_position(prior->second) << '@' << t;
+        } else if (const DeviceId prior = request.prior_binding.device(parent);
+                   prior.valid()) {
+          out << 'P' << device_position(prior) << '@' << t;
         } else {
           out << "U@" << t;
         }
@@ -252,9 +255,9 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
     // added), and ranks ascend with ids: the list is in canonical order.
     out << " ch[";
     std::string_view separator;
-    for (const OperationId child : assay.children(id)) {
-      out << separator << rank[child.index()] << '@'
-          << context.transport.edge_time(id, child).count();
+    for (const EdgeId edge : assay.child_edges(id)) {
+      out << separator << rank[assay.edge_child(edge).index()] << '@'
+          << context.transport.edge_time(edge).count();
       separator = " ";
     }
     out << "]\n";

@@ -160,25 +160,25 @@ int AssaySource::line_of(long id) const {
 
 model::Assay AssaySource::build() && {
   model::Assay assay(std::move(name), std::move(registry));
-  assay.reserve(operations.size());
+  assay.reserve(operations.size(), parent_ids.size());
+  std::vector<OperationId> resolved;  // one operation's parents, reused
   for (SourceOperation& op : operations) {
     if (op.id != assay.operation_count()) {
       fail(op.line, "operation ids must be dense and ascending (expected " +
                         std::to_string(assay.operation_count()) + ")");
     }
-    const std::span<const long> references = parents(op);
-    op.spec.parents.reserve(references.size());
-    for (const long parent : references) {
+    resolved.clear();
+    for (const long parent : parents(op)) {
       // Ids are stored in 32 bits: a parent outside that range is rejected,
       // not narrowed (4294967296 would wrap to operation 0).
       if (parent < std::numeric_limits<std::int32_t>::min() ||
           parent > std::numeric_limits<std::int32_t>::max()) {
         fail(op.line, "parent id out of range: " + std::to_string(parent));
       }
-      op.spec.parents.push_back(OperationId{static_cast<std::int32_t>(parent)});
+      resolved.push_back(OperationId{static_cast<std::int32_t>(parent)});
     }
     try {
-      (void)assay.add_operation(std::move(op.spec));
+      (void)assay.add_operation(std::move(op.spec), resolved);
     } catch (const PreconditionError& e) {
       fail(op.line, e.what());
     }

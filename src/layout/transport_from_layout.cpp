@@ -11,26 +11,21 @@ schedule::TransportPlan transport_from_layout(const Placement& placement,
   COHLS_EXPECT(options.minimum >= Minutes{0} && options.per_cell >= Minutes{0} &&
                    options.fallback >= Minutes{0},
                "layout transport times must be non-negative");
-  schedule::TransportPlan plan(options.fallback);
-  const auto binding = result.binding();
-  for (const model::Operation& op : assay.operations()) {
-    const auto parent_device = binding.find(op.id());
-    if (parent_device == binding.end()) {
+  schedule::TransportPlan plan(options.fallback, assay);
+  const schedule::Binding device_of = result.dense_binding(assay);
+  for (int e = 0; e < assay.edge_count(); ++e) {
+    const EdgeId edge{e};
+    const DeviceId parent_device = device_of.device(assay.edge_parent(edge));
+    const DeviceId child_device = device_of.device(assay.edge_child(edge));
+    if (!parent_device.valid() || !child_device.valid()) {
       continue;
     }
-    for (const OperationId child : assay.children(op.id())) {
-      const auto child_device = binding.find(child);
-      if (child_device == binding.end()) {
-        continue;
-      }
-      if (parent_device->second == child_device->second) {
-        plan.set_edge_time(op.id(), child, Minutes{0});
-        continue;
-      }
-      const int distance = placement.distance(parent_device->second, child_device->second);
-      plan.set_edge_time(op.id(), child,
-                         options.minimum + (distance - 1) * options.per_cell);
+    if (parent_device == child_device) {
+      plan.set_edge_time(edge, Minutes{0});
+      continue;
     }
+    const int distance = placement.distance(parent_device, child_device);
+    plan.set_edge_time(edge, options.minimum + (distance - 1) * options.per_cell);
   }
   return plan;
 }

@@ -4,7 +4,10 @@
 // (c) its dependencies (parent operations whose outputs it consumes).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,29 +40,49 @@ struct OperationSpec {
   bool indeterminate = false;
 
   /// Parent operations; must already exist in the assay (this forces the
-  /// dependency graph to be acyclic by construction).
+  /// dependency graph to be acyclic by construction). Assay::add_operation
+  /// moves them into the assay's edge arrays.
   std::vector<OperationId> parents;
 };
 
-/// Immutable operation record stored inside an Assay.
+/// Immutable operation record stored inside an Assay. Its parents live in
+/// the assay's edge arrays: parents() and parent_edges() view them and stay
+/// valid as long as the assay they were read from.
 class Operation {
  public:
+  /// A stand-alone operation; `spec.parents` must be empty, since
+  /// dependencies exist only inside an Assay (see Assay::add_operation).
   Operation(OperationId id, OperationSpec spec);
 
   [[nodiscard]] OperationId id() const { return id_; }
-  [[nodiscard]] const std::string& name() const { return spec_.name; }
-  [[nodiscard]] const std::optional<ContainerKind>& container() const {
-    return spec_.container;
+  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] const std::optional<ContainerKind>& container() const { return container_; }
+  [[nodiscard]] const std::optional<Capacity>& capacity() const { return capacity_; }
+  [[nodiscard]] AccessorySet accessories() const { return accessories_; }
+  [[nodiscard]] Minutes duration() const { return duration_; }
+  [[nodiscard]] bool indeterminate() const { return indeterminate_; }
+  /// Parent operations, in the order the spec listed them.
+  [[nodiscard]] std::span<const OperationId> parents() const { return parents_; }
+  /// The edges from those parents, in the same order.
+  [[nodiscard]] auto parent_edges() const {
+    const auto last = first_edge_ + static_cast<std::int32_t>(parents_.size());
+    return std::views::iota(first_edge_, last) |
+           std::views::transform([](std::int32_t edge) { return EdgeId{edge}; });
   }
-  [[nodiscard]] const std::optional<Capacity>& capacity() const { return spec_.capacity; }
-  [[nodiscard]] AccessorySet accessories() const { return spec_.accessories; }
-  [[nodiscard]] Minutes duration() const { return spec_.duration; }
-  [[nodiscard]] bool indeterminate() const { return spec_.indeterminate; }
-  [[nodiscard]] const std::vector<OperationId>& parents() const { return spec_.parents; }
 
  private:
+  friend class Assay;
+
+  // The spec's fields but its parents, which live in the assay.
+  std::string name_;
+  std::span<const OperationId> parents_;
+  Minutes duration_{0};
   OperationId id_;
-  OperationSpec spec_;
+  std::int32_t first_edge_ = 0;
+  AccessorySet accessories_;
+  std::optional<ContainerKind> container_;
+  std::optional<Capacity> capacity_;
+  bool indeterminate_ = false;
 };
 
 }  // namespace cohls::model

@@ -99,19 +99,19 @@ class LayerScheduler {
       OpState& s = state_[i];
       s.op = &assay_.operation(ops_[i]);
       s.parents_begin = static_cast<int>(parents_.size());
-      for (const OperationId parent : s.op->parents()) {
+      for (const EdgeId edge : s.op->parent_edges()) {
+        const OperationId parent = assay_.edge_parent(edge);
         const int p = local(parent);
         if (p >= 0) {
           ++s.waiting_parents;
-          parents_.push_back(ParentRef{p, DeviceId{}, transport_.edge_time(parent, ops_[i])});
+          parents_.push_back(ParentRef{p, DeviceId{}, transport_.edge_time(edge)});
           continue;
         }
-        const auto prior = request_.prior_binding.find(parent);
-        if (prior != request_.prior_binding.end()) {
-          COHLS_EXPECT(prior->second.valid() && prior->second.value() < inventory.size(),
+        const DeviceId prior = request_.prior_binding.device(parent);
+        if (prior.valid()) {
+          COHLS_EXPECT(prior.value() < inventory.size(),
                        "prior binding references a device outside the inventory");
-          parents_.push_back(
-              ParentRef{-1, prior->second, transport_.edge_time(parent, ops_[i])});
+          parents_.push_back(ParentRef{-1, prior, transport_.edge_time(edge)});
         }
       }
       s.parents_end = static_cast<int>(parents_.size());
@@ -141,7 +141,11 @@ class LayerScheduler {
       state_[i].priority = best + state_[i].op->duration();
     }
     group_requirements();
-    load_paths();
+    // Every device the layer can see has an id below the inventory size
+    // plus one new device per operation.
+    paths_ = request.existing_paths;
+    paths_.reserve(std::min(static_cast<std::size_t>(inventory.max_devices()),
+                            static_cast<std::size_t>(inventory.size()) + ops_.size()));
     walk_mark_.assign(static_cast<std::size_t>(assay_.operation_count()), 0);
   }
 
@@ -182,32 +186,6 @@ class LayerScheduler {
       return start;
     }
     return Minutes{(start.count() + slot - 1) / slot * slot};
-  }
-
-  // ---- paths ----------------------------------------------------------------
-  /// Loads request_.existing_paths into the bit matrix. Every device the
-  /// layer can see has an id below the inventory size plus one new device
-  /// per operation; paths with a larger id can never be asked about.
-  void load_paths() {
-    path_dim_ = std::min(static_cast<std::size_t>(inventory_.max_devices()),
-                         static_cast<std::size_t>(inventory_.size()) + ops_.size());
-    path_words_ = (path_dim_ + 63) / 64;
-    path_bits_.assign(path_dim_ * path_words_, 0);
-    for (const DevicePath& path : request_.existing_paths) {
-      if (path.first.valid() && path.second.valid() && path.first.index() < path_dim_ &&
-          path.second.index() < path_dim_) {
-        add_path(path.first, path.second);
-      }
-    }
-  }
-
-  bool has_path(DeviceId a, DeviceId b) const {
-    return (path_bits_[a.index() * path_words_ + b.index() / 64] >> (b.index() % 64) & 1) != 0;
-  }
-
-  void add_path(DeviceId a, DeviceId b) {
-    path_bits_[a.index() * path_words_ + b.index() / 64] |= std::uint64_t{1} << (b.index() % 64);
-    path_bits_[b.index() * path_words_ + a.index() / 64] |= std::uint64_t{1} << (a.index() % 64);
   }
 
   // ---- the operation being placed ------------------------------------------
@@ -290,7 +268,7 @@ class LayerScheduler {
     }
     int count = 0;
     for (const DeviceId parent_device : parent_devices_) {
-      if (parent_device != device && !has_path(parent_device, device)) {
+      if (parent_device != device && !paths_.contains(parent_device, device)) {
         ++count;
       }
     }
@@ -302,9 +280,9 @@ class LayerScheduler {
   /// is free during any transfer the final binding actually needs.
   Minutes outgoing_reserve(OperationId id) const {
     Minutes reserve{0};
-    for (const OperationId child : assay_.children(id)) {
-      if (local(child) >= 0) {
-        reserve = std::max(reserve, transport_.edge_time(id, child));
+    for (const EdgeId edge : assay_.child_edges(id)) {
+      if (local(assay_.edge_child(edge)) >= 0) {
+        reserve = std::max(reserve, transport_.edge_time(edge));
       }
     }
     return reserve;
@@ -685,7 +663,7 @@ class LayerScheduler {
       const DeviceId device = devices_[device_index].id;
       for (const DeviceId parent_device : parent_devices_) {
         if (parent_device != device) {
-          add_path(parent_device, device);
+          paths_.insert(parent_device, device);
         }
       }
       for (const OperationId child : assay_.children(ops_[static_cast<std::size_t>(pick)])) {
@@ -756,11 +734,11 @@ class LayerScheduler {
   void fill_transport_fields(LayerSchedule& schedule) const {
     for (ScheduledOperation& item : schedule.items) {
       Minutes actual{0};
-      for (const OperationId child : assay_.children(item.op)) {
-        const int c = local(child);
+      for (const EdgeId edge : assay_.child_edges(item.op)) {
+        const int c = local(assay_.edge_child(edge));
         if (c >= 0 && state_[static_cast<std::size_t>(c)].placed &&
             state_[static_cast<std::size_t>(c)].device != item.device) {
-          actual = std::max(actual, transport_.edge_time(item.op, child));
+          actual = std::max(actual, transport_.edge_time(edge));
         }
       }
       item.transport = actual;
@@ -795,11 +773,8 @@ class LayerScheduler {
   /// unmatched_indeterminate() for a determinate caller; -1 = recompute.
   int unmatched_indeterminate_ = -1;
   unsigned match_round_ = 0;
-  /// Paths, request_.existing_paths plus this layer's: a symmetric bit
-  /// matrix of path_dim_ rows of path_words_ words over device ids.
-  std::size_t path_dim_ = 0;
-  std::size_t path_words_ = 0;
-  std::vector<std::uint64_t> path_bits_;
+  /// Paths, request_.existing_paths plus this layer's.
+  PathMatrix paths_;
   // The operation being placed (load_parents / load_descendants).
   std::vector<ParentLink> parent_links_;
   std::vector<DeviceId> parent_devices_;
@@ -817,6 +792,7 @@ LayerResult schedule_layer(const LayerRequest& request, const model::Assay& assa
     COHLS_EXPECT(id.valid() && id.value() < assay.operation_count(),
                  "layer references an operation outside the assay");
   }
+  COHLS_EXPECT(transport.fits(assay), "transport plan belongs to another assay");
   LayerScheduler scheduler(request, assay, transport, costs, inventory);
   return scheduler.run();
 }

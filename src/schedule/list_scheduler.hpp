@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "model/compatibility.hpp"
@@ -34,14 +33,15 @@ struct LayerRequest {
   /// Operations allocated to this layer. One listed more than once is
   /// placed once; indeterminate ones are placed in first-listed order.
   std::vector<OperationId> ops;
-  /// Binding of operations in earlier layers (for transport and paths).
-  std::map<OperationId, DeviceId> prior_binding;
+  /// Binding of operations in earlier layers (for transport and paths);
+  /// empty in the first layer.
+  Binding prior_binding;
   /// Devices this layer may re-use without integration cost.
   std::vector<DeviceId> usable_devices;
   /// Configurations of devices a later layer will integrate anyway.
   std::vector<DeviceHint> hints;
   /// Paths already committed by earlier layers (new ones cost C_p).
-  std::set<DevicePath> existing_paths;
+  PathMatrix existing_paths;
   /// Operations that must execute on a specific usable device (recovery
   /// re-synthesis pins in-flight operations to the device already running
   /// them). Pinned devices must appear in `usable_devices`; scheduling a

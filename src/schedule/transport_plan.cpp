@@ -1,7 +1,5 @@
 #include "schedule/transport_plan.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace cohls::schedule {
@@ -22,35 +20,16 @@ TransportPlan::TransportPlan(Minutes uniform) : uniform_(uniform) {
   COHLS_EXPECT(uniform >= Minutes{0}, "transport time must be non-negative");
 }
 
-namespace {
-
-bool edge_before(const std::pair<std::pair<OperationId, OperationId>, Minutes>& entry,
-                 const std::pair<OperationId, OperationId>& edge) {
-  return entry.first < edge;
+TransportPlan::TransportPlan(Minutes uniform, const model::Assay& assay)
+    : TransportPlan(uniform) {
+  times_.assign(static_cast<std::size_t>(assay.edge_count()), uniform);
 }
 
-}  // namespace
-
-Minutes TransportPlan::edge_time(OperationId parent, OperationId child) const {
-  const Edge edge{parent, child};
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), edge, edge_before);
-  return it == edges_.end() || it->first != edge ? uniform_ : it->second;
-}
-
-void TransportPlan::set_edge_time(OperationId parent, OperationId child, Minutes time) {
+void TransportPlan::set_edge_time(EdgeId edge, Minutes time) {
   COHLS_EXPECT(time >= Minutes{0}, "transport time must be non-negative");
-  const Edge edge{parent, child};
-  // Refinement writes edges in ascending order, so appending is the common case.
-  if (edges_.empty() || edges_.back().first < edge) {
-    edges_.emplace_back(edge, time);
-    return;
-  }
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), edge, edge_before);
-  if (it->first == edge) {
-    it->second = time;
-  } else {
-    edges_.insert(it, {edge, time});
-  }
+  COHLS_EXPECT(edge.valid() && edge.index() < times_.size(),
+               "edge outside the transport plan's assay");
+  times_[edge.index()] = time;
 }
 
 }  // namespace cohls::schedule

@@ -6,10 +6,10 @@
 // transfers always cost zero.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "model/assay.hpp"
+#include "util/check.hpp"
 #include "util/ids.hpp"
 #include "util/time.hpp"
 
@@ -25,28 +25,44 @@ struct TransportProgression {
   [[nodiscard]] Minutes term(int k) const;
 };
 
-/// Per-dependency-edge transport times used by scheduling and the ILP.
-/// Edge (parent, child) lookups fall back to the default constant.
+/// Per-dependency-edge transport times used by scheduling and the ILP: one
+/// uniform time for every edge of any assay, or one time per EdgeId of the
+/// assay the plan was made for. Every lookup is O(1).
 class TransportPlan {
  public:
   /// Initial plan: every edge costs `uniform` (the paper's constant `t`).
   explicit TransportPlan(Minutes uniform = Minutes{2});
+  /// A per-edge plan over `assay`'s edges, each starting at `uniform`.
+  TransportPlan(Minutes uniform, const model::Assay& assay);
 
-  /// Transport charged on edge parent->child when they sit on different
+  /// Transport charged on `edge` when its endpoints sit on different
   /// devices. (Zero for same-device transfers is applied by callers, who
-  /// know the binding.)
-  [[nodiscard]] Minutes edge_time(OperationId parent, OperationId child) const;
+  /// know the binding.) Throws PreconditionError for an edge outside a
+  /// per-edge plan.
+  [[nodiscard]] Minutes edge_time(EdgeId edge) const {
+    if (times_.empty()) {
+      return uniform_;
+    }
+    COHLS_EXPECT(edge.valid() && edge.index() < times_.size(),
+                 "edge outside the transport plan's assay");
+    return times_[edge.index()];
+  }
 
-  void set_edge_time(OperationId parent, OperationId child, Minutes time);
+  /// Sets one edge's time; the plan must be a per-edge plan.
+  void set_edge_time(EdgeId edge, Minutes time);
 
   [[nodiscard]] Minutes uniform_time() const { return uniform_; }
 
- private:
-  using Edge = std::pair<OperationId, OperationId>;
+  /// True when the plan may be read against `assay`: it is uniform, or its
+  /// per-edge times cover exactly `assay`'s edges.
+  [[nodiscard]] bool fits(const model::Assay& assay) const {
+    return times_.empty() || times_.size() == static_cast<std::size_t>(assay.edge_count());
+  }
 
+ private:
   Minutes uniform_;
-  /// Refined edges, sorted by (parent, child).
-  std::vector<std::pair<Edge, Minutes>> edges_;
+  /// Per-edge times indexed by EdgeId; empty for a uniform plan.
+  std::vector<Minutes> times_;
 };
 
 }  // namespace cohls::schedule

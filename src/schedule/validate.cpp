@@ -22,10 +22,10 @@ Minutes occupation_end(const ScheduledOperation& item, const model::Assay& assay
                        const std::vector<Placement>& placements) {
   Minutes end = item.end();
   const Placement& self = placements[item.op.index()];
-  for (const OperationId child : assay.children(item.op)) {
-    const Placement& other = placements[child.index()];
+  for (const EdgeId edge : assay.child_edges(item.op)) {
+    const Placement& other = placements[assay.edge_child(edge).index()];
     if (other.layer_index == self.layer_index && other.item->device != item.device) {
-      end = std::max(end, item.end() + transport.edge_time(item.op, child));
+      end = std::max(end, item.end() + transport.edge_time(edge));
     }
   }
   return end;
@@ -36,6 +36,7 @@ Minutes occupation_end(const ScheduledOperation& item, const model::Assay& assay
 std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
                                              const model::Assay& assay,
                                              const TransportPlan& transport) {
+  COHLS_EXPECT(transport.fits(assay), "transport plan belongs to another assay");
   std::vector<diag::Diagnostic> diagnostics;
   const auto report = [&diagnostics](const char* code, const std::string& message) {
     diag::Diagnostic d;
@@ -106,7 +107,8 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
   // -- dependency constraints ----------------------------------------------
   for (const model::Operation& op : assay.operations()) {
     const Placement& child = placements[op.id().index()];
-    for (const OperationId parent_id : op.parents()) {
+    for (const EdgeId edge : op.parent_edges()) {
+      const OperationId parent_id = assay.edge_parent(edge);
       const Placement& parent = placements[parent_id.index()];
       if (parent.layer_index > child.layer_index) {
         report(diag::codes::kParentLayerOrder,
@@ -115,7 +117,7 @@ std::vector<diag::Diagnostic> certify_result(const SynthesisResult& result,
       }
       const bool same_device = parent.item->device == child.item->device;
       const Minutes t =
-          same_device ? Minutes{0} : transport.edge_time(parent_id, op.id());
+          same_device ? Minutes{0} : transport.edge_time(edge);
       if (parent.layer_index == child.layer_index) {
         if (child.item->start < parent.item->end() + t) {
           std::ostringstream msg;

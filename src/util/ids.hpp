@@ -1,6 +1,6 @@
-// Strong ID types. Operations, devices and layers are all indexed by small
-// integers; wrapping them in distinct types prevents accidentally using an
-// operation index where a device index is expected.
+// Strong ID types. Operations, dependency edges, devices and layers are all
+// indexed by small integers; wrapping them in distinct types prevents
+// accidentally using an operation index where a device index is expected.
 #pragma once
 
 #include <compare>
@@ -37,10 +37,13 @@ class Id {
 };
 
 struct OperationTag {};
+struct EdgeTag {};
 struct DeviceTag {};
 struct LayerTag {};
 
 using OperationId = Id<OperationTag>;
+/// A dependency edge of an Assay (see Assay::edge_parent).
+using EdgeId = Id<EdgeTag>;
 using DeviceId = Id<DeviceTag>;
 using LayerId = Id<LayerTag>;
 

@@ -4,7 +4,9 @@
 // layering seeds, plus seeded random assays) and requires identical layer
 // plans, identical path sets, bit-identical objective breakdowns, equal
 // refined transport times on every dependency edge and identical certifier
-// diagnostics, both on the synthesized result and on corrupted copies.
+// diagnostics, both on the synthesized result and on corrupted copies. Every
+// pass of run_pass is also held to the map-based oracles::run_pass_reference:
+// each layer's prior binding and existing paths, and each pass's result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,9 +18,12 @@
 #include "assays/random_assay.hpp"
 #include "core/layering.hpp"
 #include "core/progressive_resynthesis.hpp"
+#include "core/recovery.hpp"
+#include "core/solve_hooks.hpp"
 #include "core/transport_estimator.hpp"
 #include "schedule/objective.hpp"
 #include "schedule/validate.hpp"
+#include "sim/runtime.hpp"
 #include "support/flow_reference.hpp"
 
 namespace cohls::core {
@@ -93,6 +98,81 @@ std::vector<SynthesisResult> corrupted_copies(const SynthesisResult& result,
   return copies;
 }
 
+/// Never hits; records the binding and paths every layer solve was handed,
+/// in the map-based reference's form.
+class BookkeepingRecorder final : public LayerSolveCache {
+ public:
+  std::optional<LayerOutcome> lookup(const LayerSolveContext& context) override {
+    oracles::LayerBookkeeping seen;
+    for (int op = 0; op < context.request.prior_binding.size(); ++op) {
+      const DeviceId device = context.request.prior_binding.device(OperationId{op});
+      if (device.valid()) {
+        seen.prior_binding.emplace(OperationId{op}, device);
+      }
+    }
+    for (const schedule::DevicePath& path : context.request.existing_paths.list()) {
+      seen.existing_paths.insert(path);
+    }
+    layers.push_back(std::move(seen));
+    return std::nullopt;
+  }
+  void store(const LayerSolveContext&, const LayerOutcome&) override {}
+
+  std::vector<oracles::LayerBookkeeping> layers;
+};
+
+void expect_same_result(const SynthesisResult& got, const SynthesisResult& want) {
+  ASSERT_EQ(got.layers.size(), want.layers.size());
+  for (std::size_t li = 0; li < got.layers.size(); ++li) {
+    const auto& a = got.layers[li].items;
+    const auto& b = want.layers[li].items;
+    ASSERT_EQ(a.size(), b.size()) << "layer " << li;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_TRUE(a[i].op == b[i].op && a[i].device == b[i].device &&
+                  a[i].start == b[i].start && a[i].duration == b[i].duration &&
+                  a[i].transport == b[i].transport)
+          << "layer " << li << " item " << i;
+    }
+  }
+  EXPECT_EQ(got.devices.size(), want.devices.size());
+}
+
+/// Runs the passes synthesize runs -- the first under the uniform transport,
+/// then re-syntheses under the previous pass's refined transport and
+/// devices -- through run_pass and the map-based oracles::run_pass_reference,
+/// and requires every layer's binding and paths and every pass's result to
+/// be the same.
+void expect_passes_match_reference(const model::Assay& assay, SynthesisOptions options,
+                                   const PassPolicy& policy = {}, int passes = 3) {
+  const LayerPlan plan = layer_assay(assay, options.layering);
+  schedule::TransportPlan transport(options.initial_transport);
+  std::vector<KnownDevice> known;
+  for (int pass = 0; pass < passes; ++pass) {
+    BookkeepingRecorder recorder;
+    options.layer_cache = &recorder;
+    const SynthesisResult result = run_pass(assay, plan, transport, options, known, policy);
+    options.layer_cache = nullptr;
+    std::vector<oracles::LayerBookkeeping> reference_layers;
+    const SynthesisResult reference = oracles::run_pass_reference(
+        assay, plan, transport, options, known, policy, reference_layers);
+    ASSERT_EQ(recorder.layers.size(), reference_layers.size()) << "pass " << pass;
+    for (std::size_t li = 0; li < reference_layers.size(); ++li) {
+      EXPECT_EQ(recorder.layers[li].prior_binding, reference_layers[li].prior_binding)
+          << "pass " << pass << " layer " << li;
+      EXPECT_EQ(recorder.layers[li].existing_paths, reference_layers[li].existing_paths)
+          << "pass " << pass << " layer " << li;
+    }
+    expect_same_result(result, reference);
+
+    transport = refine_transport(result, assay, options.progression, options.initial_transport);
+    known.clear();
+    for (const model::Device& device : result.devices.devices()) {
+      known.push_back(
+          KnownDevice{device.config, device.created_in.valid() ? device.created_in.value() : 0});
+    }
+  }
+}
+
 /// Runs the flow with `options` and compares every flat-array stage with
 /// its reference.
 void expect_flow_matches_reference(const model::Assay& assay,
@@ -102,28 +182,34 @@ void expect_flow_matches_reference(const model::Assay& assay,
 
   const SynthesisReport report = synthesize(assay, options);
   const SynthesisResult& result = report.result;
-  EXPECT_EQ(result.paths(assay), oracles::paths_reference(result, assay));
-  EXPECT_EQ(result.path_count(assay),
-            static_cast<int>(oracles::paths_reference(result, assay).size()));
+  const std::set<schedule::DevicePath> reference_paths =
+      oracles::paths_reference(result, assay);
+  EXPECT_EQ(result.paths(assay).list(),
+            std::vector<schedule::DevicePath>(reference_paths.begin(), reference_paths.end()));
+  EXPECT_EQ(result.path_count(assay), static_cast<int>(reference_paths.size()));
   expect_same_objective(schedule::evaluate_objective(result, assay, options.costs),
                         oracles::evaluate_objective_reference(result, assay, options.costs));
 
   const schedule::TransportPlan refined =
       refine_transport(result, assay, options.progression, options.initial_transport);
-  const schedule::TransportPlan reference = oracles::refine_transport_reference(
-      result, assay, options.progression, options.initial_transport);
-  EXPECT_EQ(refined.uniform_time(), reference.uniform_time());
-  for (const model::Operation& op : assay.operations()) {
-    for (const OperationId child : assay.children(op.id())) {
-      EXPECT_EQ(refined.edge_time(op.id(), child), reference.edge_time(op.id(), child))
-          << "edge " << op.id() << "->" << child;
-    }
+  const oracles::EdgeTimes reference =
+      oracles::refine_transport_reference(result, assay, options.progression);
+  EXPECT_EQ(refined.uniform_time(), options.initial_transport);
+  ASSERT_TRUE(refined.fits(assay));
+  for (int e = 0; e < assay.edge_count(); ++e) {
+    const EdgeId edge{e};
+    const auto it = reference.find({assay.edge_parent(edge), assay.edge_child(edge)});
+    EXPECT_EQ(refined.edge_time(edge),
+              it == reference.end() ? options.initial_transport : it->second)
+        << "edge " << e << ": " << assay.edge_parent(edge) << "->" << assay.edge_child(edge);
   }
 
   expect_same_certification(result, assay, report.transport);
   for (const SynthesisResult& corrupted : corrupted_copies(result, assay)) {
     expect_same_certification(corrupted, assay, report.transport);
   }
+
+  expect_passes_match_reference(assay, options);
 }
 
 model::Assay protocol(int index) {
@@ -176,6 +262,33 @@ TEST_P(RandomFlowReference, MatchesTheMapBasedFlow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFlowReference, ::testing::Range(0, 60));
+
+// A recovery re-synthesis: the surviving chip as initial devices, no new
+// devices, and the in-flight operations pinned -- the policy core::recover
+// builds -- so the pins reach the requests of every layer.
+TEST(PassReference, PinnedRecoveryMatchesTheMapBasedPass) {
+  const model::Assay assay = assays::gene_expression_assay(3);
+  SynthesisOptions options;
+  options.max_devices = 12;
+  options.layering.indeterminate_threshold = 3;
+  const SynthesisReport report = synthesize(assay, options);
+  sim::RuntimeOptions runtime;
+  runtime.attempt_success_probability = 1.0;
+  runtime.faults.events.push_back(sim::FaultEvent{
+      sim::FaultKind::DeviceFailure, report.result.layers.front().items.front().device,
+      OperationId{}, 30_min});
+  const sim::RunTrace trace = sim::simulate_run(report.result, assay, runtime);
+  ASSERT_FALSE(trace.ok());
+  const ResidualAssay residual = build_residual(assay, report.result, trace);
+  ASSERT_FALSE(residual.pinned.empty());
+
+  PassPolicy policy;
+  policy.initial_devices = residual.surviving_devices;
+  policy.pinned = residual.pinned;
+  policy.allow_new_devices = false;
+  options.max_devices = static_cast<int>(residual.surviving_devices.size());
+  expect_passes_match_reference(residual.assay, options, policy);
+}
 
 }  // namespace
 }  // namespace cohls::core

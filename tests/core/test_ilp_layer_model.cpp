@@ -12,6 +12,7 @@
 #include "milp/branch_and_bound.hpp"
 #include "schedule/objective.hpp"
 #include "schedule/validate.hpp"
+#include "support/flow_reference.hpp"
 
 namespace cohls::core {
 namespace {
@@ -114,8 +115,8 @@ TEST(IlpLayerModel, CoLocationSkipsTransport) {
     EXPECT_EQ(decoded.schedule.makespan(), 19_min);  // 10 + 4 reserve + 5
   }
   // A refined plan whose edge is known co-located costs nothing extra.
-  schedule::TransportPlan refined{4_min};
-  refined.set_edge_time(a, b, 0_min);
+  schedule::TransportPlan refined{4_min, assay};
+  refined.set_edge_time(oracles::edge_between(assay, a, b), 0_min);
   const IlpLayerModel ilp(assay, std::move(inputs), refined, costs);
   const auto solution = milp::solve_milp(ilp.model());
   ASSERT_EQ(solution.status, milp::MilpStatus::Optimal);

@@ -130,7 +130,7 @@ TEST(LayerSignature, PriorBindingChangesTheSignature) {
   f.request.usable_devices = {device};
   const LayerSignature unbound = layer_signature(f.context());
 
-  f.request.prior_binding[parent] = device;
+  f.request.prior_binding.bind(parent, device);
   EXPECT_NE(unbound.text, layer_signature(f.context()).text);
 }
 

@@ -17,6 +17,7 @@
 #include "core/recovery.hpp"
 #include "engine/layer_signature.hpp"
 #include "sim/runtime.hpp"
+#include "support/flow_reference.hpp"
 #include "support/layer_signature_reference.hpp"
 
 namespace cohls::engine {
@@ -36,9 +37,9 @@ class OracleCheck final : public core::LayerSolveCache {
     EXPECT_EQ(signature.hash, fnv1a(signature.text));
     ++checked;
     inherited += context.request.usable_devices.empty() ? 0 : 1;
-    prior_bound += context.request.prior_binding.empty() ? 0 : 1;
+    prior_bound += context.request.prior_binding.size() == 0 ? 0 : 1;
     hinted += context.request.hints.empty() ? 0 : 1;
-    with_paths += context.request.existing_paths.empty() ? 0 : 1;
+    with_paths += context.request.existing_paths.list().empty() ? 0 : 1;
     return std::nullopt;
   }
   void store(const core::LayerSolveContext&, const core::LayerOutcome&) override {}
@@ -157,9 +158,9 @@ TEST(LayerSignatureReference, EveryFieldSetByHand) {
   const OperationId tail = assay.add_operation(op_spec("tail", 4, {b}));
   assay.add_operation(op_spec("tail2", 6, {b, tail}));
 
-  schedule::TransportPlan transport{Minutes{4}};
-  transport.set_edge_time(early, a, Minutes{2});
-  transport.set_edge_time(b, tail, Minutes{1});
+  schedule::TransportPlan transport{Minutes{4}, assay};
+  transport.set_edge_time(oracles::edge_between(assay, early, a), Minutes{2});
+  transport.set_edge_time(oracles::edge_between(assay, b, tail), Minutes{1});
 
   model::CostModel costs;
   costs.set_weights(0.3, 1.0 / 3.0, 2.5e-7, 12345.678901234567);
@@ -189,9 +190,10 @@ TEST(LayerSignatureReference, EveryFieldSetByHand) {
   request.allow_new_devices = false;
   request.usable_devices = {d2, d0, d1};
   request.hints = {{ring, 4}, {model::DeviceConfig{}, 9}};
-  request.existing_paths = {schedule::make_path(d0, d2), schedule::make_path(d1, d0)};
-  request.prior_binding[early] = d1;
-  request.prior_binding[other] = d2;
+  request.existing_paths.insert(d0, d2);
+  request.existing_paths.insert(d1, d0);
+  request.prior_binding.bind(early, d1);
+  request.prior_binding.bind(other, d2);
 
   const core::LayerSolveContext context{request, assay, transport, costs, engine, inventory};
   ASSERT_TRUE(cacheable(context));

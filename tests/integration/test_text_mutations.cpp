@@ -166,7 +166,7 @@ std::string assay_difference(const model::Assay& a, const model::Assay& b) {
     if (x.name() != y.name() || x.duration() != y.duration() ||
         x.container() != y.container() || x.capacity() != y.capacity() ||
         x.accessories() != y.accessories() || x.indeterminate() != y.indeterminate() ||
-        x.parents() != y.parents()) {
+        !std::ranges::equal(x.parents(), y.parents())) {
       return "operation " + std::to_string(i) + " differs";
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -32,7 +34,7 @@ void expect_same(const model::Assay& a, const model::Assay& b) {
     EXPECT_EQ(oa.capacity(), ob.capacity());
     EXPECT_EQ(oa.accessories(), ob.accessories());
     EXPECT_EQ(oa.indeterminate(), ob.indeterminate());
-    EXPECT_EQ(oa.parents(), ob.parents());
+    EXPECT_TRUE(std::ranges::equal(oa.parents(), ob.parents()));
   }
 }
 
@@ -60,7 +62,7 @@ operation 1 "sort" duration=12 accessories={droplet sorter} parents=0
   EXPECT_TRUE(capture.accessories().contains(model::BuiltinAccessory::kPump));
   EXPECT_TRUE(capture.accessories().contains(model::BuiltinAccessory::kCellTrap));
   const auto& sort = assay.operation(OperationId{1});
-  EXPECT_EQ(sort.parents(), std::vector<OperationId>{OperationId{0}});
+  EXPECT_TRUE(std::ranges::equal(sort.parents(), std::vector<OperationId>{OperationId{0}}));
   const auto sorter = assay.registry().find("droplet sorter");
   ASSERT_GE(sorter, 0);
   EXPECT_TRUE(sort.accessories().contains(sorter));

@@ -81,8 +81,7 @@ TEST(Dot, DeclaresUsedDevicesAndPaths) {
     EXPECT_NE(dot.find("d" + std::to_string(device.value()) + " [label="),
               std::string::npos);
   }
-  const auto paths = f.report.result.paths(f.assay);
-  for (const auto& [a, b] : paths) {
+  for (const auto& [a, b] : f.report.result.paths(f.assay).list()) {
     const std::string edge =
         "d" + std::to_string(a.value()) + " -- d" + std::to_string(b.value());
     EXPECT_NE(dot.find(edge), std::string::npos);

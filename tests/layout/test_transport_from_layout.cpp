@@ -30,7 +30,7 @@ TEST(TransportFromLayout, SameDeviceEdgesAreZero) {
                             {b, d0, 10_min, 10_min, 0_min}}});
   const Placement placement({d0}, {GridPosition{0, 0}}, 1);
   const auto plan = transport_from_layout(placement, result, assay, {});
-  EXPECT_EQ(plan.edge_time(a, b), 0_min);
+  EXPECT_EQ(plan.edge_time(*assay.operation(b).parent_edges().begin()), 0_min);
 }
 
 TEST(TransportFromLayout, TimeGrowsWithDistance) {
@@ -64,8 +64,9 @@ TEST(TransportFromLayout, TimeGrowsWithDistance) {
   options.minimum = 1_min;
   options.per_cell = 2_min;
   const auto plan = transport_from_layout(placement, result, assay, options);
-  EXPECT_EQ(plan.edge_time(a, b), 1_min);               // adjacent
-  EXPECT_EQ(plan.edge_time(a, c), 1_min + 3 * 2_min);   // 4 cells away
+  EXPECT_EQ(plan.edge_time(*assay.operation(b).parent_edges().begin()), 1_min);  // adjacent
+  EXPECT_EQ(plan.edge_time(*assay.operation(c).parent_edges().begin()),
+            1_min + 3 * 2_min);  // 4 cells away
 }
 
 TEST(TransportFromLayout, RejectsNegativeOptions) {

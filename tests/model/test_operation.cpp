@@ -18,7 +18,6 @@ TEST(Operation, StoresSpec) {
   spec.capacity = Capacity::Medium;
   spec.accessories = {BuiltinAccessory::kPump};
   spec.indeterminate = true;
-  spec.parents = {OperationId{0}};
   const Operation op(OperationId{3}, spec);
   EXPECT_EQ(op.id(), OperationId{3});
   EXPECT_EQ(op.name(), "mix");
@@ -27,7 +26,16 @@ TEST(Operation, StoresSpec) {
   EXPECT_TRUE(op.accessories().contains(BuiltinAccessory::kPump));
   EXPECT_TRUE(op.indeterminate());
   EXPECT_EQ(op.duration(), 10_min);
-  ASSERT_EQ(op.parents().size(), 1u);
+  EXPECT_TRUE(op.parents().empty());
+  EXPECT_TRUE(op.parent_edges().empty());
+}
+
+// Dependencies live in the assay's edge arrays: a stand-alone operation
+// cannot carry parents (Assay::add_operation takes them instead).
+TEST(Operation, ParentsExistOnlyInAnAssay) {
+  OperationSpec spec = valid_spec();
+  spec.parents = {OperationId{0}};
+  EXPECT_THROW(Operation(OperationId{3}, spec), PreconditionError);
 }
 
 TEST(Operation, UnspecifiedContainerAndCapacityStayUnset) {

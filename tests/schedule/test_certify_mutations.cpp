@@ -118,7 +118,7 @@ Minutes dependency_bound(const SynthesisResult& result, const model::Assay& assa
     const ScheduledOperation& pi = at(result, p);
     const Minutes t = pi.device == item.device
                           ? Minutes{0}
-                          : transport.edge_time(parent, item.op);
+                          : oracles::edge_time_between(transport, assay, parent, item.op);
     bound = std::max(bound, p.layer == where.layer ? pi.end() + t : t);
   }
   return bound;
@@ -133,7 +133,7 @@ Minutes occupation_end(const SynthesisResult& result, const model::Assay& assay,
   for (const OperationId child : assay.children(item.op)) {
     const Flat c = flat.at(child);
     if (c.layer == where.layer && at(result, c).device != item.device) {
-      end = std::max(end, item.end() + transport.edge_time(item.op, child));
+      end = std::max(end, item.end() + oracles::edge_time_between(transport, assay, item.op, child));
     }
   }
   return end;
@@ -156,7 +156,7 @@ bool relocatable(const SynthesisResult& result, const model::Assay& assay,
     if (p.layer == where.layer) {
       return false;  // parent's occupation would stretch by the new transport
     }
-    if (item.start < transport.edge_time(parent, item.op)) {
+    if (item.start < oracles::edge_time_between(transport, assay, parent, item.op)) {
       return false;
     }
   }
@@ -166,7 +166,7 @@ bool relocatable(const SynthesisResult& result, const model::Assay& assay,
     if (ci.device != item.device) {
       continue;
     }
-    const Minutes t = transport.edge_time(item.op, child);
+    const Minutes t = oracles::edge_time_between(transport, assay, item.op, child);
     if (c.layer == where.layer ? ci.start < item.end() + t : ci.start < t) {
       return false;
     }

@@ -8,6 +8,7 @@
 #include "assays/random_assay.hpp"
 #include "core/layering.hpp"
 #include "schedule/validate.hpp"
+#include "support/flow_reference.hpp"
 
 namespace cohls::schedule {
 namespace {
@@ -76,9 +77,9 @@ TEST(ListScheduler, ChainPrefersCoLocation) {
       certify_result(wrap(assay, result, inventory), assay, first_pass).empty());
 
   // Refined plan: co-located edges cost zero, the reserves disappear.
-  TransportPlan refined{3_min};
-  refined.set_edge_time(a, b, 0_min);
-  refined.set_edge_time(b, c, 0_min);
+  TransportPlan refined{3_min, assay};
+  refined.set_edge_time(oracles::edge_between(assay, a, b), 0_min);
+  refined.set_edge_time(oracles::edge_between(assay, b, c), 0_min);
   model::DeviceInventory inventory2(5);
   const auto result2 = schedule_layer(request, assay, refined, costs, inventory2);
   EXPECT_EQ(inventory2.size(), 1);
@@ -297,7 +298,7 @@ TEST(ListScheduler, CrossLayerParentChargesIncomingTransport) {
   LayerRequest request;
   request.layer = LayerId{1};
   request.ops = {child};
-  request.prior_binding = {{parent, d_prev}};
+  request.prior_binding.bind(parent, d_prev);
   request.usable_devices = {d_prev};
   TransportPlan transport{4_min};
   const model::CostModel costs;
@@ -320,7 +321,7 @@ TEST(ListScheduler, RejectsPriorBindingOutsideTheInventory) {
   LayerRequest request;
   request.layer = LayerId{1};
   request.ops = {child};
-  request.prior_binding = {{parent, DeviceId{2}}};
+  request.prior_binding.bind(parent, DeviceId{2});
   const TransportPlan transport{4_min};
   const model::CostModel costs;
   EXPECT_THROW((void)schedule_layer(request, assay, transport, costs, inventory),
@@ -416,7 +417,7 @@ SynthesisResult schedule_in_turn(const model::Assay& assay,
                                  bool inherit = false) {
   SynthesisResult result;
   result.devices = model::DeviceInventory(max_devices);
-  std::map<OperationId, DeviceId> binding;
+  Binding binding;
   for (std::size_t li = 0; li < layers.size(); ++li) {
     LayerRequest request;
     request.layer = LayerId{static_cast<std::int32_t>(li)};
@@ -428,8 +429,8 @@ SynthesisResult schedule_in_turn(const model::Assay& assay,
     request.existing_paths = result.paths(assay);
     request.hints = hints;
     if (inherit && li > 0) {
-      EXPECT_FALSE(request.prior_binding.empty());
-      EXPECT_FALSE(request.existing_paths.empty());
+      EXPECT_GT(request.prior_binding.size(), 0);
+      EXPECT_FALSE(request.existing_paths.list().empty());
       for (const OperationId id : request.ops) {
         for (const model::Device& device : result.devices.devices()) {
           if (request.pinned.empty() && model::is_compatible(assay.operation(id), device.config)) {
@@ -441,7 +442,7 @@ SynthesisResult schedule_in_turn(const model::Assay& assay,
     const LayerResult layer =
         schedule_layer(request, assay, transport, costs, result.devices);
     for (const ScheduledOperation& item : layer.schedule.items) {
-      binding[item.op] = item.device;
+      binding.bind(item.op, item.device);
       if (request.pinned.count(item.op) > 0) {
         EXPECT_EQ(item.device, request.pinned.at(item.op));
       }

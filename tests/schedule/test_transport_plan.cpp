@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "model/assay.hpp"
+#include "schedule/list_scheduler.hpp"
+#include "schedule/validate.hpp"
 #include "util/check.hpp"
 
 namespace cohls::schedule {
@@ -42,31 +45,103 @@ TEST(TransportProgression, RejectsBadShapes) {
   EXPECT_THROW((void)fine.term(-1), PreconditionError);
 }
 
+/// a -> b, a -> c: edge 0 and edge 1.
+model::Assay fork_assay() {
+  model::Assay assay{"fork"};
+  model::OperationSpec spec;
+  spec.duration = 5_min;
+  spec.name = "a";
+  const OperationId a = assay.add_operation(spec);
+  spec.name = "b";
+  spec.parents = {a};
+  (void)assay.add_operation(spec);
+  spec.name = "c";
+  (void)assay.add_operation(spec);
+  return assay;
+}
+
 TEST(TransportPlan, UniformFallback) {
   const TransportPlan plan{2_min};
-  EXPECT_EQ(plan.edge_time(OperationId{0}, OperationId{1}), 2_min);
+  EXPECT_EQ(plan.edge_time(EdgeId{0}), 2_min);
+  EXPECT_EQ(plan.edge_time(EdgeId{1000}), 2_min);
   EXPECT_EQ(plan.uniform_time(), 2_min);
+  EXPECT_TRUE(plan.fits(fork_assay()));
 }
 
 TEST(TransportPlan, PerEdgeOverride) {
-  TransportPlan plan{2_min};
-  plan.set_edge_time(OperationId{0}, OperationId{1}, 5_min);
-  EXPECT_EQ(plan.edge_time(OperationId{0}, OperationId{1}), 5_min);
-  // Direction matters: the reverse edge keeps the fallback.
-  EXPECT_EQ(plan.edge_time(OperationId{1}, OperationId{0}), 2_min);
+  const model::Assay assay = fork_assay();
+  TransportPlan plan{2_min, assay};
+  plan.set_edge_time(EdgeId{0}, 5_min);
+  EXPECT_EQ(plan.edge_time(EdgeId{0}), 5_min);
+  // Each edge has its own time: the sibling edge keeps the fallback.
+  EXPECT_EQ(plan.edge_time(EdgeId{1}), 2_min);
+  EXPECT_EQ(plan.uniform_time(), 2_min);
 }
 
 TEST(TransportPlan, ZeroOverrideRepresentsCoLocation) {
-  TransportPlan plan{2_min};
-  plan.set_edge_time(OperationId{0}, OperationId{1}, 0_min);
-  EXPECT_EQ(plan.edge_time(OperationId{0}, OperationId{1}), 0_min);
+  const model::Assay assay = fork_assay();
+  TransportPlan plan{2_min, assay};
+  plan.set_edge_time(EdgeId{1}, 0_min);
+  EXPECT_EQ(plan.edge_time(EdgeId{1}), 0_min);
 }
 
 TEST(TransportPlan, RejectsNegativeTimes) {
-  TransportPlan plan{1_min};
-  EXPECT_THROW(plan.set_edge_time(OperationId{0}, OperationId{1}, Minutes{-1}),
-               PreconditionError);
+  const model::Assay assay = fork_assay();
+  TransportPlan plan{1_min, assay};
+  EXPECT_THROW(plan.set_edge_time(EdgeId{0}, Minutes{-1}), PreconditionError);
   EXPECT_THROW(TransportPlan{Minutes{-2}}, PreconditionError);
+}
+
+// A per-edge plan covers the edges of the assay it was made for; an edge
+// id beyond them is a precondition failure, never a read past the end.
+TEST(TransportPlan, EdgesOutsideThePlanAreRejected) {
+  const model::Assay assay = fork_assay();
+  TransportPlan plan{1_min, assay};
+  EXPECT_THROW((void)plan.edge_time(EdgeId{2}), PreconditionError);
+  EXPECT_THROW((void)plan.edge_time(EdgeId{}), PreconditionError);
+  EXPECT_THROW(plan.set_edge_time(EdgeId{2}, 1_min), PreconditionError);
+  // A uniform plan has no per-edge times to set.
+  TransportPlan uniform{1_min};
+  EXPECT_THROW(uniform.set_edge_time(EdgeId{0}, 1_min), PreconditionError);
+
+  model::Assay bigger = fork_assay();
+  model::OperationSpec spec;
+  spec.name = "d";
+  spec.duration = 5_min;
+  spec.parents = {OperationId{1}, OperationId{2}};
+  (void)bigger.add_operation(spec);
+  EXPECT_TRUE(plan.fits(assay));
+  EXPECT_FALSE(plan.fits(bigger));
+}
+
+// The readers check the plan against the assay they are given: a per-edge
+// plan made for another assay is a precondition failure before any edge
+// is read.
+TEST(TransportPlan, ReadersRejectAPlanForAnotherAssay) {
+  const model::Assay assay = fork_assay();
+  const TransportPlan plan{1_min, assay};
+  model::Assay bigger = fork_assay();
+  model::OperationSpec spec;
+  spec.name = "d";
+  spec.duration = 5_min;
+  spec.parents = {OperationId{1}, OperationId{2}};
+  const OperationId d = bigger.add_operation(spec);
+
+  LayerRequest request;
+  request.layer = LayerId{0};
+  request.ops = {OperationId{0}, OperationId{1}, OperationId{2}, d};
+  const model::CostModel costs;
+  model::DeviceInventory inventory(4);
+  EXPECT_THROW((void)schedule_layer(request, bigger, plan, costs, inventory),
+               PreconditionError);
+
+  model::DeviceInventory fits_inventory(4);
+  request.ops = {OperationId{0}, OperationId{1}, OperationId{2}};
+  SynthesisResult result;
+  result.layers.push_back(schedule_layer(request, assay, plan, costs, fits_inventory).schedule);
+  result.devices = fits_inventory;
+  EXPECT_TRUE(certify_result(result, assay, plan).empty());
+  EXPECT_THROW((void)certify_result(result, bigger, plan), PreconditionError);
 }
 
 }  // namespace

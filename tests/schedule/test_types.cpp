@@ -103,9 +103,9 @@ TEST(SynthesisResult, DenseBindingIndexesByOperationId) {
   const auto d0 = result.devices.instantiate(ring, LayerId{0});
   result.layers.push_back({LayerId{0}, {{OperationId{1}, d0, 0_min, 20_min, 0_min}}});
   const auto binding = result.dense_binding(assay);
-  ASSERT_EQ(binding.size(), 2u);
-  EXPECT_FALSE(binding[0].has_value());
-  EXPECT_EQ(binding[1], d0);
+  ASSERT_EQ(binding.size(), 2);
+  EXPECT_FALSE(binding.device(OperationId{0}).valid());
+  EXPECT_EQ(binding.device(OperationId{1}), d0);
 }
 
 TEST(SynthesisResult, TotalTimeAddsSymbolPerIndeterminateLayer) {

@@ -23,6 +23,79 @@ using schedule::ScheduledOperation;
 using schedule::SynthesisResult;
 using schedule::TransportPlan;
 
+SynthesisResult run_pass_reference(const model::Assay& assay, const core::LayerPlan& plan,
+                                   const TransportPlan& transport,
+                                   const core::SynthesisOptions& options,
+                                   const std::vector<core::KnownDevice>& known_devices,
+                                   const core::PassPolicy& policy,
+                                   std::vector<LayerBookkeeping>& layers) {
+  SynthesisResult result;
+  result.devices = model::DeviceInventory(options.max_devices);
+  for (const model::DeviceConfig& config : policy.initial_devices) {
+    result.devices.instantiate(config, LayerId{});
+  }
+  std::map<OperationId, DeviceId> prior_binding;
+  std::set<DevicePath> existing_paths;
+  std::vector<bool> hint_consumed(known_devices.size(), false);
+
+  for (int li = 0; li < plan.layer_count(); ++li) {
+    layers.push_back(LayerBookkeeping{prior_binding, existing_paths});
+    schedule::LayerRequest request;
+    request.layer = LayerId{li};
+    request.ops = plan.layer(li);
+    for (const auto& [op, device] : prior_binding) {
+      request.prior_binding.bind(op, device);
+    }
+    for (const model::Device& device : result.devices.devices()) {
+      request.usable_devices.push_back(device.id);
+    }
+    for (std::size_t k = 0; k < known_devices.size(); ++k) {
+      if (!hint_consumed[k] && known_devices[k].created_in_layer > li) {
+        request.hints.push_back(
+            schedule::DeviceHint{known_devices[k].config, static_cast<int>(k)});
+      }
+    }
+    for (const DevicePath& path : existing_paths) {
+      request.existing_paths.insert(path.first, path.second);
+    }
+    for (const OperationId op : request.ops) {
+      const auto pin = policy.pinned.find(op);
+      if (pin != policy.pinned.end()) {
+        request.pinned.emplace(op, pin->second);
+      }
+    }
+    request.allow_new_devices = policy.allow_new_devices;
+    request.binds = policy.binds;
+    request.new_config = policy.new_config;
+    request.slot_size = policy.slot_size;
+
+    core::LayerOutcome outcome = core::synthesize_layer(
+        request, assay, transport, options.costs, options.engine, result.devices);
+    result.devices = std::move(outcome.inventory);
+    for (const int key : outcome.result.consumed_hints) {
+      hint_consumed[static_cast<std::size_t>(key)] = true;
+    }
+    for (const auto& item : outcome.result.schedule.items) {
+      prior_binding[item.op] = item.device;
+    }
+    for (const auto& item : outcome.result.schedule.items) {
+      const model::Operation& op = assay.operation(item.op);
+      std::vector<OperationId> neighbours(op.parents().begin(), op.parents().end());
+      for (const OperationId child : assay.children(item.op)) {
+        neighbours.push_back(child);
+      }
+      for (const OperationId other : neighbours) {
+        const auto bound = prior_binding.find(other);
+        if (bound != prior_binding.end() && bound->second != item.device) {
+          existing_paths.insert(schedule::make_path(item.device, bound->second));
+        }
+      }
+    }
+    result.layers.push_back(std::move(outcome.result.schedule));
+  }
+  return result;
+}
+
 std::set<DevicePath> paths_reference(const SynthesisResult& result,
                                      const model::Assay& assay) {
   const auto bound = result.binding();
@@ -64,10 +137,27 @@ schedule::ObjectiveBreakdown evaluate_objective_reference(const SynthesisResult&
   return out;
 }
 
-schedule::TransportPlan refine_transport_reference(
-    const schedule::SynthesisResult& result, const model::Assay& assay,
-    const schedule::TransportProgression& progression, Minutes fallback) {
-  schedule::TransportPlan plan(fallback);
+EdgeId edge_between(const model::Assay& assay, OperationId parent, OperationId child) {
+  const model::Operation& op = assay.operation(child);
+  auto edge = op.parent_edges().begin();
+  for (const OperationId candidate : op.parents()) {
+    if (candidate == parent) {
+      return *edge;
+    }
+    ++edge;
+  }
+  throw PreconditionError("no edge between the two operations");
+}
+
+Minutes edge_time_between(const TransportPlan& transport, const model::Assay& assay,
+                          OperationId parent, OperationId child) {
+  return transport.edge_time(edge_between(assay, parent, child));
+}
+
+EdgeTimes refine_transport_reference(const schedule::SynthesisResult& result,
+                                     const model::Assay& assay,
+                                     const schedule::TransportProgression& progression) {
+  EdgeTimes times;
   const auto binding = result.binding();
 
   // Count how many transfers use each inter-device path.
@@ -115,16 +205,14 @@ schedule::TransportPlan refine_transport_reference(
       if (child_device == binding.end()) {
         continue;
       }
-      if (parent_device->second == child_device->second) {
-        plan.set_edge_time(op.id(), child, Minutes{0});
-      } else {
-        plan.set_edge_time(
-            op.id(), child,
-            path_time.at(schedule::make_path(parent_device->second, child_device->second)));
-      }
+      times[{op.id(), child}] =
+          parent_device->second == child_device->second
+              ? Minutes{0}
+              : path_time.at(
+                    schedule::make_path(parent_device->second, child_device->second));
     }
   }
-  return plan;
+  return times;
 }
 
 
@@ -149,7 +237,7 @@ Minutes occupation_end(const ScheduledOperation& item, const model::Assay& assay
     }
     if (it->second.layer_index == self.layer_index &&
         it->second.item->device != item.device) {
-      end = std::max(end, item.end() + transport.edge_time(item.op, child));
+      end = std::max(end, item.end() + edge_time_between(transport, assay, item.op, child));
     }
   }
   return end;
@@ -235,7 +323,7 @@ std::vector<diag::Diagnostic> certify_result_reference(const SynthesisResult& re
       }
       const bool same_device = parent.item->device == child.item->device;
       const Minutes t =
-          same_device ? Minutes{0} : transport.edge_time(parent_id, op.id());
+          same_device ? Minutes{0} : edge_time_between(transport, assay, parent_id, op.id());
       if (parent.layer_index == child.layer_index) {
         if (child.item->start < parent.item->end() + t) {
           std::ostringstream msg;

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "support/flow_reference.hpp"
 #include "util/check.hpp"
 
 namespace cohls::oracles {
@@ -143,7 +144,7 @@ std::string layer_signature_reference(const core::LayerSolveContext& context) {
   }
   // Existing paths between inherited devices, canonically numbered.
   std::vector<std::pair<int, int>> paths;
-  for (const schedule::DevicePath& path : request.existing_paths) {
+  for (const schedule::DevicePath& path : request.existing_paths.list()) {
     const auto a = device_rank.find(path.first);
     const auto b = device_rank.find(path.second);
     COHLS_ASSERT(a != device_rank.end() && b != device_rank.end(),
@@ -169,13 +170,13 @@ std::string layer_signature_reference(const core::LayerSolveContext& context) {
       for (const OperationId parent : op.parents()) {
         out << (first ? "" : " ");
         first = false;
-        const std::int64_t t = context.transport.edge_time(parent, id).count();
+        const std::int64_t t =
+            edge_time_between(context.transport, assay, parent, id).count();
         if (in_layer.count(parent)) {
           out << 'L' << rank.at(parent) << '@' << t;
         } else {
-          const auto prior = request.prior_binding.find(parent);
-          if (prior != request.prior_binding.end()) {
-            const auto bound = device_rank.find(prior->second);
+          if (const DeviceId prior = request.prior_binding.device(parent); prior.valid()) {
+            const auto bound = device_rank.find(prior);
             COHLS_ASSERT(bound != device_rank.end(),
                          "prior binding references a device outside the inventory");
             out << 'P' << bound->second << '@' << t;
@@ -189,7 +190,8 @@ std::string layer_signature_reference(const core::LayerSolveContext& context) {
     out << " ch[";
     std::vector<std::pair<int, std::int64_t>> children;
     for (const OperationId child : assay.children(id)) {
-      children.emplace_back(rank.at(child), context.transport.edge_time(id, child).count());
+      children.emplace_back(rank.at(child),
+                            edge_time_between(context.transport, assay, id, child).count());
     }
     std::sort(children.begin(), children.end());
     bool first = true;
