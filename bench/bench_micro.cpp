@@ -2,9 +2,11 @@
 // revised simplex (cold solve and warm child re-solve), branch-and-bound,
 // the layer-model build and its presolve, max-flow, layering, one
 // list-scheduled layer, a full synthesis pass, the flow's bookkeeping
-// (transport refinement and certification of a synthesized result), the
-// text front end (lex, build and lint of a protocol) and the layer cache's
-// key (one signature; one missed lookup plus its store).
+// (transport refinement and certification of a synthesized result), a
+// recovery mission (one broken replay and its recovery round; one replay
+// the fault plan never breaks), the text front end (lex, build and lint of
+// a protocol) and the layer cache's key (one signature; one missed lookup
+// plus its store).
 // These track the cost of the pieces the paper's runtime column depends on.
 // The binary counts the calling thread's heap allocations (a replaced global
 // operator new), which BM_BuildAssay reports per build.
@@ -22,6 +24,7 @@
 #include "core/ilp_layer_model.hpp"
 #include "core/layering.hpp"
 #include "core/progressive_resynthesis.hpp"
+#include "core/recovery.hpp"
 #include "core/transport_estimator.hpp"
 #include "engine/layer_cache.hpp"
 #include "engine/layer_signature.hpp"
@@ -33,6 +36,7 @@
 #include "milp/branch_and_bound.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "schedule/validate.hpp"
+#include "sim/runtime.hpp"
 #include "support/layer_capture.hpp"
 #include "util/rng.hpp"
 
@@ -278,6 +282,65 @@ void BM_CertifyCase3(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CertifyCase3);
+
+/// The synthesized case-2 result (gene expression, 70 ops) and a fault plan
+/// for a recovery mission on it: 0 fails a device mid-run, at the first
+/// operation's midpoint whose loss one recovery round survives; 1 fails a
+/// device after the run has ended, so the plan never bites.
+struct MissionCase {
+  model::Assay assay = assays::gene_expression_assay();
+  core::MissionOptions mission;
+  core::SynthesisReport report;
+  sim::RuntimeOptions runtime;
+};
+
+MissionCase mission_case(bool bites) {
+  MissionCase c;
+  c.mission.synthesis.max_devices = 25;
+  c.mission.max_rounds = 3;
+  c.report = core::synthesize(c.assay, c.mission.synthesis);
+  c.runtime.attempt_success_probability = 1.0;
+  const DeviceId first_device = c.report.result.layers.front().items.front().device;
+  if (!bites) {
+    const Minutes end = sim::simulate_run(c.report.result, c.assay, c.runtime).completed_at;
+    c.runtime.faults.events.push_back(sim::FaultEvent{
+        sim::FaultKind::DeviceFailure, first_device, OperationId{}, end + Minutes{1}});
+    return c;
+  }
+  for (const schedule::LayerSchedule& layer : c.report.result.layers) {
+    for (const schedule::ScheduledOperation& item : layer.items) {
+      c.runtime.faults.events.assign(
+          1, sim::FaultEvent{sim::FaultKind::DeviceFailure, item.device, OperationId{},
+                             item.start + Minutes{std::max<std::int64_t>(
+                                              item.duration.count() / 2, 1)}});
+      const core::MissionOutcome probe =
+          core::run_mission(c.assay, c.report.result, c.runtime, c.mission);
+      if (probe.recovered && probe.rounds == 1) {
+        return c;
+      }
+    }
+  }
+  std::abort();  // no survivable mid-run failure: the case is mis-built
+}
+
+/// One core::run_mission call: replay, and for the biting plan one
+/// recovery round (residual, re-synthesis, certification, stitching).
+void BM_RunMission(benchmark::State& state) {
+  static const MissionCase cases[] = {mission_case(true), mission_case(false)};
+  const MissionCase& c = cases[state.range(0)];
+  int rounds = 0;
+  const std::uint64_t before = allocations;
+  for (auto _ : state) {
+    const core::MissionOutcome outcome =
+        core::run_mission(c.assay, c.report.result, c.runtime, c.mission);
+    rounds = outcome.rounds;
+    benchmark::DoNotOptimize(outcome.final_trace.completed_at);
+  }
+  state.counters["rounds"] = rounds;
+  state.counters["allocs_per_mission"] =
+      static_cast<double>(allocations - before) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_RunMission)->DenseRange(0, 1);
 
 /// The text of paper case 1 (kinase activity, 16 ops), 2 (gene expression,
 /// 70) or 3 (RT-qPCR, 120): examples/protocols/*.assay byte for byte.

@@ -57,7 +57,7 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
                                    const schedule::TransportPlan& transport,
                                    const SynthesisOptions& options_in,
                                    const std::vector<KnownDevice>& known_devices,
-                                   const PassPolicy& policy) {
+                                   const PassPolicy& policy, int* path_count) {
   // Let branch-and-bound poll the pass-level token between nodes, unless the
   // caller already installed a solver-specific one.
   SynthesisOptions options_with_cancel;
@@ -142,6 +142,9 @@ schedule::SynthesisResult run_pass(const model::Assay& assay, const LayerPlan& p
       }
     }
     result.layers.push_back(std::move(outcome.result.schedule));
+  }
+  if (path_count != nullptr) {
+    *path_count = existing_paths.count();
   }
   return result;
 }

@@ -46,10 +46,13 @@ struct PassPolicy {
 
 /// Runs one pass. `known_devices` may be empty (first iteration). In later
 /// iterations, layer L_i sees the configs created by layers *after* i as
-/// hints (D \ D'_i inheritance).
+/// hints (D \ D'_i inheritance). When `path_count` is given, it receives
+/// the result's path count (result.path_count(assay)), read off the path
+/// matrix the pass keeps anyway.
 [[nodiscard]] schedule::SynthesisResult run_pass(
     const model::Assay& assay, const LayerPlan& plan,
     const schedule::TransportPlan& transport, const SynthesisOptions& options,
-    const std::vector<KnownDevice>& known_devices = {}, const PassPolicy& policy = {});
+    const std::vector<KnownDevice>& known_devices = {}, const PassPolicy& policy = {},
+    int* path_count = nullptr);
 
 }  // namespace cohls::core

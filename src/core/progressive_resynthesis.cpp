@@ -8,13 +8,16 @@ namespace cohls::core {
 
 namespace {
 
+/// The record of a pass whose path count run_pass reported.
 IterationRecord record_of(const schedule::SynthesisResult& result,
-                          const model::Assay& assay, const model::CostModel& costs) {
+                          const model::Assay& assay, const model::CostModel& costs,
+                          int path_count) {
   IterationRecord record;
-  record.objective = schedule::evaluate_objective(result, assay, costs);
   record.execution_time = result.total_time(assay);
+  record.objective = schedule::evaluate_objective(result, assay, costs,
+                                                  record.execution_time, path_count);
   record.device_count = result.used_device_count();
-  record.path_count = static_cast<int>(record.objective.path_count);
+  record.path_count = path_count;
   return record;
 }
 
@@ -38,8 +41,10 @@ SynthesisReport synthesize_single(const model::Assay& assay,
   report.plan = layer_assay(assay, options.layering);
 
   report.transport = schedule::TransportPlan(options.initial_transport);
-  report.result = run_pass(assay, report.plan, report.transport, options, {}, policy);
-  report.iterations.push_back(record_of(report.result, assay, options.costs));
+  int path_count = 0;
+  report.result =
+      run_pass(assay, report.plan, report.transport, options, {}, policy, &path_count);
+  report.iterations.push_back(record_of(report.result, assay, options.costs, path_count));
   double best_objective = report.iterations.back().objective.weighted_total;
 
   // The latest pass is the best one (report.result) or, when it did not
@@ -58,8 +63,8 @@ SynthesisReport synthesize_single(const model::Assay& assay,
                                options.initial_transport);
     const std::vector<KnownDevice> known = known_devices_of(current);
     schedule::SynthesisResult next =
-        run_pass(assay, report.plan, refined, options, known, policy);
-    const IterationRecord record = record_of(next, assay, options.costs);
+        run_pass(assay, report.plan, refined, options, known, policy, &path_count);
+    const IterationRecord record = record_of(next, assay, options.costs, path_count);
     report.iterations.push_back(record);
 
     const double previous = report.iterations[report.iterations.size() - 2]
@@ -71,6 +76,7 @@ SynthesisReport synthesize_single(const model::Assay& assay,
     latest_is_best = record.objective.weighted_total < best_objective - 1e-9;
     if (latest_is_best) {
       best_objective = record.objective.weighted_total;
+      report.kept_iteration = report.iterations.size() - 1;
       report.result = std::move(next);
       report.transport = std::move(refined);
     } else {
@@ -93,8 +99,7 @@ SynthesisReport synthesize(const model::Assay& assay, const SynthesisOptions& op
   if (options.restarts == 1) {
     return best;
   }
-  double best_objective =
-      schedule::evaluate_objective(best.result, assay, options.costs).weighted_total;
+  double best_objective = best.kept().objective.weighted_total;
   for (int restart = 1; restart < options.restarts; ++restart) {
     options.cancel.check("synthesis restart");
     SynthesisOptions varied = options;
@@ -102,9 +107,7 @@ SynthesisReport synthesize(const model::Assay& assay, const SynthesisOptions& op
     // eligible indeterminate operations (Algorithm 1 L13).
     varied.layering.seed = options.layering.seed + static_cast<std::uint64_t>(restart);
     SynthesisReport candidate = synthesize_single(assay, varied, policy);
-    const double objective =
-        schedule::evaluate_objective(candidate.result, assay, options.costs)
-            .weighted_total;
+    const double objective = candidate.kept().objective.weighted_total;
     if (objective < best_objective - 1e-9) {
       best_objective = objective;
       best = std::move(candidate);

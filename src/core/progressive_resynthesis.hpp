@@ -31,8 +31,13 @@ struct SynthesisReport {
   LayerPlan plan{std::vector<std::vector<OperationId>>{}};
   /// iterations[0] is the initial pass; [k] the k-th re-synthesis.
   std::vector<IterationRecord> iterations;
+  /// The index of `result`'s record in `iterations`.
+  std::size_t kept_iteration = 0;
   /// Transport plan the best result was synthesized (and validated) under.
   schedule::TransportPlan transport{Minutes{0}};
+
+  /// The record of `result`: its execution time, path count and objective.
+  [[nodiscard]] const IterationRecord& kept() const { return iterations.at(kept_iteration); }
 };
 
 /// Full flow: layering -> initial pass -> progressive re-synthesis.

@@ -43,21 +43,26 @@ using RecoveryCarry = std::map<OperationId, CarriedPin>;
 
 /// The outstanding work of a broken run, re-expressed as a standalone assay
 /// with dense operation ids (ascending original order, so parents precede
-/// children by construction).
+/// children by construction). The id translations are dense frames: one
+/// entry per id of the frame they are indexed by, an invalid id where the
+/// other frame has no counterpart.
 struct ResidualAssay {
   model::Assay assay{"residual"};
-  /// residual id -> original id.
-  std::map<OperationId, OperationId> to_original;
-  /// original id -> residual id (completed originals are absent).
-  std::map<OperationId, OperationId> from_original;
+  /// Indexed by residual id: the original id.
+  std::vector<OperationId> to_original;
+  /// Indexed by original id: the residual id, invalid for completed
+  /// originals.
+  std::vector<OperationId> from_original;
   /// In-flight residual operations, pinned to the surviving device (by
   /// *surviving* id) already running them. Their residual duration is the
   /// realized time still needed — elapsed work is credited, not repeated.
+  /// Only pins are held, so a map stays (PassPolicy::pinned takes it).
   std::map<OperationId, DeviceId> pinned;
   /// The surviving chip: configs in surviving-id order (0, 1, ...).
   std::vector<model::DeviceConfig> surviving_devices;
-  /// original device id -> surviving device id (failed devices are absent).
-  std::map<DeviceId, DeviceId> device_map;
+  /// Indexed by original device id: the surviving id, invalid for failed
+  /// devices.
+  std::vector<DeviceId> device_map;
 };
 
 struct RecoveryOutcome {
@@ -105,6 +110,13 @@ struct RecoveryOutcome {
                                       const SynthesisOptions& options = {},
                                       const RecoveryCarry& carry = {},
                                       const std::set<DeviceId>& also_failed = {});
+
+/// The note an E3xx diagnostic carries for one fault of a mission's chain:
+/// "fault chain: " and the event as one directive of the fault-plan text
+/// format, which sim::parse_fault_plan reads back. An exhaustion's break
+/// minute, which that format does not carry, follows as a "# at <minute>"
+/// comment.
+[[nodiscard]] diag::Note fault_chain_note(const sim::FaultEvent& event);
 
 // ---------------------------------------------------------------------------
 // Re-entrant multi-fault recovery missions

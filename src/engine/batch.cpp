@@ -15,7 +15,6 @@
 #include "core/recovery.hpp"
 #include "engine/thread_pool.hpp"
 #include "io/result_text.hpp"
-#include "schedule/objective.hpp"
 #include "schedule/validate.hpp"
 #include "sim/runtime.hpp"
 #include "util/check.hpp"
@@ -206,17 +205,16 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
                              certification.end());
     }
 
+    const core::IterationRecord& kept = report.kept();
     std::ostringstream time_text;
-    time_text << report.result.total_time(assay);
+    time_text << kept.execution_time;
     row.summary.execution_time = time_text.str();
-    row.summary.devices = report.result.used_device_count();
-    row.summary.paths = report.result.path_count(assay);
+    row.summary.devices = kept.device_count;
+    row.summary.paths = kept.path_count;
     row.summary.layers = static_cast<int>(report.result.layers.size());
     row.summary.resynthesis_iterations =
         static_cast<int>(report.iterations.size()) - 1;
-    row.summary.objective =
-        schedule::evaluate_objective(report.result, assay, options.costs)
-            .weighted_total;
+    row.summary.objective = kept.objective.weighted_total;
     row.result_text = io::to_text(report.result, assay);
 
     // Fault injection: drive the certified schedule through the re-entrant

@@ -6,11 +6,17 @@
 
 namespace cohls::schedule {
 
-ObjectiveBreakdown evaluate_objective(const SynthesisResult& result,
-                                      const model::Assay& assay,
-                                      const model::CostModel& costs) {
+namespace {
+
+/// The score, with the execution time and path count taken from the caller
+/// where given and computed from the result where null.
+ObjectiveBreakdown score(const SynthesisResult& result, const model::Assay& assay,
+                         const model::CostModel& costs, const SymbolicDuration* total_time,
+                         const int* path_count) {
   ObjectiveBreakdown out;
-  out.time_minutes = static_cast<double>(result.total_time(assay).fixed().count());
+  out.time_minutes = static_cast<double>(
+      (total_time != nullptr ? total_time->fixed() : result.total_time(assay).fixed())
+          .count());
 
   // Mark used devices, then sum in ascending id order so the totals are
   // bit-identical whatever order the layers list their items in.
@@ -30,13 +36,30 @@ ObjectiveBreakdown evaluate_objective(const SynthesisResult& result,
     out.area += model::device_area(device.config, costs);
     out.processing += model::device_processing(device.config, costs, assay.registry());
   }
-  out.path_count = static_cast<double>(result.path_count(assay));
+  // Counted only now: the path matrix trusts the device ids checked above.
+  out.path_count =
+      static_cast<double>(path_count != nullptr ? *path_count : result.path_count(assay));
 
   out.weighted_total = costs.weight_time() * out.time_minutes +
                        costs.weight_area() * out.area +
                        costs.weight_processing() * out.processing +
                        costs.weight_paths() * out.path_count;
   return out;
+}
+
+}  // namespace
+
+ObjectiveBreakdown evaluate_objective(const SynthesisResult& result,
+                                      const model::Assay& assay,
+                                      const model::CostModel& costs) {
+  return score(result, assay, costs, nullptr, nullptr);
+}
+
+ObjectiveBreakdown evaluate_objective(const SynthesisResult& result,
+                                      const model::Assay& assay,
+                                      const model::CostModel& costs,
+                                      const SymbolicDuration& total_time, int path_count) {
+  return score(result, assay, costs, &total_time, &path_count);
 }
 
 }  // namespace cohls::schedule

@@ -22,5 +22,13 @@ struct ObjectiveBreakdown {
 [[nodiscard]] ObjectiveBreakdown evaluate_objective(const SynthesisResult& result,
                                                     const model::Assay& assay,
                                                     const model::CostModel& costs);
+/// The same score from an execution time and a path count the caller
+/// already holds (a synthesis pass ends holding both); they must be
+/// result.total_time(assay) and result.path_count(assay).
+[[nodiscard]] ObjectiveBreakdown evaluate_objective(const SynthesisResult& result,
+                                                    const model::Assay& assay,
+                                                    const model::CostModel& costs,
+                                                    const SymbolicDuration& total_time,
+                                                    int path_count);
 
 }  // namespace cohls::schedule

@@ -150,8 +150,11 @@ void expect_passes_match_reference(const model::Assay& assay, SynthesisOptions o
   for (int pass = 0; pass < passes; ++pass) {
     BookkeepingRecorder recorder;
     options.layer_cache = &recorder;
-    const SynthesisResult result = run_pass(assay, plan, transport, options, known, policy);
+    int path_count = -1;
+    const SynthesisResult result =
+        run_pass(assay, plan, transport, options, known, policy, &path_count);
     options.layer_cache = nullptr;
+    EXPECT_EQ(path_count, result.path_count(assay)) << "pass " << pass;
     std::vector<oracles::LayerBookkeeping> reference_layers;
     const SynthesisResult reference = oracles::run_pass_reference(
         assay, plan, transport, options, known, policy, reference_layers);

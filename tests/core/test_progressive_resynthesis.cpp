@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "assays/benchmarks.hpp"
 #include "assays/random_assay.hpp"
 #include "schedule/validate.hpp"
@@ -35,6 +37,50 @@ TEST(ProgressiveResynthesis, KeepsTheBestIterationEvenIfLaterOnesRegress) {
   const auto final_objective =
       schedule::evaluate_objective(report.result, assay, options.costs);
   EXPECT_NEAR(final_objective.weighted_total, best, 1e-9);
+}
+
+TEST(ProgressiveResynthesis, KeptRecordDescribesTheResult) {
+  // The kept record is the result's own (time, paths, devices, objective),
+  // and it is the earliest iteration that no later one beats by more than
+  // the 1e-9 tie margin.
+  std::vector<model::Assay> assays{assays::kinase_activity_assay(2),
+                                   assays::gene_expression_assay(3),
+                                   assays::rt_qpcr_assay(3)};
+  assays::RandomAssayOptions gen;
+  gen.operations = 14;
+  gen.indeterminate_probability = 0.25;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    assays.push_back(assays::random_assay(seed, gen));
+  }
+  for (const model::Assay& assay : assays) {
+    SynthesisOptions options;
+    options.max_devices = 20;
+    options.layering.indeterminate_threshold = 2;
+    options.resynthesis_improvement_threshold = -1.0;  // never stop early
+    options.max_resynthesis_iterations = 3;
+    options.engine.enable_ilp = false;
+    for (const int restarts : {1, 3}) {
+      options.restarts = restarts;
+      const SynthesisReport report = synthesize(assay, options);
+      const IterationRecord& kept = report.kept();
+      const schedule::ObjectiveBreakdown objective =
+          schedule::evaluate_objective(report.result, assay, options.costs);
+      EXPECT_EQ(kept.objective.weighted_total, objective.weighted_total) << assay.name();
+      EXPECT_EQ(kept.objective.path_count, objective.path_count) << assay.name();
+      EXPECT_EQ(kept.path_count, report.result.path_count(assay)) << assay.name();
+      EXPECT_EQ(kept.device_count, report.result.used_device_count()) << assay.name();
+      EXPECT_TRUE(kept.execution_time == report.result.total_time(assay)) << assay.name();
+      const double margin = 1e-9;
+      for (std::size_t k = 0; k < report.iterations.size(); ++k) {
+        const double total = report.iterations[k].objective.weighted_total;
+        if (k < report.kept_iteration) {
+          EXPECT_GT(total, kept.objective.weighted_total + margin) << assay.name();
+        } else {
+          EXPECT_GE(total, kept.objective.weighted_total - margin) << assay.name();
+        }
+      }
+    }
+  }
 }
 
 TEST(ProgressiveResynthesis, StopsWhenImprovementBelowThreshold) {

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "assays/benchmarks.hpp"
+#include "sim/faults.hpp"
 #include "sim/runtime.hpp"
 
 namespace cohls::core {
@@ -44,23 +45,30 @@ TEST(BuildResidual, DropsCompletedOpsAndStrikesTheFailedDevice) {
             f.assay.operation_count() - static_cast<int>(trace.completed.size()));
   EXPECT_EQ(static_cast<int>(residual.surviving_devices.size()),
             f.report.result.devices.size() - 1);
-  EXPECT_EQ(residual.device_map.count(trace.failure->device), 0u);
+  EXPECT_FALSE(residual.device_map[trace.failure->device.index()].valid());
 
-  // The id maps are inverse bijections and completed originals are absent.
-  for (const auto& [residual_id, original_id] : residual.to_original) {
-    EXPECT_EQ(residual.from_original.at(original_id), residual_id);
+  // The id frames are inverse bijections and completed originals are absent.
+  ASSERT_EQ(static_cast<int>(residual.to_original.size()),
+            residual.assay.operation_count());
+  for (std::size_t r = 0; r < residual.to_original.size(); ++r) {
+    const OperationId original_id = residual.to_original[r];
+    EXPECT_EQ(residual.from_original[original_id.index()],
+              OperationId{static_cast<std::int32_t>(r)});
     EXPECT_TRUE(std::none_of(trace.completed.begin(), trace.completed.end(),
                              [&](OperationId done) { return done == original_id; }));
+  }
+  for (const OperationId done : trace.completed) {
+    EXPECT_FALSE(residual.from_original[done.index()].valid());
   }
 
   // Parent edges survive the remap exactly when the parent is outstanding.
   for (const model::Operation& op : residual.assay.operations()) {
     const model::Operation& original =
-        f.assay.operation(residual.to_original.at(op.id()));
+        f.assay.operation(residual.to_original[op.id().index()]);
     std::set<OperationId> expected;
     for (const OperationId parent : original.parents()) {
-      if (residual.from_original.count(parent) > 0) {
-        expected.insert(residual.from_original.at(parent));
+      if (residual.from_original[parent.index()].valid()) {
+        expected.insert(residual.from_original[parent.index()]);
       }
     }
     const std::set<OperationId> actual(op.parents().begin(), op.parents().end());
@@ -75,17 +83,16 @@ TEST(BuildResidual, PinsInFlightOpsWithElapsedTimeCredit) {
 
   ASSERT_EQ(residual.pinned.size(), trace.in_flight.size());
   for (const sim::InFlightOperation& running : trace.in_flight) {
-    const OperationId residual_id = residual.from_original.at(running.op);
+    const OperationId residual_id = residual.from_original[running.op.index()];
     // Only the remaining realized time is re-planned.
     EXPECT_EQ(residual.assay.operation(residual_id).duration(), running.remaining);
     // The pin targets the surviving id of the device already running it.
-    EXPECT_EQ(residual.pinned.at(residual_id),
-              residual.device_map.at(running.device));
+    EXPECT_EQ(residual.pinned.at(residual_id), residual.device_map[running.device.index()]);
   }
 
   // Lost operations re-run in full.
   for (const OperationId gone : trace.lost) {
-    const OperationId residual_id = residual.from_original.at(gone);
+    const OperationId residual_id = residual.from_original[gone.index()];
     EXPECT_EQ(residual.assay.operation(residual_id).duration(),
               f.assay.operation(gone).duration());
   }
@@ -385,6 +392,60 @@ TEST(Mission, ExhaustedRoundsFreezeWithE305AndFaultChain) {
   ASSERT_EQ(out.round_log.size(), 2u);
   EXPECT_TRUE(out.round_log.front().recovered);
   EXPECT_FALSE(out.round_log.back().recovered);
+}
+
+TEST(Mission, FaultChainNotesParseBackToTheirEvents) {
+  // An exhausted capture breaks the first replay (three attempts allowed),
+  // a device failure breaks its continuation, and one recovery round is
+  // allowed: the E305 carries both faults as notes, each one directive of
+  // the fault-plan text format.
+  const Fixture f;
+  MissionOptions mission;
+  mission.synthesis = f.options;
+  mission.max_rounds = 5;
+  sim::RuntimeOptions runtime;
+  runtime.attempt_success_probability = 1.0;
+  runtime.max_attempts = 3;
+  sim::FaultEvent exhaust;
+  exhaust.kind = sim::FaultKind::AttemptExhaustion;
+  exhaust.op = f.assay.indeterminate_operations().front();
+  runtime.faults.events.push_back(exhaust);
+  add_breaking_fault(f, runtime, mission);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  MissionOptions capped = mission;
+  capped.max_rounds = 1;
+  const MissionOutcome out = run_mission(f.assay, f.report.result, runtime, capped);
+  ASSERT_FALSE(out.diagnostics.empty());
+  const diag::Diagnostic& frozen = out.diagnostics.front();
+  EXPECT_EQ(frozen.code, diag::codes::kRecoveryBudgetExhausted);
+  ASSERT_EQ(frozen.notes.size(), out.fault_chain.size());
+  bool saw_exhaustion = false;
+  bool saw_failure = false;
+  for (std::size_t k = 0; k < frozen.notes.size(); ++k) {
+    const std::string& note = frozen.notes[k].message;
+    const std::string prefix = "fault chain: ";
+    ASSERT_EQ(note.rfind(prefix, 0), 0u) << note;
+    const sim::FaultPlan parsed = sim::parse_fault_plan(note.substr(prefix.size()));
+    ASSERT_EQ(parsed.events.size(), 1u) << note;
+    const sim::FaultEvent& event = out.fault_chain[k];
+    const sim::FaultEvent& back = parsed.events.front();
+    EXPECT_EQ(back.kind, event.kind) << note;
+    if (event.kind == sim::FaultKind::AttemptExhaustion) {
+      // The break minute, which the directive does not carry, rides along
+      // as a comment.
+      EXPECT_EQ(back.op, event.op) << note;
+      EXPECT_NE(note.find("# at " + std::to_string(event.at.count())), std::string::npos)
+          << note;
+      saw_exhaustion = true;
+    } else {
+      EXPECT_EQ(back.device, event.device) << note;
+      EXPECT_EQ(back.at, event.at) << note;
+      saw_failure = true;
+    }
+  }
+  EXPECT_TRUE(saw_exhaustion);
+  EXPECT_TRUE(saw_failure);
 }
 
 TEST(Mission, TightRoundBudgetDegradesInsteadOfFailing) {
